@@ -17,7 +17,10 @@
 //
 // Asserts per-sequence bit-identity A == B (BDD operations are canonical,
 // so sharing the compilation must not move a single bit) and
-// A(threads=1) == A(threads=N) (index-ordered reduction). Writes the
+// A(threads=1) == A(threads=N) (index-ordered reduction). A UQ row then
+// times 1000 Monte-Carlo samples (lognormal EF 3 on the IE and on every
+// train's first demand failure; one sweep of the frozen plan per sample)
+// and asserts the bands are bit-identical at 1 and N threads. Writes the
 // measurements as JSON (default BENCH_etree.json) for CI archival;
 // `obs_check bench-etree` asserts the >= 3x acceptance threshold on it.
 
@@ -80,6 +83,38 @@ scenario_description make_scenario(const fault_tree& ft, int systems) {
   return sc;
 }
 
+/// Lognormal (EF 3) on the IE and on the first demand failure of every
+/// train of the functional systems — the UQ row's parameters.
+void add_distributions(scenario_description& sc, const fault_tree& ft,
+                       int systems) {
+  std::vector<std::string> events{"IE0"};
+  for (int k = 0; k < systems; ++k) {
+    for (int train = 0; train < 3; ++train) {
+      events.push_back("SYS" + std::to_string(k) + "_T" +
+                       std::to_string(train) + "_C0_FTS");
+    }
+  }
+  for (const auto& e : events) {
+    if (ft.find(e) == fault_tree::npos) continue;
+    parameter_distribution d;
+    d.event = e;
+    d.model = parameter_distribution::kind::lognormal;
+    d.error_factor = 3.0;
+    sc.distributions.push_back(d);
+  }
+}
+
+std::vector<double> uq_bands(const scenario_result& r) {
+  std::vector<double> v;
+  for (const auto& s : r.sequences) {
+    v.insert(v.end(), {s.uq.mean, s.uq.p05, s.uq.p50, s.uq.p95});
+  }
+  for (const auto& e : r.end_states) {
+    v.insert(v.end(), {e.uq.mean, e.uq.p05, e.uq.p50, e.uq.p95});
+  }
+  return v;
+}
+
 std::vector<double> sequence_probabilities(const scenario_result& r) {
   std::vector<double> p;
   p.reserve(r.sequences.size());
@@ -105,7 +140,8 @@ int main(int argc, char** argv) {
     const industrial_model study =
         generate_industrial(bench::model1_options(full));
     const fault_tree& ft = study.ft;
-    const scenario_description sc = make_scenario(ft, systems);
+    scenario_description sc = make_scenario(ft, systems);
+    add_distributions(sc, ft, systems);
     const std::size_t num_seq = sc.sequences.size();
     std::printf("model: %zu basic events, %zu gates; etree: %d functional "
                 "events, %zu sequences\n",
@@ -143,6 +179,24 @@ int main(int argc, char** argv) {
     }
     const double one_shot_seconds = b_timer.seconds();
 
+    // UQ row: 1000 samples off the already compiled engine, against the
+    // same samples on a serial engine.
+    constexpr std::size_t uq_samples = 1000;
+    constexpr std::uint64_t uq_seed = 1;
+    const scenario_result uq = engine.run(uq_samples, uq_seed);
+    scenario_engine serial_engine({sd_fault_tree(ft), sc}, serial_opts);
+    const bool uq_thread_identical =
+        uq_bands(uq) == uq_bands(serial_engine.run(uq_samples, uq_seed));
+    const double uq_samples_per_s =
+        uq.stats.uq_seconds > 0.0
+            ? static_cast<double>(uq_samples) / uq.stats.uq_seconds
+            : 0.0;
+    std::printf("uq: %zu samples x %zu parameters in %.4fs (%.0f samples/s, "
+                "%zu plan nodes per sweep), %s\n",
+                uq_samples, uq.stats.uq_parameters, uq.stats.uq_seconds,
+                uq_samples_per_s, uq.stats.scenario_plan_nodes,
+                uq_thread_identical ? "thread-identical" : "THREAD MISMATCH");
+
     const bool bit_identical = a_probs == b_probs;
     const double speedup =
         one_pass_seconds > 0.0 ? one_shot_seconds / one_pass_seconds : 0.0;
@@ -168,6 +222,14 @@ int main(int argc, char** argv) {
     w.key("gates_compiled").integer(a.stats.scenario_gates_compiled);
     w.key("prefix_hits").integer(a.stats.scenario_prefix_hits);
     w.key("bdd_nodes").integer(a.stats.scenario_bdd_nodes);
+    w.key("plan_nodes").integer(a.stats.scenario_plan_nodes);
+    w.end_object();
+    w.key("uq").begin_object();
+    w.key("samples").integer(uq_samples);
+    w.key("parameters").integer(uq.stats.uq_parameters);
+    w.key("seconds").number(uq.stats.uq_seconds);
+    w.key("samples_per_s").number(uq_samples_per_s);
+    w.key("thread_identical").boolean(uq_thread_identical);
     w.end_object();
     w.key("one_pass_seconds").number(one_pass_seconds);
     w.key("one_shot_seconds").number(one_shot_seconds);
@@ -179,7 +241,7 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     out << w.str() << "\n";
     std::printf("wrote %s\n", out_path.c_str());
-    return bit_identical && thread_identical ? 0 : 1;
+    return bit_identical && thread_identical && uq_thread_identical ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_etree: %s\n", e.what());
     return 1;

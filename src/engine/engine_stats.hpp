@@ -121,13 +121,14 @@ struct engine_stats {
   // additionally accumulates the per-gate cutset runs' counters above, so
   // one vocabulary covers both kinds of run.
   double scenario_compile_seconds = 0;   ///< CCF expansion + multi-root BDD
-  double scenario_quantify_seconds = 0;  ///< batched per-sequence evaluation
+  double scenario_quantify_seconds = 0;  ///< one plan sweep over every root
   double scenario_cutset_seconds = 0;    ///< per-gate MCS + recombination
   double scenario_total_seconds = 0;
   std::size_t scenario_sequences = 0;
   std::size_t scenario_end_states = 0;
   std::size_t scenario_functional_events = 0;
   std::size_t scenario_bdd_nodes = 0;       ///< shared multi-root manager
+  std::size_t scenario_plan_nodes = 0;      ///< reachable nodes one sweep visits
   std::size_t scenario_gates_compiled = 0;  ///< distinct gates compiled once
   std::size_t scenario_prefix_hits = 0;     ///< sequence prefix products reused
   std::size_t scenario_sequence_cutsets = 0;  ///< recombined MCSs, all sequences
@@ -206,6 +207,7 @@ struct engine_stats {
     scenario_end_states += o.scenario_end_states;
     scenario_functional_events += o.scenario_functional_events;
     scenario_bdd_nodes += o.scenario_bdd_nodes;
+    scenario_plan_nodes += o.scenario_plan_nodes;
     scenario_gates_compiled += o.scenario_gates_compiled;
     scenario_prefix_hits += o.scenario_prefix_hits;
     scenario_sequence_cutsets += o.scenario_sequence_cutsets;
@@ -303,6 +305,7 @@ struct engine_stats {
         {"scenario.end_states", n(scenario_end_states)},
         {"scenario.functional_events", n(scenario_functional_events)},
         {"scenario.bdd_nodes", n(scenario_bdd_nodes)},
+        {"scenario.plan_nodes", n(scenario_plan_nodes)},
         {"scenario.gates_compiled", n(scenario_gates_compiled)},
         {"scenario.prefix_hits", n(scenario_prefix_hits)},
         {"scenario.sequence_cutsets", n(scenario_sequence_cutsets)},

@@ -91,20 +91,28 @@ scenario_engine::scenario_engine(scenario_model model, scenario_options options)
   for (const auto& s : sc.sequences) et_->add_sequence(s.outcomes, s.end_state);
   et_->validate();
 
-  // One shared multi-root compilation. sequence()/end_state() mutate the
-  // manager, so every root is compiled here, before run()/evaluate_points()
-  // fan concurrent probability reads out over the frozen structure.
-  compiled_.emplace(*et_);
-  seq_refs_.reserve(et_->num_sequences());
-  for (std::size_t s = 0; s < et_->num_sequences(); ++s) {
-    seq_refs_.push_back(compiled_->sequence(s));
-    const std::string& es = et_->end_state(s);
-    if (std::find(es_names_.begin(), es_names_.end(), es) == es_names_.end()) {
-      es_names_.push_back(es);
+  // One shared multi-root compilation of every root, frozen into one
+  // evaluation plan that run()/evaluate_points() only read. The compiler's
+  // hash tables go before the plan is built (freeze() releases them
+  // first), so the plan never adds to the compile-time memory peak.
+  {
+    event_tree_bdd compiled(*et_);
+    std::vector<bdd_ref> roots;
+    roots.reserve(et_->num_sequences());
+    for (std::size_t s = 0; s < et_->num_sequences(); ++s) {
+      roots.push_back(compiled.sequence(s));
+      const std::string& es = et_->end_state(s);
+      if (std::find(es_names_.begin(), es_names_.end(), es) ==
+          es_names_.end()) {
+        es_names_.push_back(es);
+      }
     }
+    for (const auto& es : es_names_) roots.push_back(compiled.end_state(es));
+    bdd_nodes_ = compiled.nodes();
+    gates_compiled_ = compiled.gates_compiled();
+    prefix_hits_ = compiled.prefix_hits();
+    plan_ = std::move(compiled).freeze(roots);
   }
-  es_refs_.reserve(es_names_.size());
-  for (const auto& es : es_names_) es_refs_.push_back(compiled_->end_state(es));
 
   base_expanded_probs_ = expanded_probs(original_probs());
 
@@ -179,20 +187,18 @@ scenario_result scenario_engine::run(std::size_t uq_samples,
   }
 
   {
-    // Batched exact quantification: every root reads the same frozen BDD,
-    // results land in index-ordered slots — bit-identical at any thread
-    // count, and bit-identical to one-shot compilations (BDD canonicity).
+    // Exact quantification of every root in one sweep of the frozen plan —
+    // bit-identical to one-shot compilations (BDD canonicity).
     obs::span_scope quantify_span("scenario.quantify", "scenario");
     stopwatch timer;
-    for_each_index(num_seq + num_es, [&](std::size_t i) {
-      if (i < num_seq) {
-        out.sequences[i].probability =
-            compiled_->probability(seq_refs_[i], base_expanded_probs_);
-      } else {
-        out.end_states[i - num_seq].probability = compiled_->probability(
-            es_refs_[i - num_seq], base_expanded_probs_);
-      }
-    });
+    std::vector<double> values;
+    plan_.evaluate(base_expanded_probs_, values);
+    for (std::size_t s = 0; s < num_seq; ++s) {
+      out.sequences[s].probability = values[s];
+    }
+    for (std::size_t e = 0; e < num_es; ++e) {
+      out.end_states[e].probability = values[num_seq + e];
+    }
     stats.scenario_quantify_seconds = timer.seconds();
   }
 
@@ -206,9 +212,10 @@ scenario_result scenario_engine::run(std::size_t uq_samples,
   stats.scenario_sequences = num_seq;
   stats.scenario_end_states = num_es;
   stats.scenario_functional_events = et_->num_functional_events();
-  stats.scenario_bdd_nodes = compiled_->nodes();
-  stats.scenario_gates_compiled = compiled_->gates_compiled();
-  stats.scenario_prefix_hits = compiled_->prefix_hits();
+  stats.scenario_bdd_nodes = bdd_nodes_;
+  stats.scenario_plan_nodes = plan_.nodes();
+  stats.scenario_gates_compiled = gates_compiled_;
+  stats.scenario_prefix_hits = prefix_hits_;
   stats.ccf_groups = model_.scenario.ccf.size();
   stats.ccf_events_added = expanded_.events_added;
   stats.ccf_members_expanded = expanded_.members_expanded;
@@ -317,15 +324,15 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
                                             std::uint64_t seed) {
   obs::span_scope span("scenario.uq", "scenario");
   stopwatch timer;
-  const std::size_t num_seq = seq_refs_.size();
-  const std::size_t num_es = es_refs_.size();
+  const std::size_t num_seq = et_->num_sequences();
+  const std::size_t num_roots = num_seq + es_names_.size();
   const std::vector<double> base = original_probs();
 
-  // One row per sample. Every draw comes from the substream keyed by
-  // (seed, sample, parameter) — independent of scheduling, so the matrix
-  // (and every band below) is bit-identical at any thread count.
-  std::vector<double> seq_samples(samples * num_seq);
-  std::vector<double> es_samples(samples * num_es);
+  // One row per sample (sequences, then end states). Every draw comes from
+  // the substream keyed by (seed, sample, parameter) — independent of
+  // scheduling, so the matrix (and every band below) is bit-identical at
+  // any thread count.
+  std::vector<double> matrix(samples * num_roots);
   for_each_index(samples, [&](std::size_t k) {
     std::vector<double> drawn = base;
     for (std::size_t p = 0; p < dists_.size(); ++p) {
@@ -350,14 +357,9 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
           break;
       }
     }
-    const std::vector<double> probs = expanded_probs(drawn);
-    for (std::size_t s = 0; s < num_seq; ++s) {
-      seq_samples[k * num_seq + s] =
-          compiled_->probability(seq_refs_[s], probs);
-    }
-    for (std::size_t e = 0; e < num_es; ++e) {
-      es_samples[k * num_es + e] = compiled_->probability(es_refs_[e], probs);
-    }
+    std::vector<double> row;
+    plan_.evaluate(expanded_probs(drawn), row);
+    std::copy(row.begin(), row.end(), matrix.begin() + k * num_roots);
   });
 
   const auto band = [samples](std::vector<double> column) {
@@ -378,17 +380,12 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
     return b;
   };
   std::vector<double> column(samples);
-  for (std::size_t s = 0; s < num_seq; ++s) {
+  for (std::size_t r = 0; r < num_roots; ++r) {
     for (std::size_t k = 0; k < samples; ++k) {
-      column[k] = seq_samples[k * num_seq + s];
+      column[k] = matrix[k * num_roots + r];
     }
-    out.sequences[s].uq = band(column);
-  }
-  for (std::size_t e = 0; e < num_es; ++e) {
-    for (std::size_t k = 0; k < samples; ++k) {
-      column[k] = es_samples[k * num_es + e];
-    }
-    out.end_states[e].uq = band(column);
+    (r < num_seq ? out.sequences[r].uq : out.end_states[r - num_seq].uq) =
+        band(column);
   }
   out.stats.uq_seconds = timer.seconds();
   out.stats.uq_samples = samples;
@@ -400,6 +397,7 @@ std::vector<scenario_point_result> scenario_engine::evaluate_points(
   obs::span_scope span("scenario.points", "scenario");
   const sweep_spec spec = resolve_sweep(points, model_.tree);
   const std::vector<double> base = original_probs();
+  const auto num_seq = static_cast<std::ptrdiff_t>(et_->num_sequences());
   std::vector<scenario_point_result> out(spec.points.size());
   for_each_index(spec.points.size(), [&](std::size_t i) {
     const sweep_point& point = spec.points[i];
@@ -407,17 +405,12 @@ std::vector<scenario_point_result> scenario_engine::evaluate_points(
     for (const auto& [node, p] : point.overrides) drawn[node] = p;
     // Overrides address the ORIGINAL tree: a perturbed CCF member flows
     // through the expansion trace, rescaling every derived CCF event.
-    const std::vector<double> probs = expanded_probs(drawn);
+    std::vector<double> values;
+    plan_.evaluate(expanded_probs(drawn), values);
     scenario_point_result& r = out[i];
     r.label = point.label;
-    r.sequence_probabilities.reserve(seq_refs_.size());
-    for (const bdd_ref f : seq_refs_) {
-      r.sequence_probabilities.push_back(compiled_->probability(f, probs));
-    }
-    r.end_state_probabilities.reserve(es_refs_.size());
-    for (const bdd_ref f : es_refs_) {
-      r.end_state_probabilities.push_back(compiled_->probability(f, probs));
-    }
+    r.sequence_probabilities.assign(values.begin(), values.begin() + num_seq);
+    r.end_state_probabilities.assign(values.begin() + num_seq, values.end());
   });
   return out;
 }

@@ -20,16 +20,17 @@ namespace sdft {
 /// Options of a scenario (event-tree) quantification run.
 struct scenario_options {
   /// Shared pipeline options: backend and prep flags for the per-gate
-  /// cutset lists, threads for the batched per-sequence evaluations,
-  /// cutoff for cutset recombination, publish_metrics / inline_execution
-  /// with their usual meanings. `exact_static` is accepted but redundant:
-  /// the scenario engine's primary path is already BDD-exact.
+  /// cutset lists, threads for the batched UQ samples, sweep points and
+  /// per-sequence recombinations, cutoff for cutset recombination,
+  /// publish_metrics / inline_execution with their usual meanings.
+  /// `exact_static` is accepted but redundant: the scenario engine's
+  /// primary path is already BDD-exact.
   analysis_options analysis;
 
   /// Monte-Carlo parameter-uncertainty samples (0 = no UQ layer). Each
   /// sample draws every declared distribution once from a counter-based
-  /// substream and re-quantifies the whole scenario off the cached
-  /// structure — results are bit-identical at any thread count.
+  /// substream and re-quantifies the whole scenario with one sweep of the
+  /// frozen plan — results are bit-identical at any thread count.
   std::size_t uq_samples = 0;
   std::uint64_t uq_seed = 1;
 
@@ -93,9 +94,12 @@ struct scenario_point_result {
 /// CCF probability exactly), the event tree is re-anchored on the
 /// expanded tree, and every functional-event gate is compiled exactly
 /// once into one shared multi-root BDD with prefix-product sharing across
-/// sequences. run() then batches the per-sequence/per-end-state
-/// quantifications on the work-stealing pool with index-ordered
-/// reduction — bit-identical at any thread count, and bit-identical to
+/// sequences. The sequence and end-state roots are then frozen into one
+/// evaluation plan and the compiler (manager, tables, memos) is dropped.
+/// Each probability vector — run()'s base point, every UQ sample, every
+/// evaluate_points() point — is one forward sweep of that plan; samples
+/// and points batch on the work-stealing pool with index-ordered writes.
+/// Results are bit-identical at any thread count, and bit-identical to
 /// per-sequence one-shot compilations (BDD operations are canonical).
 ///
 /// Requires a static fault tree (dynamic events are rejected with a model
@@ -125,7 +129,8 @@ class scenario_engine {
   /// Re-evaluates the exact sequence/end-state probabilities at explicit
   /// parameter points — probability overrides on the ORIGINAL tree's
   /// basic events, resolved with the sweep grammar — off the compiled
-  /// structure: no re-expansion, no recompilation, one batched pass.
+  /// structure: no re-expansion, no recompilation, one plan sweep per
+  /// point, points batched on the pool.
   std::vector<scenario_point_result> evaluate_points(
       const sweep_description& points);
 
@@ -135,7 +140,7 @@ class scenario_engine {
   void quantify_cutsets(scenario_result& out);
 
   /// The Monte-Carlo UQ layer: one draw per (sample, parameter) substream,
-  /// full re-quantification off the cached BDD, percentile bands.
+  /// one plan sweep per sample, percentile bands.
   void propagate_uncertainty(scenario_result& out, std::size_t samples,
                              std::uint64_t seed);
 
@@ -155,11 +160,15 @@ class scenario_engine {
   scenario_options options_;
   ccf_expansion expanded_;
   std::optional<event_tree> et_;           ///< anchored on expanded_.tree
-  std::optional<event_tree_bdd> compiled_;
-  std::vector<bdd_ref> seq_refs_;
   std::vector<std::string> es_names_;      ///< first-appearance order
-  std::vector<bdd_ref> es_refs_;
+  /// Every sequence root, then every end-state root (es_names_ order).
+  event_tree_plan plan_;
   std::vector<double> base_expanded_probs_;
+
+  /// Counters of the discarded compiler, read before freezing.
+  std::size_t bdd_nodes_ = 0;
+  std::size_t gates_compiled_ = 0;
+  std::size_t prefix_hits_ = 0;
 
   /// Distributions resolved to original-tree node indices.
   std::vector<std::pair<node_index, parameter_distribution>> dists_;

@@ -146,8 +146,18 @@ double event_tree_bdd::probability(bdd_ref f) const {
   return manager_.probability(f, probs);
 }
 
-double event_tree_bdd::probability(
-    bdd_ref f, const std::vector<double>& node_probs) const {
+event_tree_plan event_tree_bdd::freeze(const std::vector<bdd_ref>& roots) && {
+  memo_ = {};
+  prefix_ = {};
+  event_to_var_ = {};
+  event_tree_plan out;
+  out.plan_ = std::move(manager_).freeze(roots);
+  out.var_to_event_ = std::move(var_to_event_);
+  return out;
+}
+
+void event_tree_plan::evaluate(const std::vector<double>& node_probs,
+                               std::vector<double>& out) const {
   std::vector<double> probs(var_to_event_.size());
   for (std::size_t v = 0; v < var_to_event_.size(); ++v) {
     const node_index n = var_to_event_[v];
@@ -155,7 +165,7 @@ double event_tree_bdd::probability(
                   "event_tree: probability vector does not cover the tree");
     probs[v] = node_probs[n];
   }
-  return manager_.probability(f, probs);
+  plan_.evaluate(probs, out);
 }
 
 double sequence_probability_exact(const event_tree& et, std::size_t s) {

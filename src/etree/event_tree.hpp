@@ -83,6 +83,29 @@ class event_tree {
   std::vector<sequence> sequences_;
 };
 
+/// The frozen form of an event tree's compiled roots (see
+/// event_tree_bdd::freeze): the bdd_plan over those roots plus the
+/// variable -> basic-event map it reads node probabilities through.
+/// Immutable once built; evaluate() is const and thread-safe.
+class event_tree_plan {
+ public:
+  /// Writes the probability of every frozen root, in freeze() order, with
+  /// per-node probabilities indexed by node_index of the referenced tree
+  /// (only basic events reachable from the roots are read). One forward
+  /// sweep over the reachable nodes, whatever the number of roots.
+  void evaluate(const std::vector<double>& node_probs,
+                std::vector<double>& out) const;
+
+  /// BDD nodes one evaluation visits (reachable nodes, terminals included).
+  std::size_t nodes() const { return plan_.size(); }
+
+ private:
+  friend class event_tree_bdd;
+
+  bdd_plan plan_;
+  std::vector<node_index> var_to_event_;
+};
+
 /// Multi-root BDD compilation of every fault-tree node an event tree
 /// references: one manager, one variable order (discovery order over the
 /// IE then the functional gates — deterministic), one memo shared by all
@@ -94,8 +117,8 @@ class event_tree {
 /// sequence — the contract the scenario engine's one-pass mode relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
-/// thread-safe; probability() is const and safe to call concurrently once
-/// compilation is done.
+/// thread-safe. Compile-once, evaluate-many callers freeze() the roots
+/// into an event_tree_plan and drop the compiler.
 class event_tree_bdd {
  public:
   explicit event_tree_bdd(const event_tree& et);
@@ -110,10 +133,11 @@ class event_tree_bdd {
   /// Probability of `f` under the referenced tree's own probabilities.
   double probability(bdd_ref f) const;
 
-  /// Probability of `f` with per-node probability overrides indexed by
-  /// node_index of the referenced tree (only basic events reachable from
-  /// the event tree's roots are read).
-  double probability(bdd_ref f, const std::vector<double>& node_probs) const;
+  /// Freezes `roots` into an evaluation plan and consumes the compiler:
+  /// the gate memo, the prefix cache and the manager's hash tables are
+  /// released before the plan is built, and the node array after it.
+  /// Read the counters below first; they describe the compilation.
+  event_tree_plan freeze(const std::vector<bdd_ref>& roots) &&;
 
   std::size_t num_variables() const { return var_to_event_.size(); }
   std::size_t nodes() const { return manager_.size(); }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <unordered_map>
+
 #include "bdd/bdd.hpp"
 #include "bdd/ft_bdd.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sdft {
@@ -138,6 +142,115 @@ TEST_P(BddRandomTrees, AgreesWithBruteForceAndMocus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTrees, ::testing::Range(0, 25));
+
+/// The per-root recursive evaluation that bdd_plan replaced (one
+/// std::function recursion with its own memo per root), kept as the
+/// differential oracle for the plan kernel.
+double probability_reference(const bdd_manager& m, bdd_ref f,
+                             const std::vector<double>& probs) {
+  std::unordered_map<bdd_ref, double> memo;
+  const std::function<double(bdd_ref)> rec = [&](bdd_ref g) -> double {
+    if (g == m.zero()) return 0.0;
+    if (g == m.one()) return 1.0;
+    auto it = memo.find(g);
+    if (it != memo.end()) return it->second;
+    const std::uint32_t v = m.top_var(g);
+    require_model(v < probs.size(), "bdd: probability vector too small");
+    const double p =
+        probs[v] * rec(m.high(g)) + (1.0 - probs[v]) * rec(m.low(g));
+    memo.emplace(g, p);
+    return p;
+  };
+  return rec(f);
+}
+
+/// Compiles every gate of `ft` (and its negation) into `m`, the i-th basic
+/// event of the tree on variable i — several trees compiled into one
+/// manager share their variables and hence their nodes. Returns the roots in gate
+/// order, so later roots have earlier ones as descendants.
+std::vector<bdd_ref> compile_gates(bdd_manager& m, const fault_tree& ft) {
+  std::vector<bdd_ref> ref(ft.size(), m.zero());
+  std::vector<bdd_ref> roots;
+  std::uint32_t next_var = 0;
+  for (node_index n = 0; n < ft.size(); ++n) {
+    if (ft.is_basic(n)) {
+      ref[n] = m.var(next_var++);
+      continue;
+    }
+    const bool is_and = ft.node(n).type == gate_type::and_gate;
+    bdd_ref f = is_and ? m.one() : m.zero();
+    for (node_index child : ft.node(n).inputs) {
+      f = is_and ? m.bdd_and(f, ref[child]) : m.bdd_or(f, ref[child]);
+    }
+    ref[n] = f;
+    roots.push_back(f);
+    roots.push_back(m.bdd_not(f));
+  }
+  return roots;
+}
+
+class BddPlanDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(BddPlanDifferential, MatchesRecursiveReferenceBitForBit) {
+  rng random(0x91a + static_cast<std::uint64_t>(GetParam()));
+  bdd_manager m;
+  std::vector<bdd_ref> roots;
+  for (int t = 0; t < 3; ++t) {
+    const fault_tree ft = random_tree(random, 10, 12);
+    const auto tree_roots = compile_gates(m, ft);
+    roots.insert(roots.end(), tree_roots.begin(), tree_roots.end());
+  }
+  // Duplicates and both terminals ride along in the multi-root set.
+  roots.push_back(roots.front());
+  roots.push_back(roots[roots.size() / 2]);
+  roots.push_back(m.zero());
+  roots.push_back(m.one());
+
+  std::vector<double> probs(10);
+  for (double& p : probs) p = random.uniform(0.0, 1.0);
+
+  const bdd_plan plan(m, roots);
+  std::vector<double> out;
+  plan.evaluate(probs, out);
+  ASSERT_EQ(out.size(), roots.size());
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    const double expected = probability_reference(m, roots[r], probs);
+    EXPECT_EQ(out[r], expected) << "root " << r << " in the multi-root plan";
+    EXPECT_EQ(m.probability(roots[r], probs), expected)
+        << "root " << r << " as a one-root plan";
+  }
+  EXPECT_EQ(out[roots.size() - 2], 0.0);
+  EXPECT_EQ(out[roots.size() - 1], 1.0);
+  // A one-root plan visits exactly the nodes reachable from it.
+  EXPECT_EQ(bdd_plan(m, {roots.front()}).size(), m.live_nodes(roots.front()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BddPlanDifferential, ::testing::Range(0, 20));
+
+TEST(BddPlan, ShortProbabilityVectorThrows) {
+  bdd_manager m;
+  const bdd_ref f = m.bdd_and(m.var(0), m.var(4));
+  const std::vector<double> probs{0.5, 0.5, 0.5};
+  std::vector<double> out;
+  EXPECT_THROW(bdd_plan(m, {f}).evaluate(probs, out), error);
+  EXPECT_THROW((void)m.probability(f, probs), error);
+  // Only variables reachable from the roots count.
+  EXPECT_EQ(m.probability(m.var(1), probs), 0.5);
+  bdd_plan(m, {m.zero(), m.one()}).evaluate({}, out);
+  EXPECT_EQ(out, (std::vector<double>{0.0, 1.0}));
+}
+
+TEST(BddPlan, FreezeReleasesTheManager) {
+  bdd_manager m;
+  const bdd_ref f = m.bdd_or(m.var(0), m.bdd_and(m.var(1), m.var(2)));
+  const std::vector<double> probs{0.1, 0.2, 0.3};
+  const double expected = probability_reference(m, f, probs);
+  const bdd_plan plan = std::move(m).freeze({f, f});
+  EXPECT_EQ(m.size(), 2u);  // back to the two terminals
+  std::vector<double> out;
+  plan.evaluate(probs, out);
+  EXPECT_EQ(out, (std::vector<double>{expected, expected}));
+}
 
 }  // namespace
 }  // namespace sdft

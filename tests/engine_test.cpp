@@ -150,7 +150,12 @@ struct shared_dynamic_fixture {
 
 TEST(QuantificationCache, SharedDynamicStructureHitsWithinOneRun) {
   const shared_dynamic_fixture fx;
-  analysis_engine engine{analysis_options{}};
+  // Serial execution: on a pool the two cutsets can miss concurrently
+  // (both solve before either inserts), which is correct but makes the
+  // exact hit/miss split below scheduling-dependent.
+  analysis_options serial;
+  serial.inline_execution = true;
+  analysis_engine engine{serial};
   const analysis_result result = engine.run(fx.tree);
   ASSERT_EQ(result.num_cutsets, 2u);
   EXPECT_EQ(result.stats.cache_misses, 1u);

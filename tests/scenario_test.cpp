@@ -1,19 +1,23 @@
 // Scenario-engine tests: the .etree parser (round trip, line-numbered
 // errors), bit-agreement of the one-pass engine with per-sequence one-shot
 // compilations, the CCF beta/alpha closed forms (exact and MCS-approx),
-// the UQ layer's seed/thread determinism, and point re-evaluation off the
-// compiled structure.
+// the UQ layer's seed/thread determinism, point re-evaluation off the
+// compiled structure, and concurrent reads of one frozen scenario.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/scenario.hpp"
 #include "etree/event_tree.hpp"
 #include "etree/scenario.hpp"
 #include "ft/ccf.hpp"
+#include "gen/industrial.hpp"
+#include "sim/stream_rng.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -279,6 +283,283 @@ TEST(ScenarioEngine, EvaluatePointsMatchesRebuiltModel) {
   ASSERT_EQ(points[0].end_state_probabilities.size(), 2u);
   EXPECT_EQ(points[0].end_state_probabilities[1],
             rebuilt.end_states[1].probability);
+}
+
+/// A shrunk etree_uq-style study: the first `systems` front-line systems
+/// of a small generated industrial model as functional events (full
+/// binary expansion, CD on two or more failures), one beta-factor CCF
+/// group per system over its trains' first demand failures, and a
+/// lognormal (EF 3) on every CCF member and on the initiating event.
+scenario_model industrial_scenario(int systems) {
+  industrial_options o;
+  o.seed = 7;
+  o.num_support_systems = 2;
+  o.num_frontline_systems = systems;
+  o.num_initiating_events = 2;
+  o.sequences_per_ie = 2;
+  o.components_per_train = 3;
+  o.transfer_depth = 1;
+  const fault_tree ft = generate_industrial(o).ft;
+
+  scenario_description sc;
+  sc.name = "IND";
+  sc.initiating_event = "IE0";
+  for (int k = 0; k < systems; ++k) {
+    sc.functional.push_back(
+        {"F" + std::to_string(k), "SYS" + std::to_string(k) + "_F"});
+  }
+  for (std::size_t mask = 0; mask < (std::size_t{1} << systems); ++mask) {
+    scenario_description::sequence seq;
+    int failures = 0;
+    for (int k = 0; k < systems; ++k) {
+      const bool failed = (mask >> k) & 1u;
+      failures += failed ? 1 : 0;
+      seq.outcomes.push_back(failed ? branch_outcome::failure
+                                    : branch_outcome::success);
+    }
+    seq.end_state = failures >= 2 ? "CD" : "OK";
+    sc.sequences.push_back(std::move(seq));
+  }
+  const auto lognormal = [](const std::string& event) {
+    parameter_distribution d;
+    d.event = event;
+    d.model = parameter_distribution::kind::lognormal;
+    d.error_factor = 3.0;
+    return d;
+  };
+  for (int k = 0; k < systems; ++k) {
+    ccf_group_description g;
+    g.name = "CCF_SYS" + std::to_string(k);
+    for (int train = 0; train < 3; ++train) {
+      const std::string member = "SYS" + std::to_string(k) + "_T" +
+                                 std::to_string(train) + "_C0_FTS";
+      if (ft.find(member) != fault_tree::npos) g.members.push_back(member);
+    }
+    if (g.members.size() < 2) continue;
+    for (const auto& m : g.members) sc.distributions.push_back(lognormal(m));
+    sc.ccf.push_back(std::move(g));
+  }
+  sc.distributions.push_back(lognormal("IE0"));
+  return {sd_fault_tree(ft), sc};
+}
+
+/// Independent one-shot oracle for a scenario model: expands the CCF
+/// groups itself, maps original-tree probabilities through the trace, and
+/// quantifies every sequence and end state with its own compilation
+/// (sequence_probability_exact / end_state_probability_exact).
+class one_shot_oracle {
+ public:
+  explicit one_shot_oracle(const scenario_model& m) : model_(m) {
+    const fault_tree& original = m.tree.structure();
+    std::vector<ccf_group> groups;
+    for (const auto& d : m.scenario.ccf) {
+      ccf_group g;
+      g.name = d.name;
+      g.beta = d.beta;
+      for (const auto& member : d.members) {
+        g.members.push_back(original.find(member));
+      }
+      groups.push_back(std::move(g));
+    }
+    expanded_ = expand_ccf_traced(original, groups);
+    for (const auto& seq : m.scenario.sequences) {
+      if (std::find(end_states_.begin(), end_states_.end(), seq.end_state) ==
+          end_states_.end()) {
+        end_states_.push_back(seq.end_state);
+      }
+    }
+  }
+
+  /// Every sequence, then every end state (first-appearance order), at
+  /// the given original-tree node probabilities.
+  std::vector<double> at(const std::vector<double>& original) const {
+    fault_tree ft = expanded_.tree;
+    for (node_index e = 0; e < ft.size(); ++e) {
+      const ccf_trace_entry& t = expanded_.trace[e];
+      if (!ft.is_basic(e) || t.source == fault_tree::npos) continue;
+      ft.set_probability(
+          e, std::min(std::max(t.scale * original[t.source], 0.0), 1.0));
+    }
+    const scenario_description& sc = model_.scenario;
+    event_tree et(ft, ft.find(sc.initiating_event), sc.name);
+    for (const auto& f : sc.functional) {
+      et.add_functional_event(f.name, ft.find(f.gate));
+    }
+    for (const auto& seq : sc.sequences) {
+      et.add_sequence(seq.outcomes, seq.end_state);
+    }
+    std::vector<double> out;
+    for (std::size_t s = 0; s < et.num_sequences(); ++s) {
+      out.push_back(sequence_probability_exact(et, s));
+    }
+    for (const auto& es : end_states_) {
+      out.push_back(end_state_probability_exact(et, es));
+    }
+    return out;
+  }
+
+  /// Original-tree probabilities of UQ sample k: the engine's documented
+  /// draw (substream (seed, k, parameter), lognormal median = base
+  /// probability, sigma = ln(EF) / 1.645, Box-Muller).
+  std::vector<double> drawn(std::uint64_t seed, std::size_t k) const {
+    const fault_tree& original = model_.tree.structure();
+    std::vector<double> p(original.size(), 0.0);
+    for (node_index i = 0; i < original.size(); ++i) {
+      if (original.is_basic(i)) p[i] = original.node(i).probability;
+    }
+    const auto& dists = model_.scenario.distributions;
+    for (std::size_t d = 0; d < dists.size(); ++d) {
+      const node_index node = original.find(dists[d].event);
+      rng stream = sim::substream(seed, k, d);
+      const double sigma =
+          std::log(dists[d].error_factor) / 1.6448536269514722;
+      const double u1 = stream.uniform();
+      const double u2 = stream.uniform();
+      const double z = std::sqrt(-2.0 * std::log(1.0 - u1)) *
+                       std::cos(6.283185307179586 * u2);
+      p[node] = std::min(std::max(p[node] * std::exp(sigma * z), 0.0), 1.0);
+    }
+    return p;
+  }
+
+ private:
+  const scenario_model& model_;
+  ccf_expansion expanded_;
+  std::vector<std::string> end_states_;
+};
+
+TEST(ScenarioEngine, IndustrialUqAndPointsMatchOneShots) {
+  // The frozen plan must reproduce, bit for bit, what per-sample one-shot
+  // compilations of the expanded tree give at the drawn probabilities:
+  // every UQ band and every evaluate_points() result.
+  const scenario_model m = industrial_scenario(3);
+  ASSERT_FALSE(m.scenario.ccf.empty());
+  const one_shot_oracle oracle(m);
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  scenario_engine engine(m, opts);
+
+  constexpr std::size_t samples = 8;
+  constexpr std::uint64_t seed = 5;
+  const scenario_result r = engine.run(samples, seed);
+  const std::size_t num_seq = r.sequences.size();
+  const std::size_t num_roots = num_seq + r.end_states.size();
+  ASSERT_EQ(num_seq, 8u);
+  EXPECT_GT(r.stats.scenario_plan_nodes, 0u);
+  EXPECT_LE(r.stats.scenario_plan_nodes, r.stats.scenario_bdd_nodes);
+
+  std::vector<std::vector<double>> rows;
+  for (std::size_t k = 0; k < samples; ++k) {
+    rows.push_back(oracle.at(oracle.drawn(seed, k)));
+  }
+  for (std::size_t root = 0; root < num_roots; ++root) {
+    std::vector<double> column;
+    double sum = 0.0;
+    for (const auto& row : rows) {
+      column.push_back(row[root]);
+      sum += row[root];
+    }
+    std::sort(column.begin(), column.end());
+    const uncertainty_band& band =
+        root < num_seq ? r.sequences[root].uq
+                       : r.end_states[root - num_seq].uq;
+    EXPECT_EQ(band.mean, sum / samples) << "root " << root;
+    EXPECT_EQ(band.p05, column[0]) << "root " << root;
+    EXPECT_EQ(band.p50, column[3]) << "root " << root;
+    EXPECT_EQ(band.p95, column[6]) << "root " << root;
+  }
+
+  // Points: overrides on the ORIGINAL tree, one of them a CCF member.
+  const fault_tree& original = m.tree.structure();
+  const std::string& member = m.scenario.ccf[0].members[0];
+  sweep_description desc;
+  for (double q : {1e-4, 3e-3}) {
+    sweep_description::named_point pt;
+    pt.overrides.emplace_back(member, q);
+    pt.overrides.emplace_back("IE0", q * 10);
+    desc.points.push_back(pt);
+  }
+  const auto points = engine.evaluate_points(desc);
+  ASSERT_EQ(points.size(), 2u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::vector<double> p(original.size(), 0.0);
+    for (node_index n = 0; n < original.size(); ++n) {
+      if (original.is_basic(n)) p[n] = original.node(n).probability;
+    }
+    for (const auto& [name, q] : desc.points[i].overrides) {
+      p[original.find(name)] = q;
+    }
+    const std::vector<double> expected = oracle.at(p);
+    std::vector<double> got = points[i].sequence_probabilities;
+    got.insert(got.end(), points[i].end_state_probabilities.begin(),
+               points[i].end_state_probabilities.end());
+    EXPECT_EQ(got, expected) << "point " << i;
+  }
+}
+
+TEST(ScenarioEngine, ConcurrentRunsAndPoints) {
+  // The serve layer's use of a resident scenario: many threads calling
+  // run() and evaluate_points() on one engine. Every concurrent result
+  // must equal the serial one bit for bit.
+  scenario_engine engine(parse_scenario_string(demo_text(
+      "ccf-beta PUMPS 0.1 PUMP_A PUMP_B\n"
+      "dist BACKUP lognormal 3\n"
+      "dist PUMP_A uniform 1e-4 1e-2\n")));
+  sweep_description desc;
+  for (double q : {1e-3, 1e-2, 5e-2}) {
+    sweep_description::named_point pt;
+    pt.overrides.emplace_back("VALVE", q);
+    desc.points.push_back(pt);
+  }
+  const auto bands = [](const scenario_result& r) {
+    std::vector<double> v;
+    for (const auto& s : r.sequences) {
+      v.insert(v.end(), {s.probability, s.mcs_probability, s.uq.mean,
+                         s.uq.p05, s.uq.p50, s.uq.p95});
+    }
+    for (const auto& e : r.end_states) {
+      v.insert(v.end(), {e.probability, e.mcs_probability, e.uq.mean,
+                         e.uq.p05, e.uq.p50, e.uq.p95});
+    }
+    return v;
+  };
+  const auto flatten = [](const std::vector<scenario_point_result>& pts) {
+    std::vector<double> v;
+    for (const auto& p : pts) {
+      v.insert(v.end(), p.sequence_probabilities.begin(),
+               p.sequence_probabilities.end());
+      v.insert(v.end(), p.end_state_probabilities.begin(),
+               p.end_state_probabilities.end());
+    }
+    return v;
+  };
+  constexpr int threads = 4;
+  constexpr int rounds = 3;
+  std::vector<std::vector<double>> serial_runs;
+  for (int t = 0; t < threads; ++t) {
+    serial_runs.push_back(bands(engine.run(16, 100 + t)));
+  }
+  const std::vector<double> serial_points = flatten(engine.evaluate_points(desc));
+
+  std::vector<std::vector<std::vector<double>>> runs(threads);
+  std::vector<std::vector<std::vector<double>>> pts(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < rounds; ++round) {
+        runs[t].push_back(bands(engine.run(16, 100 + t)));
+        pts[t].push_back(flatten(engine.evaluate_points(desc)));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < threads; ++t) {
+    ASSERT_EQ(runs[t].size(), static_cast<std::size_t>(rounds));
+    for (int round = 0; round < rounds; ++round) {
+      EXPECT_EQ(runs[t][round], serial_runs[t]) << "thread " << t;
+      EXPECT_EQ(pts[t][round], serial_points) << "thread " << t;
+    }
+  }
 }
 
 TEST(ScenarioEngine, RejectsBrokenModels) {

@@ -132,6 +132,7 @@ int check_metrics(const std::string& path) {
       "scenario.cutset_seconds",  "scenario.total_seconds",
       "scenario.sequences",       "scenario.end_states",
       "scenario.functional_events", "scenario.bdd_nodes",
+      "scenario.plan_nodes",
       "scenario.gates_compiled",  "scenario.prefix_hits",
       "scenario.sequence_cutsets",
       "ccf.groups",               "ccf.events_added",
@@ -181,6 +182,8 @@ int check_bench_etree(const std::string& path) {
         "per-sequence one-shots");
   check(doc.at("thread_identical").as_bool(),
         "one-pass results differ across thread counts");
+  check(doc.at("uq").at("thread_identical").as_bool(),
+        "UQ bands differ across thread counts");
   const double sequences = doc.at("etree").at("sequences").as_number();
   check(sequences >= 16.0, "event tree has fewer than 16 sequences");
   const double compiled = doc.at("etree").at("gates_compiled").as_number();
