@@ -59,7 +59,7 @@ cutset_generation mocus_source::generate(const fault_tree& ft, double cutoff,
   out.partials_processed = mcs.partials_processed;
   out.discarded = mcs.cutoff_discarded;
   out.subset_tests = mcs.subset_tests;
-  out.bitset_words = mcs.key_words;
+  out.bitset_words = mcs.universe_words;
   out.cutsets = std::move(mcs.cutsets);
   sort_cutsets_canonically(out.cutsets);
   return out;

@@ -57,7 +57,7 @@ struct cutset_generation {
                               ///< complete below-cutoff MCSs (BDD)
   std::size_t bdd_nodes = 0;  ///< BDD nodes compiled (BDD backend)
   std::size_t subset_tests = 0;  ///< packed subsumption tests (MOCUS)
-  std::size_t bitset_words = 0;  ///< widest packed key, in 64-bit words
+  std::size_t bitset_words = 0;  ///< widest subset mask, in 64-bit words
   std::size_t sift_swaps = 0;    ///< BDD sifting swaps (bdd + sift only)
 };
 

@@ -58,7 +58,7 @@ struct engine_stats {
   std::size_t source_discarded = 0;  ///< cutoff-discarded partials / MCSs
   std::size_t bdd_nodes = 0;         ///< BDD nodes compiled (bdd backend)
   std::size_t subset_tests = 0;      ///< packed subsumption tests (MOCUS)
-  std::size_t bitset_words = 0;      ///< widest packed key, 64-bit words
+  std::size_t bitset_words = 0;      ///< widest subset mask, 64-bit words
   std::size_t bdd_sift_swaps = 0;    ///< sifting swaps (bdd + sift only)
 
   // Quantifier counters.

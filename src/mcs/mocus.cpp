@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/bitset.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/sorted_set.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -27,20 +29,96 @@ struct partial_cutset {
   double probability = 1.0;  // product over chosen events, in sorted order
 };
 
-/// Key identifying a partial for the visited-set: one packed bitset over
-/// the tree's node-index space. Basic events and gates live in disjoint
-/// index sets, so marking both in the same width-ft.size() bitset loses
-/// nothing, and hashing/equality become word loops (util/bitset.hpp)
-/// instead of element walks over two sorted vectors.
-using partial_key = packed_bitset;
-using partial_key_hash = packed_bitset_hash;
+/// A partial's exact identity for the visited tables: its events and gates
+/// merged into one sorted vector (basic events and gates are disjoint index
+/// sets, so the union loses nothing), plus a well-mixed 64-bit hash of it.
+/// One key buffer is reused per driver or worker, so building it
+/// allocates only while the buffer still grows.
+struct partial_key {
+  std::vector<node_index> ids;
+  std::uint64_t hash = 0;
 
-partial_key make_key(const partial_cutset& p, std::size_t width) {
-  partial_key key(width);
-  for (node_index b : p.events) key.set(b);
-  for (node_index g : p.gates) key.set(g);
-  return key;
-}
+  void assign(const partial_cutset& p) {
+    ids.resize(p.events.size() + p.gates.size());
+    std::merge(p.events.begin(), p.events.end(), p.gates.begin(),
+               p.gates.end(), ids.begin());
+    std::uint64_t h = ids.size();
+    for (node_index id : ids) {
+      h = (std::rotl(h, 5) ^ id) * 0x517cc1b727220a95ULL;
+    }
+    // Every output bit of mix64 depends on every input bit, so the low bits
+    // (slot index) and the high bits (shard) are both uniform.
+    hash = mix64(h);
+  }
+};
+
+/// Open-addressing (linear probing) set of partial keys. A slot holds the
+/// low hash bits plus an offset and a length into one shared arena of node
+/// indices, so an insert appends to two flat vectors instead of allocating
+/// a hash node and a key block, and clear() or destruction release a few
+/// blocks however many keys were stored. Equality is hash, then length,
+/// then an element compare: deduplication stays exact.
+class visited_table {
+ public:
+  std::size_t size() const { return size_; }
+
+  /// Inserts `key`; returns false if it was already present.
+  bool insert(const partial_key& key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const auto lo = static_cast<std::uint32_t>(key.hash);
+    const auto length = static_cast<std::uint32_t>(key.ids.size());
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = lo & mask;; i = (i + 1) & mask) {
+      slot& s = slots_[i];
+      if (s.length == empty) {
+        s = {lo, length, arena_.size()};
+        arena_.insert(arena_.end(), key.ids.begin(), key.ids.end());
+        ++size_;
+        return true;
+      }
+      if (s.hash == lo && s.length == length &&
+          std::equal(key.ids.begin(), key.ids.end(),
+                     arena_.begin() + static_cast<std::ptrdiff_t>(s.offset))) {
+        return false;
+      }
+    }
+  }
+
+  /// Forgets every key; the slot array and the arena keep their capacity.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), slot{});
+    arena_.clear();
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::uint32_t empty =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct slot {
+    std::uint32_t hash = 0;  // low 32 bits of partial_key::hash
+    std::uint32_t length = empty;
+    std::size_t offset = 0;  // into arena_
+  };
+
+  /// Doubles the slot array, re-placing occupied slots by their stored hash
+  /// bits; the arena is untouched.
+  void grow() {
+    std::vector<slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const slot& s : old) {
+      if (s.length == empty) continue;
+      std::size_t i = s.hash & mask;
+      while (slots_[i].length != empty) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<slot> slots_;
+  std::vector<node_index> arena_;
+  std::size_t size_ = 0;
+};
 
 enum class event_mode : char { free_event, forced_failed, forced_working };
 
@@ -69,37 +147,48 @@ struct expansion {
     }
   }
 
-  /// Canonical probability of an event set: the product in sorted-index
-  /// order. Recomputed from scratch on every insertion so the value (and
-  /// thus every cutoff decision) depends only on the set, never on the
-  /// expansion path that assembled it — the keystone of the bit-identical
-  /// serial/parallel guarantee.
-  double event_product(const std::vector<node_index>& events) const {
-    double p = 1.0;
-    for (node_index b : events) p *= ft.node(b).probability;
-    return p;
-  }
-
   /// Adds `child` (a basic event) to the partial; returns false if the
   /// partial dies (forced-working child of an AND, cutoff, order).
   bool add_event(partial_cutset& p, node_index child,
                  std::size_t& discarded) const {
-    switch (mode[child]) {
-      case event_mode::forced_failed:
-        return true;  // satisfied for free
-      case event_mode::forced_working:
-        return false;
-      case event_mode::free_event:
-        break;
-    }
-    if (sorted_set::contains(p.events, child)) return true;
+    if (mode[child] == event_mode::forced_failed) return true;  // for free
+    double probability = 0.0;
+    if (!admits(p, child, probability, discarded)) return false;
     sorted_set::insert(p.events, child);
-    p.probability = event_product(p.events);
-    if (p.events.size() > opt.max_order ||
-        (opt.cutoff > 0.0 && p.probability < opt.cutoff)) {
+    p.probability = probability;
+    return true;
+  }
+
+  /// Decides whether p + `child` survives, without modifying or copying
+  /// `p`, and counts a cutoff/order death in `discarded`. `probability`
+  /// receives the grown partial's event product, taken over the merged set
+  /// in sorted-index order from scratch, so the value (and thus every
+  /// cutoff decision) depends only on the set, never on the expansion path
+  /// that assembled it — the keystone of the bit-identical serial/parallel
+  /// guarantee. Forced-failed children are handled by the callers.
+  bool admits(const partial_cutset& p, node_index child, double& probability,
+              std::size_t& discarded) const {
+    probability = p.probability;
+    if (!ft.is_basic(child)) return true;
+    if (mode[child] == event_mode::forced_working) return false;
+    if (sorted_set::contains(p.events, child)) return true;
+    const double child_p = ft.node(child).probability;
+    double product = 1.0;
+    bool placed = false;
+    for (node_index b : p.events) {
+      if (!placed && child < b) {
+        product *= child_p;
+        placed = true;
+      }
+      product *= ft.node(b).probability;
+    }
+    if (!placed) product *= child_p;
+    if (p.events.size() + 1 > opt.max_order ||
+        (opt.cutoff > 0.0 && product < opt.cutoff)) {
       ++discarded;
       return false;
     }
+    probability = product;
     return true;
   }
 
@@ -142,14 +231,18 @@ struct expansion {
           return;
         }
       }
+      // Price each branch before copying p: most basic-event branches die
+      // at the cutoff, and only survivors are worth a copy.
       for (node_index child : gate.inputs) {
-        partial_cutset branch = p;
+        double probability = 0.0;
+        if (!admits(p, child, probability, discarded)) continue;
+        partial_cutset& branch = out.emplace_back(p);
         if (ft.is_basic(child)) {
-          if (!add_event(branch, child, discarded)) continue;
+          sorted_set::insert(branch.events, child);
+          branch.probability = probability;
         } else {
           sorted_set::insert(branch.gates, child);
         }
-        out.push_back(std::move(branch));
       }
     }
   }
@@ -182,14 +275,14 @@ struct expansion {
 /// visited set cleared at dedup_limit.
 mocus_result run_serial(const expansion& ex, partial_cutset seed) {
   obs::span_scope span("mocus.serial", "mocus");
-  const std::size_t width = ex.ft.size();
   mocus_result result;
-  result.key_words = partial_key(width).num_words();
   std::vector<partial_cutset> stack;
-  std::unordered_set<partial_key, partial_key_hash> visited;
+  visited_table visited;
+  partial_key key;
   std::vector<cutset> raw_cutsets;
 
-  visited.insert(make_key(seed, width));
+  key.assign(seed);
+  visited.insert(key);
   stack.push_back(std::move(seed));
 
   std::vector<partial_cutset> children;
@@ -217,10 +310,12 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
         // keys makes a clear forget only *finished* work.
         visited.clear();
         for (const partial_cutset& live : stack) {
-          visited.insert(make_key(live, width));
+          key.assign(live);
+          visited.insert(key);
         }
       }
-      if (visited.insert(make_key(c, width)).second) {
+      key.assign(c);
+      if (visited.insert(key)) {
         stack.push_back(std::move(c));
       }
     }
@@ -231,13 +326,15 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
   minimize_stats min_stats;
   result.cutsets = minimize_cutsets(std::move(raw_cutsets), &min_stats);
   result.subset_tests = min_stats.subset_tests;
+  result.universe_words = min_stats.universe_words;
   return result;
 }
 
 /// The parallel driver: the pool's work-stealing deques act as the shared
 /// frontier of partial cutsets. Each task runs a local DFS, spilling
 /// breadth-side partials back to the pool for thieves; duplicates are
-/// filtered through a sharded visited cache; results and discard counters
+/// filtered through 64 mutex-guarded visited tables, a partial's shard
+/// picked by the top bits of its key hash; results and discard counters
 /// accumulate in per-worker buffers merged after wait_idle(). The raw
 /// cutset *set* is identical to the serial driver's (dedup and scheduling
 /// only affect which duplicates get re-expanded), and minimize_cutsets()
@@ -253,8 +350,8 @@ class parallel_mocus {
 
   mocus_result run(partial_cutset seed) {
     mocus_result result;
-    result.key_words = partial_key(ex_.ft.size()).num_words();
-    mark_visited(seed);
+    partial_key key;
+    mark_visited(seed, key);
     pool_.submit([this, p = std::move(seed)]() mutable { run_task(std::move(p)); });
     pool_.wait_idle();  // rethrows the numeric_error of a tripped valve
 
@@ -269,36 +366,40 @@ class parallel_mocus {
     minimize_stats min_stats;
     result.cutsets = minimize_cutsets(std::move(raw), &min_stats);
     result.subset_tests = min_stats.subset_tests;
+    result.universe_words = min_stats.universe_words;
     return result;
   }
 
  private:
-  static constexpr std::size_t num_shards = 64;
+  static constexpr int shard_bits = 6;
+  static constexpr std::size_t num_shards = std::size_t{1} << shard_bits;
   /// Partials kept on the local run before breadth-side work is spilled to
   /// the pool for stealing.
   static constexpr std::size_t spill_threshold = 4;
 
   struct alignas(64) visited_shard {
     std::mutex mutex;
-    std::unordered_set<partial_key, partial_key_hash> set;
+    visited_table set;
   };
 
   struct alignas(64) local_buffers {
     std::vector<cutset> raw;
     std::size_t discarded = 0;
+    partial_key key;  // reused by mark_visited()
   };
 
-  bool mark_visited(const partial_cutset& p) {
-    partial_key key = make_key(p, ex_.ft.size());
-    const std::size_t h = partial_key_hash{}(key);
-    visited_shard& shard = shards_[h % num_shards];
+  /// Builds `p`'s identity in `key` and inserts it into its shard. The
+  /// shard comes from the top hash bits and the slot from the low ones.
+  bool mark_visited(const partial_cutset& p, partial_key& key) {
+    key.assign(p);
+    visited_shard& shard = shards_[key.hash >> (64 - shard_bits)];
     std::lock_guard lock(shard.mutex);
     // A shard clear can re-admit partials still queued on other workers'
     // deques (they are unreachable from here); unlike the serial driver
     // the duplicate work is bounded by shard_limit_ re-expansions and the
     // result set is unaffected — minimize_cutsets() dedups.
     if (shard.set.size() >= shard_limit_) shard.set.clear();
-    return shard.set.insert(std::move(key)).second;
+    return shard.set.insert(key);
   }
 
   void run_task(partial_cutset p) {
@@ -326,7 +427,7 @@ class parallel_mocus {
       children.clear();
       ex_.expand(std::move(cur), children, local.discarded);
       for (auto& c : children) {
-        if (mark_visited(c)) todo.push_back(std::move(c));
+        if (mark_visited(c, local.key)) todo.push_back(std::move(c));
       }
       // Keep the depth-side tail local; hand the breadth side (the oldest,
       // largest unexplored partials) to the pool for other workers.

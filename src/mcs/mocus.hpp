@@ -68,9 +68,9 @@ struct mocus_result {
   std::size_t partials_processed = 0;  ///< partial cutsets expanded
   std::size_t cutoff_discarded = 0;    ///< partials dropped by cutoff/order
   std::size_t threads_used = 1;        ///< workers of the driver that ran
-  std::size_t subset_tests = 0;  ///< packed subsumption tests in minimize
-  std::size_t key_words = 0;     ///< 64-bit words per visited-set key
-  double seconds = 0.0;          ///< wall-clock generation time
+  std::size_t subset_tests = 0;    ///< packed subsumption tests in minimize
+  std::size_t universe_words = 0;  ///< 64-bit words per minimize subset mask
+  double seconds = 0.0;            ///< wall-clock generation time
 };
 
 /// Runs MOCUS from the top gate of `ft`.

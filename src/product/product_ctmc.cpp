@@ -15,6 +15,7 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/fox_glynn.hpp"
+#include "util/rng.hpp"
 
 namespace sdft {
 
@@ -42,10 +43,7 @@ struct product_state_hash {
 /// low bits of each component field, so mix before bucketing.
 struct packed_key_hash {
   std::size_t operator()(std::uint64_t x) const {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
+    return static_cast<std::size_t>(mix64(x));
   }
 };
 

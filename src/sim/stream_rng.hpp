@@ -6,15 +6,6 @@
 
 namespace sdft::sim {
 
-/// SplitMix64 finalizer: a strong 64-bit mixing step (Steele, Lea &
-/// Flood). Used to fold stream coordinates into independent seeds.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Counter-based stream derivation: an independent xoshiro256** generator
 /// keyed by (seed, a, b, c). The coordinates are folded through chained
 /// SplitMix64 steps (the same construction Philox uses its rounds for:

@@ -9,15 +9,15 @@ namespace sdft {
 
 /// A word-packed fixed-width bitvector for the set-heavy cutset kernels.
 ///
-/// Cutset subsumption, MOCUS visited keys and the per-event index all ask
-/// the same questions — "is a a subset of b?", "do a and b intersect?",
-/// "are a and b equal?" — over small integer sets. Sorted vectors answer
+/// Cutset subsumption and the per-event index ask the same questions —
+/// "is a a subset of b?", "do a and b intersect?", "are a and b equal?" —
+/// over small integer sets. Sorted vectors answer
 /// them element-by-element; packing the sets into 64-bit words answers
 /// them word-by-word ((a & ~b) == 0 for the subset test), which is what
 /// storm's BitVector does for exactly these workloads. The width is fixed
 /// at construction; all bit positions must be < size(). Bits above size()
 /// in the last word are kept zero, so whole-word operations (count,
-/// equality, hashing) never see junk.
+/// equality) never see junk.
 class packed_bitset {
  public:
   using word = std::uint64_t;
@@ -101,17 +101,6 @@ class packed_bitset {
     return bits_ == other.bits_ && words_ == other.words_;
   }
 
-  /// FNV-1a over the words; equal sets hash equally regardless of how the
-  /// bits were produced.
-  std::size_t hash() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (word w : words_) {
-      h ^= w;
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-
   /// Calls fn(i) for every set bit i, in increasing order.
   template <typename Fn>
   void for_each_set(Fn&& fn) const {
@@ -128,10 +117,6 @@ class packed_bitset {
  private:
   std::size_t bits_ = 0;
   std::vector<word> words_;
-};
-
-struct packed_bitset_hash {
-  std::size_t operator()(const packed_bitset& b) const { return b.hash(); }
 };
 
 }  // namespace sdft

@@ -5,6 +5,16 @@
 
 namespace sdft {
 
+/// SplitMix64 output function (Steele, Lea & Flood): a strong 64-bit
+/// mixing step in which every output bit depends on every input bit. Used
+/// to seed rng, to fold stream coordinates and to finish hash values.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** pseudo-random generator (Blackman & Vigna).
 ///
 /// Deterministic across platforms for a given seed, which the synthetic model

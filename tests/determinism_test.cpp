@@ -181,19 +181,28 @@ TEST(Determinism, McBackendThreadInvariant) {
 TEST(Determinism, RawMocusParallelMatchesSerial) {
   // Below the engine: the raw MOCUS driver itself must emit the identical
   // result structure for the serial and the work-stealing parallel path.
+  // The model stays below dedup_limit, so no visited shard may overflow and
+  // clear: every distinct partial is expanded exactly once on either path,
+  // and the counters must match the serial run exactly.
   const industrial_model model = generate_industrial(industrial_options{});
   mocus_options serial_opts;
   serial_opts.cutoff = 1e-15;
   const mocus_result serial = mocus(model.ft, serial_opts);
-
-  thread_pool pool(8);
-  mocus_options par_opts = serial_opts;
-  par_opts.pool = &pool;
-  const mocus_result parallel = mocus(model.ft, par_opts);
-
-  EXPECT_EQ(parallel.cutsets, serial.cutsets);
-  EXPECT_EQ(parallel.threads_used, pool.size());
   EXPECT_EQ(serial.threads_used, 1u);
+
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    thread_pool pool(threads);
+    mocus_options par_opts = serial_opts;
+    par_opts.pool = &pool;
+    const mocus_result parallel = mocus(model.ft, par_opts);
+
+    EXPECT_EQ(parallel.cutsets, serial.cutsets) << threads << " threads";
+    EXPECT_EQ(parallel.partials_processed, serial.partials_processed)
+        << threads << " threads";
+    EXPECT_EQ(parallel.cutoff_discarded, serial.cutoff_discarded)
+        << threads << " threads";
+    EXPECT_EQ(parallel.threads_used, pool.size());
+  }
 }
 
 }  // namespace

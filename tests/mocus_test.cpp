@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "ft/fault_tree.hpp"
 #include "mcs/cutset.hpp"
@@ -176,15 +179,241 @@ TEST(Mocus, TinyDedupLimitStaysCorrectAndBounded) {
   EXPECT_EQ(parallel.cutsets, baseline.cutsets);
 }
 
-TEST(Mocus, TinyDedupLimitOnRandomTrees) {
-  for (const std::uint64_t seed : {2u, 9u, 17u}) {
-    const sd_fault_tree tree = testing::make_random_static_tree(seed, 9, 5);
-    const fault_tree& ft = tree.structure();
-    const std::vector<cutset> expected = mocus(ft).cutsets;
-    mocus_options opt;
-    opt.dedup_limit = 1;
-    EXPECT_EQ(mocus(ft, opt).cutsets, expected) << "seed " << seed;
+/// DAG-heavy random tree: OR gates over a small event pool, then a layer of
+/// AND/OR gates drawing their inputs from those shared ORs, under an AND
+/// top. Shared ORs over overlapping events make many expansion paths meet
+/// at the same partial, so the visited table sees real duplicates.
+fault_tree shared_or_tree(std::uint64_t seed) {
+  rng random(seed);
+  fault_tree ft;
+  // `count` distinct members of `from`, or 2-3 of them when count is 0.
+  const auto pick = [&](const std::vector<node_index>& from, int count) {
+    if (count == 0) count = static_cast<int>(random.between(2, 3));
+    std::vector<node_index> chosen;
+    while (static_cast<int>(chosen.size()) < count) {
+      const node_index n = from[random.below(from.size())];
+      if (std::find(chosen.begin(), chosen.end(), n) == chosen.end()) {
+        chosen.push_back(n);
+      }
+    }
+    return chosen;
+  };
+  std::vector<node_index> events;
+  for (int i = 0; i < 10; ++i) {
+    events.push_back(ft.add_basic_event("e" + std::to_string(i),
+                                        random.uniform(0.01, 0.3)));
   }
+  std::vector<node_index> ors;
+  for (int g = 0; g < 6; ++g) {
+    ors.push_back(ft.add_gate("or" + std::to_string(g), gate_type::or_gate,
+                              pick(events, 0)));
+  }
+  std::vector<node_index> mids;
+  for (int g = 0; g < 4; ++g) {
+    const auto type = g % 2 == 0 ? gate_type::and_gate : gate_type::or_gate;
+    mids.push_back(
+        ft.add_gate("mid" + std::to_string(g), type, pick(ors, 0)));
+  }
+  ft.set_top(ft.add_gate("top", gate_type::and_gate, pick(mids, 3)));
+  return ft;
+}
+
+TEST(Mocus, TinyDedupLimitOnRandomTrees) {
+  // Random static trees plus DAG-heavy shared-OR trees, whose expansion
+  // paths meet at the same partials, so the visited tables see real
+  // duplicates. Every dedup_limit and thread count must reproduce the
+  // brute-force cutsets; at the default limit nothing clears, so every
+  // driver expands each distinct partial exactly once.
+  struct input {
+    fault_tree ft;
+    bool shared;
+  };
+  std::vector<input> inputs;
+  for (const std::uint64_t seed : {2u, 9u, 17u}) {
+    inputs.push_back(
+        {testing::make_random_static_tree(seed, 9, 5).structure(), false});
+  }
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    inputs.push_back({shared_or_tree(seed), true});
+  }
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  const mocus_options defaults;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const fault_tree& ft = inputs[i].ft;
+    const std::vector<cutset> expected = minimal_cutsets_brute_force(ft);
+    const mocus_result serial = mocus(ft);
+    for (thread_pool* pool :
+         {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
+      const std::size_t threads = pool == nullptr ? 1 : pool->size();
+      for (const std::size_t limit :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8},
+            defaults.dedup_limit}) {
+        mocus_options opt;
+        opt.dedup_limit = limit;
+        opt.pool = pool;
+        const mocus_result r = mocus(ft, opt);
+        EXPECT_EQ(r.cutsets, expected)
+            << "input " << i << " limit " << limit << " threads " << threads;
+        if (limit == defaults.dedup_limit) {
+          EXPECT_EQ(r.partials_processed, serial.partials_processed)
+              << "input " << i << " threads " << threads;
+        } else if (limit == 1 && pool == nullptr && inputs[i].shared) {
+          // Shared ORs make duplicates that only the visited table removes.
+          EXPECT_LT(serial.partials_processed, r.partials_processed)
+              << "input " << i;
+        }
+      }
+    }
+  }
+}
+
+/// Reference MOCUS that prices an OR branch only after copying the partial
+/// and inserting the child (copy-then-check). Same expansion order (the
+/// first AND gate, else the first gate) and exact deduplication, so its
+/// counters are the ones the production drivers must reproduce.
+struct copy_then_check_run {
+  std::vector<cutset> cutsets;
+  std::size_t processed = 0;
+  std::size_t discarded = 0;
+};
+
+copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
+                                    std::size_t max_order) {
+  using partial = std::pair<std::vector<node_index>, std::vector<node_index>>;
+  copy_then_check_run run;
+  // Inserts b; true if the grown partial dies by order or cutoff.
+  const auto dies = [&](std::vector<node_index>& events, node_index b) {
+    if (std::binary_search(events.begin(), events.end(), b)) return false;
+    events.insert(std::lower_bound(events.begin(), events.end(), b), b);
+    double p = 1.0;
+    for (node_index e : events) p *= ft.node(e).probability;
+    if (events.size() > max_order || (cutoff > 0.0 && p < cutoff)) {
+      ++run.discarded;
+      return true;
+    }
+    return false;
+  };
+  const auto add_gate = [](std::vector<node_index>& gates, node_index g) {
+    const auto it = std::lower_bound(gates.begin(), gates.end(), g);
+    if (it == gates.end() || *it != g) gates.insert(it, g);
+  };
+  std::set<partial> seen;
+  std::vector<partial> stack{{{}, {ft.top()}}};
+  seen.insert(stack.back());
+  std::vector<cutset> raw;
+  while (!stack.empty()) {
+    partial p = std::move(stack.back());
+    stack.pop_back();
+    ++run.processed;
+    auto& [events, gates] = p;
+    if (gates.empty()) {
+      raw.push_back(events);
+      continue;
+    }
+    std::size_t pick = 0;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      if (ft.node(gates[i]).type == gate_type::and_gate) {
+        pick = i;
+        break;
+      }
+    }
+    const ft_node& gate = ft.node(gates[pick]);
+    gates.erase(gates.begin() + static_cast<std::ptrdiff_t>(pick));
+    std::vector<partial> children;
+    if (gate.type == gate_type::and_gate) {
+      bool alive = true;
+      for (node_index child : gate.inputs) {
+        if (!ft.is_basic(child)) {
+          add_gate(gates, child);
+        } else if (dies(events, child)) {
+          alive = false;
+          break;
+        }
+      }
+      if (alive) children.push_back(p);
+    } else {
+      for (node_index child : gate.inputs) {
+        partial branch = p;
+        if (!ft.is_basic(child)) {
+          add_gate(branch.second, child);
+        } else if (dies(branch.first, child)) {
+          continue;
+        }
+        children.push_back(std::move(branch));
+      }
+    }
+    for (partial& c : children) {
+      if (seen.insert(c).second) stack.push_back(std::move(c));
+    }
+  }
+  run.cutsets = minimize_cutsets(std::move(raw));
+  return run;
+}
+
+TEST(MocusAdmits, DiscardsMatchCopyThenCheck) {
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  const std::size_t unlimited = mocus_options{}.max_order;
+  const std::pair<double, std::size_t> limits[] = {
+      {1e-3, unlimited}, {1e-4, unlimited}, {0.0, 2}, {0.0, 3}, {1e-4, 3}};
+  for (const auto& [cutoff, max_order] : limits) {
+    std::size_t total_discarded = 0;
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const fault_tree ft = shared_or_tree(seed);
+      const copy_then_check_run ref = copy_then_check(ft, cutoff, max_order);
+      total_discarded += ref.discarded;
+      for (thread_pool* pool :
+           {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
+        mocus_options opt;
+        opt.cutoff = cutoff;
+        opt.max_order = max_order;
+        opt.pool = pool;
+        const mocus_result r = mocus(ft, opt);
+        const std::string label =
+            "seed " + std::to_string(seed) + " cutoff " +
+            std::to_string(cutoff) + " max_order " + std::to_string(max_order) +
+            " threads " + std::to_string(pool == nullptr ? 1 : pool->size());
+        EXPECT_EQ(r.cutsets, ref.cutsets) << label;
+        EXPECT_EQ(r.cutoff_discarded, ref.discarded) << label;
+        EXPECT_EQ(r.partials_processed, ref.processed) << label;
+      }
+    }
+    // The limits must actually bite, or the comparison proves nothing.
+    EXPECT_GT(total_discarded, 0u) << "cutoff " << cutoff << " max_order "
+                                   << max_order;
+  }
+}
+
+TEST(MocusAdmits, PricesBranchesInSortedOrder) {
+  // top = AND(a, c, OR(b, d)) with indices a < b < c: the branch {a, b, c}
+  // is priced as (pa * pb) * pc, the sorted-order product. Pick
+  // probabilities for which pricing the new child last, (pa * pc) * pb,
+  // rounds lower, and put the cutoff exactly on the sorted product: the
+  // branch must survive, as it does under copy-then-check.
+  rng random(7);
+  double pa = 0.0;
+  double pb = 0.0;
+  double pc = 0.0;
+  do {
+    pa = random.uniform(0.01, 0.5);
+    pb = random.uniform(0.01, 0.5);
+    pc = random.uniform(0.01, 0.5);
+  } while (!((pa * pc) * pb < (pa * pb) * pc));
+  fault_tree ft;
+  const node_index a = ft.add_basic_event("a", pa);
+  const node_index b = ft.add_basic_event("b", pb);
+  const node_index c = ft.add_basic_event("c", pc);
+  const node_index d = ft.add_basic_event("d", 0.9);
+  const node_index branch = ft.add_gate("or", gate_type::or_gate, {b, d});
+  ft.set_top(ft.add_gate("top", gate_type::and_gate, {a, c, branch}));
+
+  mocus_options opt;
+  opt.cutoff = (pa * pb) * pc;
+  const mocus_result r = mocus(ft, opt);
+  EXPECT_EQ(r.cutsets, copy_then_check(ft, opt.cutoff, opt.max_order).cutsets);
+  EXPECT_NE(std::find(r.cutsets.begin(), r.cutsets.end(), cutset{a, b, c}),
+            r.cutsets.end());
 }
 
 TEST(MinimizeCutsets, RemovesSupersetsAndDuplicates) {

@@ -461,7 +461,8 @@ void print_engine_stats(const engine_stats& s) {
     table.add_row({"mocus partials", std::to_string(s.source_partials)});
     table.add_row({"mocus subset tests",
                    std::to_string(s.subset_tests) + " (" +
-                       std::to_string(s.bitset_words) + "-word keys)"});
+                       std::to_string(s.bitset_words) +
+                       "-word subset masks)"});
   }
   table.add_row({"cutoff discarded", std::to_string(s.source_discarded)});
   if (s.exact_static_seconds > 0) {
