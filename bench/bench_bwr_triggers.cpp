@@ -51,7 +51,7 @@ int main() {
     const analysis_result r = analyze(make_bwr_model(opts), aopts);
     table.add_row({"repair rate 1/" + std::to_string(int(mttr)) + "h",
                    sci(r.failure_probability),
-                   duration_str(r.total_seconds)});
+                   duration_str(r.stats.total_seconds)});
   }
 
   // Cumulative triggers at repair rate 1/100h.
@@ -66,7 +66,7 @@ int main() {
     opts = with_bwr_triggers(opts, count);
     last = analyze(make_bwr_model(opts), aopts);
     table.add_row({labels[count - 1], sci(last.failure_probability),
-                   duration_str(last.total_seconds)});
+                   duration_str(last.stats.total_seconds)});
   }
   std::printf("%s\n", table.str().c_str());
 

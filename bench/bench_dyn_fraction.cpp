@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                    std::to_string(static_cast<int>(fraction * 10)),
                    sci(r.failure_probability),
                    std::to_string(r.num_dynamic_cutsets),
-                   duration_str(r.total_seconds)});
+                   duration_str(r.stats.total_seconds)});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

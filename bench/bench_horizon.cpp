@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const analysis_result r = analyze(tree, aopts);
     table.add_row({std::to_string(static_cast<int>(horizon)) + "h",
                    sci(r.failure_probability),
-                   duration_str(r.total_seconds)});
+                   duration_str(r.stats.total_seconds)});
   }
   std::printf("%s\n", table.str().c_str());
   return 0;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       const analysis_result r = analyze(tree, aopts);
       table.add_row({std::to_string(m), std::to_string(phases),
                      sci(r.failure_probability),
-                     duration_str(r.total_seconds)});
+                     duration_str(r.stats.total_seconds)});
     }
   }
   std::printf("%s\n", table.str().c_str());

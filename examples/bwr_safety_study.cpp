@@ -53,7 +53,7 @@ int main() {
         {triggers == 0 ? "repair rate 1/100h" : labels[triggers - 1],
          sci(result.failure_probability),
          std::to_string(result.num_dynamic_cutsets),
-         duration_str(result.total_seconds),
+         duration_str(result.stats.total_seconds),
          std::to_string(result.stats.cache_hits)});
   }
   std::printf("%s\n", table.str().c_str());

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(static_cast<int>(fraction * 100)),
                    sci(result.failure_probability),
                    std::to_string(result.num_dynamic_cutsets), mean,
-                   duration_str(result.total_seconds), rate});
+                   duration_str(result.stats.total_seconds), rate});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

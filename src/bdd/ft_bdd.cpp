@@ -1,8 +1,9 @@
 #include "bdd/ft_bdd.hpp"
 
 #include <algorithm>
-#include <functional>
 
+#include "bdd/ft_compiler.hpp"
+#include "ft/modules.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -22,16 +23,7 @@ ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
 
   // DFS-from-root discovery order: the default ordering and the starting
   // point (or tie-break) of the others.
-  const std::function<void(node_index)> discover = [&](node_index n) {
-    if (ft_.is_basic(n)) {
-      if (event_to_var_.emplace(n, var_to_event_.size()).second) {
-        var_to_event_.push_back(n);
-      }
-      return;
-    }
-    for (node_index child : ft_.node(n).inputs) discover(child);
-  };
-  discover(root);
+  var_to_event_ = dfs_leaves(ft_, {root});
 
   switch (ordering) {
     case bdd_ordering::dfs:
@@ -63,49 +55,7 @@ ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
       break;
     }
   }
-  event_to_var_.clear();
-  for (std::uint32_t v = 0; v < var_to_event_.size(); ++v) {
-    event_to_var_.emplace(var_to_event_[v], v);
-  }
-
-  // Compile bottom-up with memoisation over shared gates.
-  std::unordered_map<node_index, bdd_ref> memo;
-  const std::function<bdd_ref(node_index)> compile =
-      [&](node_index n) -> bdd_ref {
-    auto it = memo.find(n);
-    if (it != memo.end()) return it->second;
-    bdd_ref ref;
-    if (ft_.is_basic(n)) {
-      ref = manager_.var(event_to_var_.at(n));
-    } else {
-      const auto& gate = ft_.node(n);
-      if (gate.type == gate_type::atleast_gate) {
-        // Threshold DP over the inputs: at_least[j] after i children is
-        // "at least j of the first i are failed". Polynomial in k * N,
-        // no C(N, k) expansion.
-        std::vector<bdd_ref> at_least(gate.k + 1, manager_.zero());
-        at_least[0] = manager_.one();
-        for (node_index child : gate.inputs) {
-          const bdd_ref c = compile(child);
-          for (std::uint32_t j = gate.k; j >= 1; --j) {
-            at_least[j] = manager_.bdd_or(at_least[j],
-                                          manager_.bdd_and(c, at_least[j - 1]));
-          }
-        }
-        ref = at_least[gate.k];
-      } else {
-        const bool is_and = gate.type == gate_type::and_gate;
-        ref = is_and ? manager_.one() : manager_.zero();
-        for (node_index child : gate.inputs) {
-          const bdd_ref c = compile(child);
-          ref = is_and ? manager_.bdd_and(ref, c) : manager_.bdd_or(ref, c);
-        }
-      }
-    }
-    memo.emplace(n, ref);
-    return ref;
-  };
-  root_ref_ = compile(root);
+  root_ref_ = ft_compiler(ft_, manager_, var_to_event_).compile(root);
 
   if (ordering == bdd_ordering::sift) sift();
 }
@@ -113,8 +63,6 @@ ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
 void ft_bdd::swap_positions(std::uint32_t p) {
   root_ref_ = manager_.swap_adjacent(root_ref_, p);
   std::swap(var_to_event_[p], var_to_event_[p + 1]);
-  event_to_var_[var_to_event_[p]] = p;
-  event_to_var_[var_to_event_[p + 1]] = p + 1;
   ++sift_swaps_;
 }
 
@@ -126,7 +74,9 @@ void ft_bdd::sift() {
   // order is a pure function of the input tree.
   const std::vector<node_index> schedule = var_to_event_;
   for (const node_index ev : schedule) {
-    std::uint32_t cur = event_to_var_.at(ev);
+    auto cur = static_cast<std::uint32_t>(
+        std::find(var_to_event_.begin(), var_to_event_.end(), ev) -
+        var_to_event_.begin());
     const std::size_t start_size = manager_.live_nodes(root_ref_);
     std::size_t best_size = start_size;
     std::uint32_t best_pos = cur;
@@ -188,6 +138,31 @@ std::vector<cutset> ft_bdd::minimal_cutsets() const {
     return a.size() != b.size() ? a.size() < b.size() : a < b;
   });
   return out;
+}
+
+double modular_probability(const fault_tree& ft) {
+  const auto module_roots = find_modules(ft);
+  std::vector<bool> is_module(ft.size(), false);
+  for (node_index m : module_roots) is_module[m] = true;
+  std::vector<double> module_prob(ft.size(), 0.0);
+
+  // Topological order guarantees nested modules are solved first.
+  for (node_index n : ft.topo_order()) {
+    if (!is_module[n]) continue;
+    // One fresh manager per module keeps variable spaces module-sized;
+    // nested modules are pseudo-events carrying their solved probability.
+    const std::vector<node_index> leaves = dfs_leaves(ft, {n}, is_module);
+    std::vector<double> probs;
+    probs.reserve(leaves.size());
+    for (node_index leaf : leaves) {
+      probs.push_back(ft.is_basic(leaf) ? ft.node(leaf).probability
+                                        : module_prob[leaf]);
+    }
+    bdd_manager manager;
+    module_prob[n] =
+        manager.probability(ft_compiler(ft, manager, leaves).compile(n), probs);
+  }
+  return module_prob[ft.top()];
 }
 
 }  // namespace sdft

@@ -59,7 +59,14 @@ class ft_bdd {
   bdd_ordering ordering_ = bdd_ordering::dfs;
   std::size_t sift_swaps_ = 0;
   std::vector<node_index> var_to_event_;            // BDD var -> node_index
-  std::unordered_map<node_index, std::uint32_t> event_to_var_;
 };
+
+/// Exact top-gate failure probability by modular decomposition: each
+/// module (find_modules() in ft/modules.hpp) is compiled to its own
+/// (small) BDD with nested modules folded into pseudo basic events
+/// carrying their already-computed probability. Equal to
+/// ft_bdd(ft).probability() but with BDDs only ever as large as one
+/// module.
+double modular_probability(const fault_tree& ft);
 
 }  // namespace sdft

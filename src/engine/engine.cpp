@@ -364,7 +364,6 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   if (opt.publish_metrics) {
     stats.publish(obs::metrics_registry::global());
   }
-  result.total_seconds = stats.total_seconds;
   return result;
 }
 
@@ -525,14 +524,7 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     stats.publish(obs::metrics_registry::global());
   }
 
-  // Legacy mirrors of the per-stage instrumentation.
   result.num_cutsets = stats.num_cutsets;
-  result.translate_seconds = stats.translate_seconds;
-  result.mcs_seconds = stats.generate_seconds;
-  result.quantify_seconds = stats.quantify_seconds;
-  result.total_seconds = stats.total_seconds;
-  result.mocus_partials = stats.source_partials;
-  result.mocus_discarded = stats.source_discarded;
   return result;
 }
 

@@ -143,14 +143,6 @@ struct analysis_result {
   std::size_t num_cutsets = 0;          ///< relevant MCSs found on FT-bar
   std::size_t num_dynamic_cutsets = 0;  ///< MCSs quantified dynamically
 
-  double translate_seconds = 0;  ///< FT-bar construction + worst-case p(a)
-  double mcs_seconds = 0;        ///< cutset generation on FT-bar
-  double quantify_seconds = 0;   ///< summed wall time of the pipeline stage
-  double total_seconds = 0;
-
-  std::size_t mocus_partials = 0;
-  std::size_t mocus_discarded = 0;
-
   /// Per-cutset details (empty if keep_cutset_details is false).
   std::vector<cutset_result> cutsets;
 
@@ -164,8 +156,8 @@ struct analysis_result {
   double mean_dynamic_events = 0;
   double mean_added_dynamic_events = 0;
 
-  /// Per-stage instrumentation (backend counters, cache behaviour, pool
-  /// occupancy); the timing fields above mirror its per-stage times.
+  /// Per-stage instrumentation: stage times, backend counters, cache
+  /// behaviour, pool occupancy.
   engine_stats stats;
 };
 

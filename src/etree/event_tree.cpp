@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "bdd/bdd.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -42,66 +41,27 @@ void event_tree::validate() const {
   }
 }
 
-event_tree_bdd::event_tree_bdd(const event_tree& et) : et_(et) {
-  // Variable order: basic-event discovery order over a DFS of the IE and
-  // then each functional gate — a pure function of the event tree, so
-  // every compilation of the same tree agrees variable for variable.
-  const std::function<void(node_index)> visit = [&](node_index n) {
-    if (et_.ft().is_basic(n)) {
-      if (event_to_var_.emplace(n, var_to_event_.size()).second) {
-        var_to_event_.push_back(n);
-      }
-      return;
-    }
-    for (node_index child : et_.ft().node(n).inputs) visit(child);
-  };
-  visit(et_.initiating_event());
-  for (std::size_t i = 0; i < et_.num_functional_events(); ++i) {
-    visit(et_.functional_gate(i));
+namespace {
+/// Variable order: basic-event discovery order over a DFS of the IE and
+/// then each functional gate — a pure function of the event tree, so every
+/// compilation of the same tree agrees variable for variable.
+std::vector<node_index> variable_order(const event_tree& et) {
+  std::vector<node_index> roots{et.initiating_event()};
+  for (std::size_t i = 0; i < et.num_functional_events(); ++i) {
+    roots.push_back(et.functional_gate(i));
   }
+  return dfs_leaves(et.ft(), roots);
 }
+}  // namespace
 
-bdd_ref event_tree_bdd::compile(node_index n) {
-  auto it = memo_.find(n);
-  if (it != memo_.end()) return it->second;
-  bdd_ref ref;
-  if (et_.ft().is_basic(n)) {
-    ref = manager_.var(event_to_var_.at(n));
-  } else {
-    const auto& gate = et_.ft().node(n);
-    ++gates_compiled_;
-    if (gate.type == gate_type::atleast_gate) {
-      // Threshold DP over the inputs, exactly as bdd/ft_bdd.cpp lowers
-      // voting gates: at_least[j] after i children is "at least j of the
-      // first i are failed". Polynomial in k * N, no C(N, k) expansion.
-      // (Treating the gate as an OR here used to corrupt every exact
-      // sequence probability under a k-of-n functional event.)
-      std::vector<bdd_ref> at_least(gate.k + 1, manager_.zero());
-      at_least[0] = manager_.one();
-      for (node_index child : gate.inputs) {
-        const bdd_ref c = compile(child);
-        for (std::uint32_t j = gate.k; j >= 1; --j) {
-          at_least[j] = manager_.bdd_or(
-              at_least[j], manager_.bdd_and(c, at_least[j - 1]));
-        }
-      }
-      ref = at_least[gate.k];
-    } else {
-      const bool is_and = gate.type == gate_type::and_gate;
-      ref = is_and ? manager_.one() : manager_.zero();
-      for (node_index child : gate.inputs) {
-        const bdd_ref c = compile(child);
-        ref = is_and ? manager_.bdd_and(ref, c) : manager_.bdd_or(ref, c);
-      }
-    }
-  }
-  memo_.emplace(n, ref);
-  return ref;
-}
+event_tree_bdd::event_tree_bdd(const event_tree& et)
+    : et_(et),
+      var_to_event_(variable_order(et)),
+      compiler_(et.ft(), manager_, var_to_event_) {}
 
 bdd_ref event_tree_bdd::sequence(std::size_t s) {
   require_model(s < et_.num_sequences(), "event_tree: sequence out of range");
-  bdd_ref f = compile(et_.initiating_event());
+  bdd_ref f = compiler_.compile(et_.initiating_event());
   const auto& outcomes = et_.sequence_outcomes(s);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (outcomes[i] == branch_outcome::bypass) continue;
@@ -117,7 +77,7 @@ bdd_ref event_tree_bdd::sequence(std::size_t s) {
       f = it->second;
       continue;
     }
-    const bdd_ref gate = compile(et_.functional_gate(i));
+    const bdd_ref gate = compiler_.compile(et_.functional_gate(i));
     const bdd_ref next =
         manager_.bdd_and(f, outcomes[i] == branch_outcome::failure
                                 ? gate
@@ -147,9 +107,7 @@ double event_tree_bdd::probability(bdd_ref f) const {
 }
 
 event_tree_plan event_tree_bdd::freeze(const std::vector<bdd_ref>& roots) && {
-  memo_ = {};
   prefix_ = {};
-  event_to_var_ = {};
   event_tree_plan out;
   out.plan_ = std::move(manager_).freeze(roots);
   out.var_to_event_ = std::move(var_to_event_);

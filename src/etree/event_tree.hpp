@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "bdd/ft_compiler.hpp"
 #include "ft/fault_tree.hpp"
 #include "sdft/sd_fault_tree.hpp"
 
@@ -108,13 +109,14 @@ class event_tree_plan {
 
 /// Multi-root BDD compilation of every fault-tree node an event tree
 /// references: one manager, one variable order (discovery order over the
-/// IE then the functional gates — deterministic), one memo shared by all
-/// gates. Sequence BDDs are built as prefix products (IE ∧ outcome_0 ∧ …)
-/// and memoised per (partial product, functional event, outcome), so
-/// sequences differing in one late branch reuse the common prefix. BDD
-/// operations are canonical, so a probability read off a shared
-/// compilation is bit-identical to a one-shot compilation of the same
-/// sequence — the contract the scenario engine's one-pass mode relies on.
+/// IE then the functional gates — deterministic), one ft_compiler shared
+/// by all gates. Sequence BDDs are built as prefix products (IE ∧
+/// outcome_0 ∧ …) and memoised per (partial product, functional event,
+/// outcome), so sequences differing in one late branch reuse the common
+/// prefix. BDD operations are canonical, so a probability read off a
+/// shared compilation is bit-identical to a one-shot compilation of the
+/// same sequence — the contract the scenario engine's one-pass mode
+/// relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
 /// thread-safe. Compile-once, evaluate-many callers freeze() the roots
@@ -122,6 +124,8 @@ class event_tree_plan {
 class event_tree_bdd {
  public:
   explicit event_tree_bdd(const event_tree& et);
+  event_tree_bdd(const event_tree_bdd&) = delete;
+  event_tree_bdd& operator=(const event_tree_bdd&) = delete;
 
   /// BDD of sequence `s`: IE and the outcome of every demanded functional
   /// event (success branches negated — exact, not rare-event).
@@ -134,26 +138,22 @@ class event_tree_bdd {
   double probability(bdd_ref f) const;
 
   /// Freezes `roots` into an evaluation plan and consumes the compiler:
-  /// the gate memo, the prefix cache and the manager's hash tables are
-  /// released before the plan is built, and the node array after it.
+  /// the prefix cache and the manager's hash tables are released before
+  /// the plan is built, and the node array after it.
   /// Read the counters below first; they describe the compilation.
   event_tree_plan freeze(const std::vector<bdd_ref>& roots) &&;
 
   std::size_t num_variables() const { return var_to_event_.size(); }
   std::size_t nodes() const { return manager_.size(); }
-  std::size_t gates_compiled() const { return gates_compiled_; }
+  std::size_t gates_compiled() const { return compiler_.gates_compiled(); }
   std::size_t prefix_hits() const { return prefix_hits_; }
 
  private:
-  bdd_ref compile(node_index n);
-
   const event_tree& et_;
   bdd_manager manager_;
   std::vector<node_index> var_to_event_;
-  std::unordered_map<node_index, std::uint32_t> event_to_var_;
-  std::unordered_map<node_index, bdd_ref> memo_;
+  ft_compiler compiler_;  ///< over manager_, declared after it
   std::unordered_map<std::uint64_t, bdd_ref> prefix_;
-  std::size_t gates_compiled_ = 0;
   std::size_t prefix_hits_ = 0;
 };
 

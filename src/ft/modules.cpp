@@ -1,10 +1,7 @@
 #include "ft/modules.hpp"
 
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
-#include "bdd/bdd.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -81,67 +78,6 @@ std::vector<node_index> find_modules(const fault_tree& ft) {
     if (dmin[g] > enter[g] && dmax[g] < exit[g]) modules.push_back(g);
   }
   return modules;
-}
-
-double modular_probability(const fault_tree& ft) {
-  const auto module_roots = find_modules(ft);
-  const std::unordered_set<node_index> is_module(module_roots.begin(),
-                                                 module_roots.end());
-  std::unordered_map<node_index, double> module_prob;
-
-  // Topological order guarantees nested modules are solved first.
-  for (node_index n : ft.topo_order()) {
-    if (!is_module.count(n)) continue;
-
-    // One fresh manager per module keeps variable spaces module-sized.
-    bdd_manager manager;
-    std::vector<double> probs;
-    std::unordered_map<node_index, std::uint32_t> var_of;
-    std::unordered_map<node_index, bdd_ref> memo;
-    const std::function<bdd_ref(node_index)> compile =
-        [&](node_index x) -> bdd_ref {
-      auto it = memo.find(x);
-      if (it != memo.end()) return it->second;
-      bdd_ref ref;
-      const bool pseudo_leaf =
-          ft.is_basic(x) || (x != n && is_module.count(x));
-      if (pseudo_leaf) {
-        auto vit = var_of.find(x);
-        if (vit == var_of.end()) {
-          vit = var_of.emplace(x, static_cast<std::uint32_t>(probs.size()))
-                    .first;
-          probs.push_back(ft.is_basic(x) ? ft.node(x).probability
-                                         : module_prob.at(x));
-        }
-        ref = manager.var(vit->second);
-      } else {
-        const auto& gate = ft.node(x);
-        if (gate.type == gate_type::atleast_gate) {
-          std::vector<bdd_ref> at_least(gate.k + 1, manager.zero());
-          at_least[0] = manager.one();
-          for (node_index child : gate.inputs) {
-            const bdd_ref c = compile(child);
-            for (std::uint32_t j = gate.k; j >= 1; --j) {
-              at_least[j] = manager.bdd_or(
-                  at_least[j], manager.bdd_and(c, at_least[j - 1]));
-            }
-          }
-          ref = at_least[gate.k];
-        } else {
-          const bool is_and = gate.type == gate_type::and_gate;
-          ref = is_and ? manager.one() : manager.zero();
-          for (node_index child : gate.inputs) {
-            const bdd_ref c = compile(child);
-            ref = is_and ? manager.bdd_and(ref, c) : manager.bdd_or(ref, c);
-          }
-        }
-      }
-      memo.emplace(x, ref);
-      return ref;
-    };
-    module_prob[n] = manager.probability(compile(n), probs);
-  }
-  return module_prob.at(ft.top());
 }
 
 }  // namespace sdft

@@ -20,11 +20,4 @@ namespace sdft {
 /// in DFS first-visit order.
 std::vector<node_index> find_modules(const fault_tree& ft);
 
-/// Exact top-gate failure probability by modular decomposition: each
-/// module is compiled to its own (small) BDD with nested modules folded
-/// into pseudo basic events carrying their already-computed probability.
-/// Equal to ft_bdd(ft).probability() but with BDDs only ever as large as
-/// one module.
-double modular_probability(const fault_tree& ft);
-
 }  // namespace sdft

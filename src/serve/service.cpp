@@ -361,7 +361,7 @@ std::string analysis_service::handle(const std::string& line) {
         w.key("dynamic_cutsets").integer(result.num_dynamic_cutsets);
         w.key("struct_cache_hit").boolean(result.stats.struct_cache_hits > 0);
       }
-      w.key("seconds").number(result.total_seconds);
+      w.key("seconds").number(result.stats.total_seconds);
     } else if (op == "sweep") {
       const auto tree = model(root.at("model").as_string());
       analysis_options opts = engine_.options();

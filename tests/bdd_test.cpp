@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
 #include "bdd/ft_bdd.hpp"
+#include "bdd/ft_compiler.hpp"
+#include "etree/event_tree.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
@@ -108,7 +111,11 @@ TEST(FtBdd, CompilesFromSubtreeRoot) {
   EXPECT_NEAR(pump1.probability(), expected, 1e-15);
 }
 
-fault_tree random_tree(rng& random, int num_events, int num_gates) {
+/// With `voting`, a gate drawing n >= 3 distinct inputs becomes a k-of-n
+/// atleast gate (2 <= k < n) half of the time. Without it no extra draw is
+/// made, so the AND/OR trees of every seed stay as they were.
+fault_tree random_tree(rng& random, int num_events, int num_gates,
+                       bool voting = false) {
   fault_tree ft;
   std::vector<node_index> pool;
   for (int i = 0; i < num_events; ++i) {
@@ -121,10 +128,22 @@ fault_tree random_tree(rng& random, int num_events, int num_gates) {
     for (int i = 0, n = static_cast<int>(random.between(2, 4)); i < n; ++i) {
       inputs.push_back(pool[random.below(pool.size())]);
     }
-    last = ft.add_gate("g" + std::to_string(g),
-                       random.chance(0.5) ? gate_type::and_gate
-                                          : gate_type::or_gate,
-                       inputs);
+    std::vector<node_index> unique_inputs = inputs;
+    std::sort(unique_inputs.begin(), unique_inputs.end());
+    const auto distinct = std::unique(unique_inputs.begin(),
+                                      unique_inputs.end()) -
+                          unique_inputs.begin();
+    const std::string name = "g" + std::to_string(g);
+    if (voting && distinct >= 3 && random.chance(0.5)) {
+      last = ft.add_atleast_gate(
+          name, static_cast<std::uint32_t>(random.between(2, distinct - 1)),
+          inputs);
+    } else {
+      last = ft.add_gate(name,
+                         random.chance(0.5) ? gate_type::and_gate
+                                            : gate_type::or_gate,
+                         inputs);
+    }
     pool.push_back(last);
   }
   ft.set_top(last);
@@ -139,6 +158,21 @@ TEST_P(BddRandomTrees, AgreesWithBruteForceAndMocus) {
   const ft_bdd compiled(ft);
   EXPECT_NEAR(compiled.probability(), ft.probability_brute_force(), 1e-12);
   EXPECT_EQ(compiled.minimal_cutsets(), mocus(ft).cutsets);
+}
+
+// mocus() rejects atleast gates, so the voting trees are checked against
+// brute force only, under every variable ordering.
+TEST_P(BddRandomTrees, VotingAgreesWithBruteForce) {
+  rng random(0xb00 + static_cast<std::uint64_t>(GetParam()));
+  const fault_tree ft = random_tree(random, 9, 7, /*voting=*/true);
+  const double expected = ft.probability_brute_force();
+  for (bdd_ordering ordering :
+       {bdd_ordering::dfs, bdd_ordering::natural, bdd_ordering::weight,
+        bdd_ordering::sift}) {
+    EXPECT_NEAR(ft_bdd(ft, fault_tree::npos, ordering).probability(),
+                expected, 1e-12)
+        << to_string(ordering);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomTrees, ::testing::Range(0, 25));
@@ -250,6 +284,84 @@ TEST(BddPlan, FreezeReleasesTheManager) {
   std::vector<double> out;
   plan.evaluate(probs, out);
   EXPECT_EQ(out, (std::vector<double>{expected, expected}));
+}
+
+TEST(FtCompiler, DfsLeavesVisitsEachGateOnce) {
+  fault_tree ft;
+  const node_index a = ft.add_basic_event("a", 0.1);
+  const node_index b = ft.add_basic_event("b", 0.2);
+  const node_index c = ft.add_basic_event("c", 0.3);
+  const node_index shared = ft.add_gate("shared", gate_type::and_gate, {c, b});
+  const node_index left = ft.add_gate("left", gate_type::or_gate, {shared, a});
+  const node_index top =
+      ft.add_gate("top", gate_type::or_gate, {left, shared, b});
+  ft.set_top(top);
+  EXPECT_EQ(dfs_leaves(ft, {top}), (std::vector<node_index>{c, b, a}));
+  // Roots in order; a root already met below an earlier one adds nothing.
+  EXPECT_EQ(dfs_leaves(ft, {a, shared, top}),
+            (std::vector<node_index>{a, c, b}));
+  // A flagged gate is a leaf below the root, but the root itself expands.
+  std::vector<bool> stop(ft.size(), false);
+  stop[shared] = stop[left] = true;
+  EXPECT_EQ(dfs_leaves(ft, {top}, stop),
+            (std::vector<node_index>{left, shared, b}));
+  EXPECT_EQ(dfs_leaves(ft, {left}, stop),
+            (std::vector<node_index>{shared, a}));
+}
+
+TEST(FtCompiler, MemoisesGatesAndRejectsLeavesWithoutVariable) {
+  fault_tree ft;
+  const node_index a = ft.add_basic_event("a", 0.1);
+  const node_index b = ft.add_basic_event("b", 0.2);
+  const node_index both = ft.add_gate("both", gate_type::and_gate, {a, b});
+  const node_index top = ft.add_gate("top", gate_type::or_gate, {both, a});
+  ft.set_top(top);
+  bdd_manager m;
+  ft_compiler compiler(ft, m, {a, b});
+  const bdd_ref f = compiler.compile(top);
+  EXPECT_EQ(f, m.var(0));  // a OR (a AND b) absorbs to a
+  EXPECT_EQ(compiler.compile(top), f);
+  (void)compiler.compile(both);
+  EXPECT_EQ(compiler.gates_compiled(), 2u);
+
+  bdd_manager m2;
+  ft_compiler partial(ft, m2, {a});
+  EXPECT_THROW((void)partial.compile(top), error);
+}
+
+/// g_0 = e_0, g_i = OR(g_{i-1}, AND(g_{i-1}, e_i)): 2^depth root-to-leaf
+/// paths in a DAG of 3 * depth + 1 nodes. Absorption reduces the top to
+/// e_0, so every exact probability is e_0's, bit for bit.
+TEST(FtCompiler, LadderDagCompilesInLinearTime) {
+  constexpr int depth = 64;
+  fault_tree ft;
+  const node_index e0 = ft.add_basic_event("e0", 0.1);
+  node_index g = e0;
+  for (int i = 1; i <= depth; ++i) {
+    const node_index e = ft.add_basic_event("e" + std::to_string(i), 0.5);
+    const node_index both = ft.add_gate("a" + std::to_string(i),
+                                        gate_type::and_gate, {g, e});
+    g = ft.add_gate("g" + std::to_string(i), gate_type::or_gate, {g, both});
+  }
+  ft.set_top(g);
+  const double expected = ft.node(e0).probability;
+
+  for (bdd_ordering ordering :
+       {bdd_ordering::dfs, bdd_ordering::natural, bdd_ordering::weight,
+        bdd_ordering::sift}) {
+    EXPECT_EQ(ft_bdd(ft, fault_tree::npos, ordering).probability(), expected)
+        << to_string(ordering);
+  }
+  EXPECT_EQ(modular_probability(ft), expected);
+
+  // The ladder as a functional event after initiating event e_0: the
+  // failure branch is e_0 AND e_0.
+  event_tree et(ft, e0);
+  et.add_functional_event("LADDER", g);
+  et.add_sequence({branch_outcome::failure}, "CD");
+  et.add_sequence({branch_outcome::success}, "OK");
+  EXPECT_EQ(sequence_probability_exact(et, 0), expected);
+  EXPECT_EQ(sequence_probability_exact(et, 1), 0.0);
 }
 
 }  // namespace

@@ -183,10 +183,10 @@ TEST(Modules, ModularProbabilityOnSharedDag) {
   EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-15);
 }
 
-class ModularRandomTrees : public ::testing::TestWithParam<int> {};
-
-TEST_P(ModularRandomTrees, MatchesBruteForce) {
-  rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
+/// Nine events under seven random gates. With `voting`, a gate drawing
+/// three distinct inputs becomes a 2-of-3 atleast gate half of the time;
+/// without it no extra draw is made, so the AND/OR seeds are unchanged.
+fault_tree random_modular_tree(rng& random, bool voting) {
   fault_tree ft;
   std::vector<node_index> pool;
   for (int i = 0; i < 9; ++i) {
@@ -199,13 +199,37 @@ TEST_P(ModularRandomTrees, MatchesBruteForce) {
     for (int i = 0, n = static_cast<int>(random.between(2, 3)); i < n; ++i) {
       inputs.push_back(pool[random.below(pool.size())]);
     }
-    last = ft.add_gate("g" + std::to_string(g),
-                       random.chance(0.5) ? gate_type::and_gate
-                                          : gate_type::or_gate,
-                       inputs);
+    std::vector<node_index> unique_inputs = inputs;
+    std::sort(unique_inputs.begin(), unique_inputs.end());
+    const auto distinct = std::unique(unique_inputs.begin(),
+                                      unique_inputs.end()) -
+                          unique_inputs.begin();
+    const std::string name = "g" + std::to_string(g);
+    if (voting && distinct == 3 && random.chance(0.5)) {
+      last = ft.add_atleast_gate(name, 2, inputs);
+    } else {
+      last = ft.add_gate(name,
+                         random.chance(0.5) ? gate_type::and_gate
+                                            : gate_type::or_gate,
+                         inputs);
+    }
     pool.push_back(last);
   }
   ft.set_top(last);
+  return ft;
+}
+
+class ModularRandomTrees : public ::testing::TestWithParam<int> {};
+
+TEST_P(ModularRandomTrees, MatchesBruteForce) {
+  rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
+  const fault_tree ft = random_modular_tree(random, /*voting=*/false);
+  EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-12);
+}
+
+TEST_P(ModularRandomTrees, VotingMatchesBruteForce) {
+  rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
+  const fault_tree ft = random_modular_tree(random, /*voting=*/true);
   EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-12);
 }
 

@@ -277,9 +277,6 @@ TEST(EngineStats, MirrorsLegacyFieldsAndCountsStages) {
   EXPECT_EQ(result.stats.dynamic_cutsets, result.num_dynamic_cutsets);
   EXPECT_EQ(result.stats.failed_quantifications, 0u);
   EXPECT_EQ(result.stats.pool_threads, 2u);
-  EXPECT_DOUBLE_EQ(result.mcs_seconds, result.stats.generate_seconds);
-  EXPECT_DOUBLE_EQ(result.quantify_seconds, result.stats.quantify_seconds);
-  EXPECT_EQ(result.mocus_partials, result.stats.source_partials);
   EXPECT_GE(result.stats.total_seconds, 0.0);
 }
 

@@ -552,8 +552,8 @@ int cmd_analyze(const cli_options& opt) {
   }
   if (opt.backend != cutset_backend::mc) {
     std::printf("times: translate %.2fs, MCS %.2fs, quantify %.2fs\n",
-                result.translate_seconds, result.mcs_seconds,
-                result.quantify_seconds);
+                result.stats.translate_seconds, result.stats.generate_seconds,
+                result.stats.quantify_seconds);
   }
   if (opt.stats) print_engine_stats(result.stats);
   if (opt.details) {
