@@ -6,48 +6,6 @@
 
 namespace sdft {
 
-/// Repeated-evaluation helper: caches the topological order of a fault tree
-/// so each evaluation is a single linear pass. The product-CTMC construction
-/// evaluates the same small tree for every explored state and update step,
-/// where fault_tree::evaluate()'s per-call topological sort would dominate.
-///
-/// The referenced fault_tree must outlive the evaluator and must not be
-/// mutated after construction.
-class ft_evaluator {
- public:
-  explicit ft_evaluator(const fault_tree& ft)
-      : ft_(ft), topo_(ft.topo_order()) {}
-
-  /// Writes per-node failure flags into `out` (resized to ft.size()).
-  /// `failed_basic` is indexed by node_index; gate entries are ignored.
-  void evaluate(const std::vector<char>& failed_basic,
-                std::vector<char>& out) const {
-    out.assign(ft_.size(), 0);
-    for (node_index n : topo_) {
-      const ft_node& node = ft_.node(n);
-      if (node.kind == node_kind::basic) {
-        out[n] = failed_basic[n];
-      } else if (node.type == gate_type::and_gate) {
-        char all = 1;
-        for (node_index child : node.inputs) all &= out[child];
-        out[n] = all;
-      } else if (node.type == gate_type::atleast_gate) {
-        std::uint32_t count = 0;
-        for (node_index child : node.inputs) count += out[child] ? 1U : 0U;
-        out[n] = count >= node.k ? 1 : 0;
-      } else {
-        char any = 0;
-        for (node_index child : node.inputs) any |= out[child];
-        out[n] = any;
-      }
-    }
-  }
-
- private:
-  const fault_tree& ft_;
-  std::vector<node_index> topo_;
-};
-
 /// Evaluator restricted to the sub-DAG feeding a set of target nodes: the
 /// topological order is filtered down to the targets' descendant closure,
 /// so evaluating costs only the nodes that can influence the targets.

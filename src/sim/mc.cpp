@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/stream_rng.hpp"
@@ -81,6 +82,7 @@ bool forcing_bias(const sd_fault_tree& tree, const mc_options& options,
 mc_result run_weighted(const trajectory_model& model, double horizon,
                        const mc_options& options,
                        const std::vector<double>* bias, thread_pool* pool) {
+  const trajectory_model::static_law law = model.make_static_law(bias);
   const std::size_t n = options.trajectories;
   const std::size_t batch = std::max<std::size_t>(1, options.batch);
   const std::size_t num_batches = (n + batch - 1) / batch;
@@ -99,7 +101,7 @@ mc_result run_weighted(const trajectory_model& model, double horizon,
     trajectory_state s;
     for (std::size_t i = begin; i < end; ++i) {
       rng random = substream(options.seed, options.first_trajectory + i);
-      bool failed = model.init(s, random, bias);
+      bool failed = model.init(s, random, &law);
       if (!failed) {
         failed = model.advance(s, horizon, random) == advance_outcome::failed;
       }
@@ -137,6 +139,60 @@ mc_result run_weighted(const trajectory_model& model, double horizon,
   return out;
 }
 
+/// The entrance states of one splitting stage, stored flat: row i is the
+/// i-th crossing, with its time, importance, chain-local states, node
+/// flags and failed-input counters in contiguous arrays. clear() keeps the
+/// capacity, so a replication allocates only while its pools still grow.
+/// Rows carry no weight: splitting runs under the nominal law, where every
+/// weight is 1.
+class entrance_pool {
+ public:
+  explicit entrance_pool(const trajectory_model& model)
+      : width_(model.num_components()),
+        nodes_(model.tree().structure().size()) {}
+
+  std::size_t size() const { return now_.size(); }
+
+  void clear() {
+    now_.clear();
+    phi_.clear();
+    locals_.clear();
+    node_failed_.clear();
+    failed_inputs_.clear();
+  }
+
+  void push(const trajectory_state& s, double phi) {
+    now_.push_back(s.now);
+    phi_.push_back(phi);
+    locals_.insert(locals_.end(), s.locals.begin(), s.locals.end());
+    node_failed_.insert(node_failed_.end(), s.node_failed.begin(),
+                        s.node_failed.end());
+    failed_inputs_.insert(failed_inputs_.end(), s.failed_inputs.begin(),
+                          s.failed_inputs.end());
+  }
+
+  /// Copies row `row` into `s` (whose buffers init() has sized) and
+  /// returns its importance.
+  double load(std::size_t row, trajectory_state& s) const {
+    s.now = now_[row];
+    std::copy_n(locals_.data() + row * width_, width_, s.locals.data());
+    std::copy_n(node_failed_.data() + row * nodes_, nodes_,
+                s.node_failed.data());
+    std::copy_n(failed_inputs_.data() + row * nodes_, nodes_,
+                s.failed_inputs.data());
+    return phi_[row];
+  }
+
+ private:
+  std::size_t width_;
+  std::size_t nodes_;
+  std::vector<double> now_;
+  std::vector<double> phi_;
+  std::vector<state_index> locals_;
+  std::vector<char> node_failed_;
+  std::vector<std::uint32_t> failed_inputs_;
+};
+
 /// Fixed-effort RESTART: per replication, stage k launches `effort`
 /// trials from entrance states of level k (stage 0 from the initial
 /// distribution), counts crossings of level k+1, and multiplies the
@@ -162,22 +218,19 @@ mc_result run_splitting(const trajectory_model& model, double horizon,
   std::vector<rep_result> reps_out(reps);
 
   for_each_index(pool, reps, [&](std::size_t r) {
-    struct entrance {
-      trajectory_state state;
-      double phi = 0.0;
-    };
-    std::vector<entrance> current;
+    entrance_pool current(model);
+    entrance_pool next(model);
+    trajectory_state s;
     double z = 1.0;
     std::size_t final_hits = 0;
 
     for (std::size_t stage = 0; stage < levels; ++stage) {
       const double threshold =
           static_cast<double>(stage + 1) / static_cast<double>(levels);
-      std::vector<entrance> next;
+      next.clear();
       std::size_t hits = 0;
       for (std::size_t slot = 0; slot < effort; ++slot) {
         rng random = substream(options.seed, r, stage, slot);
-        trajectory_state s;
         double phi;
         if (stage == 0) {
           model.init(s, random);
@@ -185,11 +238,8 @@ mc_result run_splitting(const trajectory_model& model, double horizon,
         } else {
           // Uniform-with-replacement entrance resampling; the pick is the
           // slot stream's first draw, so it is scheduling-independent.
-          const entrance& e =
-              current[random.below(static_cast<std::uint64_t>(
-                  current.size()))];
-          s = e.state;
-          phi = e.phi;
+          phi = current.load(
+              random.below(static_cast<std::uint64_t>(current.size())), s);
         }
         if (phi < threshold) {
           const advance_outcome outcome =
@@ -199,7 +249,7 @@ mc_result run_splitting(const trajectory_model& model, double horizon,
                                                    : model.importance(s);
         }
         ++hits;
-        next.push_back(entrance{s, phi});
+        next.push(s, phi);
       }
       z *= static_cast<double>(hits) / static_cast<double>(effort);
       if (stage + 1 == levels) final_hits = hits;
@@ -207,7 +257,7 @@ mc_result run_splitting(const trajectory_model& model, double horizon,
         z = 0.0;
         break;
       }
-      current = std::move(next);
+      std::swap(current, next);
     }
     reps_out[r] = rep_result{z, final_hits};
   });

@@ -32,10 +32,26 @@ class rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()();
+  // The two draws below are defined inline: a sampling loop that keeps
+  // its generator in a local can then hold the four state words in
+  // registers instead of storing and reloading them around every call.
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -50,6 +66,10 @@ class rng {
   bool chance(double p);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

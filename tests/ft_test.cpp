@@ -144,11 +144,11 @@ TEST(FaultTree, ScenarioProbabilityOfExample1) {
 
 TEST(Evaluator, MatchesFaultTreeEvaluate) {
   const fault_tree ft = testing::example1_static();
-  const ft_evaluator eval(ft);
+  const subtree_evaluator eval(ft, {ft.top()});
   std::vector<char> scenario(ft.size(), 0);
   scenario[ft.find("b")] = 1;
   scenario[ft.find("c")] = 1;
-  std::vector<char> out;
+  std::vector<char> out(ft.size(), 0);
   eval.evaluate(scenario, out);
   const auto expected = ft.evaluate(scenario);
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()));

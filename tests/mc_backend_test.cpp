@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
 #include "product/product_ctmc.hpp"
+#include "sdft/parser.hpp"
 #include "sim/mc.hpp"
+#include "sim/simulator.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 
@@ -300,6 +304,121 @@ TEST(McBackend, EngineCombinesMcWithExactStatic) {
   EXPECT_TRUE(r.mc.consistent_with(exact))
       << r.mc.estimate << " vs " << exact << " [" << r.mc.ci_low << ", "
       << r.mc.ci_high << "]";
+}
+
+sd_fault_tree load_data_model(const std::string& file) {
+  std::ifstream in(std::string(SDFT_DATA_DIR) + "/" + file);
+  return parse_sd_fault_tree(in);
+}
+
+/// A 2-of-3 voting gate over repairable trains, one of them a triggered
+/// standby, under an OR with a rare support event.
+constexpr const char* kVotingModel =
+    "be A_FTS 2e-3\n"
+    "be B_FTS 2e-3\n"
+    "be C_FTS 2e-3\n"
+    "be SUPPORT 1e-4\n"
+    "dyn A_FIO erlang 1 1e-3 0.05\n"
+    "dyn B_FIO erlang 1 1e-3 0.05\n"
+    "dyn C_FIO erlang-triggered 1 1e-3 0.05 100\n"
+    "or A A_FTS A_FIO\n"
+    "or B B_FTS B_FIO\n"
+    "or C C_FTS C_FIO\n"
+    "atleast TRAINS 2 A B C\n"
+    "or TOP SUPPORT TRAINS\n"
+    "trigger A C_FIO\n"
+    "top TOP\n";
+
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+TEST(McBackend, PinnedResultsAcrossKernelRewrite) {
+  // Exact values at fixed seeds. The statistical tests above only check
+  // brackets and thread invariance, so a trajectory-kernel change that
+  // reorders or drops random draws would pass them unnoticed; this pins
+  // the draw order itself.
+  struct pinned {
+    const char* model;
+    double horizon;
+    mc_method method;
+    const char* estimate;
+    const char* std_error;
+    std::size_t failures;
+  };
+  const std::vector<pinned> expected = {
+      {"bwr", 24, mc_method::crude, "0x0p+0", "0x0p+0", 0},
+      {"bwr", 24, mc_method::forcing, "0x1.20a0515e59f88p-23",
+       "0x1.18b65f8ba8156p-24", 300},
+      {"bwr", 24, mc_method::splitting, "0x0p+0", "0x0p+0", 0},
+      {"bwr", 500, mc_method::crude, "0x1.a36e2eb1c432dp-15",
+       "0x1.a36e2eb1c432dp-15", 1},
+      {"bwr", 500, mc_method::forcing, "0x1.41538092b973fp-13",
+       "0x1.7c71c70d4e568p-15", 736},
+      {"bwr", 500, mc_method::splitting, "0x1.9ac24b0ec9045p-15",
+       "0x1.9ac24b0ec9048p-15", 78},
+      {"cooling", 24, mc_method::crude, "0x1.6f0068db8bac7p-12",
+       "0x1.1562b101a0166p-13", 7},
+      {"cooling", 24, mc_method::forcing, "0x1.cb2ffbf2ac9fp-12",
+       "0x1.2007d27b08e97p-13", 2357},
+      {"cooling", 24, mc_method::splitting, "0x1.4368854d4122ep-12",
+       "0x1.7f20a88a76385p-15", 5616},
+      {"cooling", 500, mc_method::crude, "0x1.460aa64c2f838p-7",
+       "0x1.6ff6e74698fbcp-11", 199},
+      {"cooling", 500, mc_method::forcing, "0x1.50d946792df72p-7",
+       "0x1.82434e04ed2fdp-11", 3628},
+      {"cooling", 500, mc_method::splitting, "0x1.6d4d4122d719dp-7",
+       "0x1.8ea0cf5d5dbbap-11", 6656},
+      {"voting", 24, mc_method::crude, "0x1.d7dbf487fcb92p-11",
+       "0x1.bcaf1a956c9c3p-13", 18},
+      {"voting", 24, mc_method::forcing, "0x1.1ebab098f8877p-10",
+       "0x1.f76c04b712e3fp-13", 2776},
+      {"voting", 24, mc_method::splitting, "0x1.1deacafb74a3ap-10",
+       "0x1.ab7722d862ea8p-13", 6656},
+      {"voting", 500, mc_method::crude, "0x1.f8a0902de00d2p-6",
+       "0x1.40456b3927e91p-10", 616},
+      {"voting", 500, mc_method::forcing, "0x1.ee26f39ca7764p-6",
+       "0x1.71cc7b909a835p-10", 5324},
+      {"voting", 500, mc_method::splitting, "0x1.0321535048b5cp-5",
+       "0x1.e3d935a2c3aa3p-10", 6656},
+  };
+  const std::vector<std::pair<const char*, sd_fault_tree>> models = {
+      {"bwr", load_data_model("bwr.sdft")},
+      {"cooling", load_data_model("cooling.sdft")},
+      {"voting", parse_sd_fault_tree_string(kVotingModel)}};
+  std::size_t row = 0;
+  for (const auto& [name, tree] : models) {
+    for (double horizon : {24.0, 500.0}) {
+      for (mc_method method :
+           {mc_method::crude, mc_method::forcing, mc_method::splitting}) {
+        const mc_result r = run_mc(tree, horizon, method, 20'000, 7);
+        ASSERT_LT(row, expected.size());
+        const pinned& e = expected[row++];
+        SCOPED_TRACE(std::string(name) + " " + to_string(method));
+        EXPECT_EQ(e.model, std::string(name));
+        EXPECT_EQ(e.horizon, horizon);
+        EXPECT_EQ(e.method, method);
+        EXPECT_EQ(hex(r.estimate), e.estimate);
+        EXPECT_EQ(hex(r.std_error), e.std_error);
+        EXPECT_EQ(r.failures, e.failures);
+      }
+    }
+  }
+  EXPECT_EQ(row, expected.size());
+
+  const std::vector<std::size_t> simulated = {3, 229, 633};
+  std::size_t i = 0;
+  for (const auto& [name, tree] : models) {
+    simulation_options so;
+    so.runs = 20'000;
+    so.seed = 3;
+    const std::size_t failures =
+        simulate_failure_probability(tree, 500.0, so).failures;
+    ASSERT_LT(i, simulated.size());
+    EXPECT_EQ(failures, simulated[i++]) << name;
+  }
 }
 
 TEST(McBackend, RejectsZeroTrajectories) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -8,6 +11,7 @@
 #include "product/product_ctmc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stream_rng.hpp"
+#include "sim/trajectory.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 
@@ -223,6 +227,173 @@ TEST(Simulator, TrajectorySubstreamsAreDecorrelated) {
   EXPECT_NEAR(mean, 0.5, 0.01);
   EXPECT_NEAR(var, 1.0 / 12.0, 0.005);
   EXPECT_LT(std::abs(lag1), 0.02);
+}
+
+/// Random SD tree for the trajectory-kernel differential test: leaves and
+/// AND/OR/atleast gates are created in one interleaved sequence, each gate
+/// over 2-4 distinct earlier nodes (so sub-DAGs are shared), with static,
+/// repairable and triggered leaves. A triggered leaf is switched by a gate
+/// created before it, so trigger and tree edges both point from older to
+/// newer nodes and the model is acyclic by construction.
+sd_fault_tree random_kernel_tree(std::uint64_t seed) {
+  rng random(seed);
+  sd_fault_tree tree;
+  std::vector<node_index> nodes;
+  std::vector<node_index> gates;
+  const int steps = static_cast<int>(random.between(10, 18));
+  for (int step = 0; step < steps; ++step) {
+    const std::string name = "n" + std::to_string(step);
+    const bool leaf = nodes.size() < 3 || random.chance(0.45);
+    if (leaf) {
+      const int kind = static_cast<int>(random.between(0, 3));
+      if (kind == 0) {
+        nodes.push_back(
+            tree.add_static_event(name, random.uniform(0.05, 0.4)));
+      } else if (kind == 1 || gates.empty()) {
+        nodes.push_back(tree.add_dynamic_event(
+            name, make_repairable(random.uniform(0.05, 0.5),
+                                  random.uniform(0.2, 1.0))));
+      } else {
+        const triggered_ctmc model =
+            kind == 2 ? testing::example2_pump2(random.uniform(0.05, 0.5),
+                                                random.uniform(0.2, 1.0))
+                      : make_erlang_triggered(
+                            static_cast<int>(random.between(1, 2)),
+                            random.uniform(0.05, 0.5),
+                            random.uniform(0.2, 1.0), 10.0);
+        const node_index e = tree.add_dynamic_event(name, model);
+        tree.set_trigger(gates[random.below(gates.size())], e);
+        nodes.push_back(e);
+      }
+      continue;
+    }
+    std::vector<node_index> inputs;
+    const std::size_t want = static_cast<std::size_t>(random.between(2, 4));
+    while (inputs.size() < std::min(want, nodes.size())) {
+      const node_index pick = nodes[random.below(nodes.size())];
+      if (std::find(inputs.begin(), inputs.end(), pick) == inputs.end()) {
+        inputs.push_back(pick);
+      }
+    }
+    const int type = static_cast<int>(random.between(0, 2));
+    node_index g;
+    if (type == 2 && inputs.size() >= 3) {
+      const auto k = static_cast<std::uint32_t>(
+          random.between(2, static_cast<std::int64_t>(inputs.size()) - 1));
+      g = tree.structure().add_atleast_gate(name, k, inputs);
+    } else {
+      g = tree.add_gate(name,
+                        type == 0 ? gate_type::and_gate : gate_type::or_gate,
+                        inputs);
+    }
+    nodes.push_back(g);
+    gates.push_back(g);
+  }
+  // The top ORs the last two gates (or the only one), so some gates and
+  // trigger gates stay outside the top's sub-DAG.
+  std::vector<node_index> top_inputs = {gates.back()};
+  if (gates.size() > 1) top_inputs.push_back(gates[gates.size() - 2]);
+  tree.set_top(tree.add_gate("top", gate_type::or_gate, top_inputs));
+  tree.validate();
+  return tree;
+}
+
+TEST(TrajectoryKernel, CounterPropagationMatchesFullEvaluation) {
+  // Differential test of the incremental gate states: after every init()
+  // and every advance() step, each node flag must equal
+  // fault_tree::evaluate() of the leaf flags, each counter must equal the
+  // number of failed inputs, each dynamic leaf must mirror its chain state,
+  // and each triggered component must be switched as its gate demands.
+  // Horizons advance in small steps so most steps see at most one jump.
+  std::size_t repairs = 0;
+  std::size_t switches_off = 0;
+  std::size_t checks = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const sd_fault_tree tree = random_kernel_tree(seed);
+    const fault_tree& ft = tree.structure();
+    const std::vector<node_index> leaves = ft.basic_events();
+    const sim::trajectory_model model(tree);
+    sim::trajectory_state s;
+    std::vector<char> previous;
+    std::vector<state_index> previous_locals;
+
+    const auto check = [&](bool top_failed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " t=" +
+                   std::to_string(s.now));
+      ++checks;
+      const std::vector<char> expected = ft.evaluate(s.node_failed);
+      for (node_index v = 0; v < ft.size(); ++v) {
+        ASSERT_EQ(s.node_failed[v] != 0, expected[v] != 0) << ft.node(v).name;
+        std::uint32_t count = 0;
+        for (node_index child : ft.node(v).inputs) {
+          count += expected[child] != 0 ? 1U : 0U;
+        }
+        ASSERT_EQ(s.failed_inputs[v], count) << ft.node(v).name;
+      }
+      ASSERT_EQ(top_failed, expected[ft.top()] != 0);
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        const node_index e = leaves[i];
+        if (!tree.is_dynamic(e)) continue;
+        const dynamic_model& m = tree.model_of(e);
+        const auto* trig = std::get_if<triggered_ctmc>(&m);
+        const ctmc& chain = trig != nullptr ? trig->chain : std::get<ctmc>(m);
+        ASSERT_EQ(s.node_failed[e] != 0, chain.failed(s.locals[i]));
+        if (trig != nullptr) {
+          const bool demanded =
+              s.node_failed[tree.trigger_gate_of(e)] != 0;
+          ASSERT_EQ(trig->on_state[s.locals[i]] != 0, demanded);
+          if (!previous_locals.empty() &&
+              trig->on_state[previous_locals[i]] != 0 && !demanded) {
+            ++switches_off;
+          }
+        }
+        if (!previous.empty() && previous[e] != 0 && s.node_failed[e] == 0) {
+          ++repairs;
+        }
+      }
+      previous = s.node_failed;
+      previous_locals = s.locals;
+    };
+
+    for (std::uint64_t run = 0; run < 40; ++run) {
+      rng random = sim::substream(seed, run);
+      previous.clear();
+      previous_locals.clear();
+      bool failed = model.init(s, random);
+      check(failed);
+      for (double t = 0.25; !failed && t <= 30.0; t += 0.25) {
+        const sim::advance_outcome outcome = model.advance(s, t, random);
+        failed = outcome == sim::advance_outcome::failed;
+        check(failed);
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(checks, 10'000u);
+  EXPECT_GT(repairs, 1000u);      // leaves flipped back to working
+  EXPECT_GT(switches_off, 500u);  // triggers switched off again
+}
+
+TEST(TrajectoryKernel, ConstantGatesAndImportance) {
+  // Zero-input gates are constants in the all-working base state: an
+  // empty AND is failed (importance 1), an empty OR never fails.
+  fault_tree ft;
+  const node_index x = ft.add_basic_event("x", 0.0);
+  const node_index always = ft.add_gate("always", gate_type::and_gate);
+  const node_index never = ft.add_gate("never", gate_type::or_gate);
+  const node_index pair =
+      ft.add_gate("pair", gate_type::and_gate, {x, always});
+  ft.set_top(ft.add_gate("top", gate_type::or_gate, {pair, never}));
+  const sd_fault_tree tree(std::move(ft));
+  const sim::trajectory_model model(tree);
+  sim::trajectory_state s;
+  rng random(5);
+  EXPECT_FALSE(model.init(s, random));
+  EXPECT_EQ(s.node_failed[always], 1);
+  EXPECT_EQ(s.node_failed[never], 0);
+  EXPECT_EQ(s.failed_inputs[pair], 1u);
+  EXPECT_EQ(model.importance(s), 0.5);
+  EXPECT_EQ(model.depth(), 2u);
 }
 
 TEST(Simulator, RejectsZeroRuns) {
