@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "mcs/mocus.hpp"
 #include "util/table.hpp"

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "mcs/cutset.hpp"
 #include "util/table.hpp"
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {

@@ -16,8 +16,8 @@
 #include <utility>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
 #include "ctmc/triggered.hpp"
+#include "engine/engine.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 

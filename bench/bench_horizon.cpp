@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {

@@ -26,7 +26,7 @@
 #include <unistd.h>
 
 #include "bench_common.hpp"
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "engine/sweep.hpp"
 #include "gen/industrial.hpp"
 #include "sdft/parser.hpp"

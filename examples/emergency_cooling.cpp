@@ -15,8 +15,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/analyzer.hpp"
 #include "ctmc/triggered.hpp"
+#include "engine/engine.hpp"
 #include "ft/fault_tree.hpp"
 #include "mcs/mocus.hpp"
 #include "sdft/classify.hpp"

@@ -13,9 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "core/risk_measures.hpp"
 #include "ctmc/triggered.hpp"
+#include "engine/engine.hpp"
 #include "etree/event_tree.hpp"
 #include "ft/ccf.hpp"
 #include "ft/voting.hpp"

@@ -10,9 +10,9 @@
 #include <cstdio>
 
 #include "bdd/ft_bdd.hpp"
-#include "core/analyzer.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/triggered.hpp"
+#include "engine/engine.hpp"
 #include "ft/fault_tree.hpp"
 #include "mcs/mocus.hpp"
 #include "product/product_ctmc.hpp"

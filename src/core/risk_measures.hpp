@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "sdft/sd_fault_tree.hpp"
 
 namespace sdft {

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bdd/ordering.hpp"
 #include "ft/fault_tree.hpp"
 #include "mcs/cutset.hpp"
 
@@ -16,14 +15,10 @@ class thread_pool;
 /// Selects the minimal-cutset generator of the analysis engine.
 enum class cutset_backend {
   /// Top-down MOCUS expansion on FT-bar with the cutoff pruning partial
-  /// cutsets (paper §IV-B) — the default, scales to industrial models.
+  /// cutsets (paper §V-B) — the default and the only cutset generator.
+  /// (ft_bdd::minimal_cutsets() enumerates the complete list without a
+  /// cutoff; it serves as the test oracle, not as a stage-2 source.)
   mocus,
-
-  /// Compile FT-bar to a BDD and enumerate Rauzy minimal solutions, then
-  /// apply the same cutoff to the complete cutset list. Insensitive to
-  /// gate fan-out blowup, used as an independent oracle and for dense
-  /// trees where MOCUS partials explode ("BDDs Strike Back").
-  bdd,
 
   /// Monte-Carlo estimation (src/sim): no cutsets at all — the engine
   /// skips stages 1b–4 and estimates the top-event probability directly
@@ -35,30 +30,27 @@ enum class cutset_backend {
   mc,
 };
 
-/// Parses "mocus" / "bdd" / "mc"; returns false on anything else.
+/// Parses "mocus" / "mc"; returns false on anything else.
 bool parse_cutset_backend(std::string_view text, cutset_backend& out);
 
 const char* to_string(cutset_backend backend);
 
 /// Output of a cutset source: relevant minimal cutsets over the analysed
-/// tree's basic events, plus backend counters. The cutset list is
+/// tree's basic events, plus generator counters. The cutset list is
 /// canonical — each cutset sorted, the list ordered by (size, content) —
-/// so every backend and every thread count hands the caller the identical
-/// sequence. Index spaces: a source speaks the index space of the tree it
-/// was given; the engine's modular recombination layer (engine/modular)
-/// folds module subproblems together and maps the final list back to
-/// original SD-tree indices, which keeps stage 3's input (and the stage-4
-/// sum order, and hence the failure probability) bit-reproducible.
+/// so every thread count hands the caller the identical sequence. Index
+/// spaces: a source speaks the index space of the tree it was given; the
+/// engine's modular recombination layer (engine/modular) folds module
+/// subproblems together and maps the final list back to original SD-tree
+/// indices, which keeps stage 3's input (and the stage-4 sum order, and
+/// hence the failure probability) bit-reproducible.
 struct cutset_generation {
   std::vector<cutset> cutsets;
 
   std::size_t partials_processed = 0;  ///< MOCUS partials expanded
-  std::size_t discarded = 0;  ///< cutoff-discarded partials (MOCUS) or
-                              ///< complete below-cutoff MCSs (BDD)
-  std::size_t bdd_nodes = 0;  ///< BDD nodes compiled (BDD backend)
-  std::size_t subset_tests = 0;  ///< packed subsumption tests (MOCUS)
+  std::size_t discarded = 0;           ///< cutoff-discarded partials
+  std::size_t subset_tests = 0;        ///< packed subsumption tests
   std::size_t bitset_words = 0;  ///< widest subset mask, in 64-bit words
-  std::size_t sift_swaps = 0;    ///< BDD sifting swaps (bdd + sift only)
 };
 
 /// Stage-2 interface of the engine: generates the relevant minimal
@@ -80,7 +72,7 @@ class cutset_source {
                                      thread_pool* pool) const = 0;
 };
 
-/// Canonical list order: by (size, content). Both backends funnel through
+/// Canonical list order: by (size, content). The generator funnels through
 /// this, as does the modular recombination layer.
 void sort_cutsets_canonically(std::vector<cutset>& sets);
 
@@ -93,23 +85,8 @@ class mocus_source final : public cutset_source {
                              thread_pool* pool) const override;
 };
 
-/// ft_bdd::minimal_cutsets() with post-hoc cutoff filtering. With a pool,
-/// the per-cutset cutoff evaluation of the minimal solutions fans out;
-/// BDD compilation stays serial. The variable ordering only affects BDD
-/// size: the produced cutset list is canonical and ordering-independent.
-class bdd_source final : public cutset_source {
- public:
-  explicit bdd_source(bdd_ordering ordering = bdd_ordering::dfs)
-      : ordering_(ordering) {}
-  const char* name() const override { return "bdd"; }
-  cutset_generation generate(const fault_tree& ft, double cutoff,
-                             thread_pool* pool) const override;
-
- private:
-  bdd_ordering ordering_;
-};
-
-std::unique_ptr<cutset_source> make_cutset_source(
-    cutset_backend backend, bdd_ordering ordering = bdd_ordering::dfs);
+/// The stage-2 generator for `backend`; throws model_error for the mc
+/// backend, which generates no cutsets.
+std::unique_ptr<cutset_source> make_cutset_source(cutset_backend backend);
 
 }  // namespace sdft

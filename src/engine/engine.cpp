@@ -182,13 +182,11 @@ analysis_engine::acquired_structure analysis_engine::acquire(
   {
     obs::span_scope gen_span("engine.generate");
     obs::ambient_parent_scope ambient(gen_span.id());
-    const std::unique_ptr<cutset_source> source =
-        make_cutset_source(opt.backend, opt.bdd_ordering);
-    stats.backend = source->name();
+    const mocus_source source;
     const pool_counters before_generate =
         pool != nullptr ? pool->counters() : pool_counters{};
     modular_generation modular =
-        generate_modular(prep, acq.translation, *source, opt.cutoff, pool);
+        generate_modular(prep, acq.translation, source, opt.cutoff, pool);
     acq.generation = std::move(modular.generation);
     acq.module_cutsets = modular.module_cutsets;
     stats.prep_module_cutsets = modular.module_cutsets;
@@ -196,10 +194,8 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.num_cutsets = acq.generation.cutsets.size();
     stats.source_partials = acq.generation.partials_processed;
     stats.source_discarded = acq.generation.discarded;
-    stats.bdd_nodes = acq.generation.bdd_nodes;
     stats.subset_tests = acq.generation.subset_tests;
     stats.bitset_words = acq.generation.bitset_words;
-    stats.bdd_sift_swaps = acq.generation.sift_swaps;
     if (pool != nullptr) {
       const pool_counters after_generate = pool->counters();
       stats.mocus_threads = pool->size();
@@ -323,14 +319,11 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
       entry.prep_to_source = std::move(prep.to_source);
       entry.prep_tree =
           std::make_shared<const fault_tree>(std::move(prep.tree));
-      std::size_t node_count = 0;
-      std::size_t sift_swaps = 0;
       result.exact_static_probability = entry.exact_static_probability(
           opt.bdd_ordering, exact_static_overrides(entry, translation),
-          &node_count, &sift_swaps);
-      stats.bdd_sift_swaps += sift_swaps;
+          &stats.bdd_nodes, &stats.bdd_sift_swaps);
       stats.exact_static_seconds = stage_timer.seconds();
-      exact_span.arg("nodes", static_cast<double>(node_count));
+      exact_span.arg("nodes", static_cast<double>(stats.bdd_nodes));
       exact_span.arg("probability", result.exact_static_probability);
     }
   }
@@ -400,14 +393,11 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
   if (opt.exact_static) {
     stage_timer.reset();
     obs::span_scope exact_span("engine.exact_static");
-    std::size_t node_count = 0;
-    std::size_t sift_swaps = 0;
     result.exact_static_probability = acq.entry->exact_static_probability(
         opt.bdd_ordering, exact_static_overrides(*acq.entry, acq.translation),
-        &node_count, &sift_swaps);
-    stats.bdd_sift_swaps += sift_swaps;
+        &stats.bdd_nodes, &stats.bdd_sift_swaps);
     stats.exact_static_seconds = stage_timer.seconds();
-    exact_span.arg("nodes", static_cast<double>(node_count));
+    exact_span.arg("nodes", static_cast<double>(stats.bdd_nodes));
     exact_span.arg("probability", result.exact_static_probability);
   }
 

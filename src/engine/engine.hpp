@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "bdd/ordering.hpp"
 #include "core/mcs_model.hpp"
 #include "engine/cutset_source.hpp"
 #include "engine/engine_stats.hpp"
@@ -55,7 +56,7 @@ struct analysis_options {
   /// list independent of the dynamic models.
   bool reference_cutoff = false;
 
-  /// Minimal-cutset generator for stage 2 (see cutset_backend). With
+  /// Stage-2 backend (see cutset_backend): MOCUS cutsets, or with
   /// cutset_backend::mc the engine skips the cutset pipeline entirely and
   /// estimates the top-event probability by Monte-Carlo simulation
   /// (options in `mc` below; result in analysis_result::mc).
@@ -67,9 +68,9 @@ struct analysis_options {
   /// Ignored by the cutset backends.
   sim::mc_options mc;
 
-  /// Variable-ordering heuristic of every BDD the run compiles (the bdd
-  /// backend's stage-2 BDDs and the --exact-static BDD). Orderings change
-  /// BDD size, never the cutset list: it stays canonical and bit-identical.
+  /// Variable-ordering heuristic of the --exact-static BDD. Orderings
+  /// change BDD size (engine_stats::bdd_nodes), never the probability
+  /// beyond rounding, and never the cutset list, which MOCUS generates.
   sdft::bdd_ordering bdd_ordering = sdft::bdd_ordering::dfs;
 
   /// Additionally compile the preprocessed FT-bar to one BDD and evaluate

@@ -17,7 +17,8 @@ namespace sdft {
 /// metrics() (the same keys `sdft analyze --metrics-json` and the BENCH_*
 /// exports carry; see DESIGN.md §11).
 struct engine_stats {
-  /// Name of the cutset source used ("mocus", "bdd" or "mc").
+  /// Backend of the run: "mocus" or "mc" (scenario runs that quantify
+  /// no cutset column report their multi-root BDD path as "bdd").
   std::string backend;
 
   /// Monte-Carlo estimator of an mc-backend run ("crude", "forcing",
@@ -56,10 +57,12 @@ struct engine_stats {
   std::size_t num_cutsets = 0;       ///< relevant MCSs handed to stage 3
   std::size_t source_partials = 0;   ///< MOCUS partial cutsets expanded
   std::size_t source_discarded = 0;  ///< cutoff-discarded partials / MCSs
-  std::size_t bdd_nodes = 0;         ///< BDD nodes compiled (bdd backend)
   std::size_t subset_tests = 0;      ///< packed subsumption tests (MOCUS)
   std::size_t bitset_words = 0;      ///< widest subset mask, 64-bit words
-  std::size_t bdd_sift_swaps = 0;    ///< sifting swaps (bdd + sift only)
+
+  // Exact-static BDD counters (0 unless analysis_options::exact_static).
+  std::size_t bdd_nodes = 0;       ///< nodes of the exact-static BDD
+  std::size_t bdd_sift_swaps = 0;  ///< sifting swaps of its compilation
 
   // Quantifier counters.
   std::size_t static_cutsets = 0;    ///< quantified as probability products

@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <utility>
 
@@ -31,8 +32,19 @@ double checked_probability(const std::string& name, double p) {
   return p;
 }
 
+/// A count or seed field: a non-negative integer that fits std::size_t.
+/// Negative, fractional, non-finite and out-of-range numbers are rejected
+/// (casting them would be undefined or silently truncate).
+std::size_t checked_count(const std::string& name, const json::value& v) {
+  const double x = v.as_number();
+  require_model(x >= 0.0 && x < 0x1p64 && x == std::floor(x),
+                "serve: '" + name + "' must be a non-negative integer below "
+                "2^64");
+  return static_cast<std::size_t>(x);
+}
+
 /// Shared backend/"mc" request grammar of the analyze and sweep ops:
-///   "backend": "mocus" | "bdd" | "mc",
+///   "backend": "mocus" | "mc",
 ///   "mc": {"method": "crude"|"forcing"|"splitting", "trajectories": N,
 ///          "seed": S, "batch": N, "levels": N, "replications": N}
 void apply_backend_request(const json::value& root, analysis_options& opts) {
@@ -49,23 +61,14 @@ void apply_backend_request(const json::value& root, analysis_options& opts) {
     require_model(sim::parse_mc_method(method, opts.mc.method),
                   "serve: unknown mc method '" + method + "'");
   }
-  if (mc.contains("trajectories")) {
-    opts.mc.trajectories =
-        static_cast<std::size_t>(mc.at("trajectories").as_number());
-  }
-  if (mc.contains("seed")) {
-    opts.mc.seed = static_cast<std::uint64_t>(mc.at("seed").as_number());
-  }
-  if (mc.contains("batch")) {
-    opts.mc.batch = static_cast<std::size_t>(mc.at("batch").as_number());
-  }
-  if (mc.contains("levels")) {
-    opts.mc.levels = static_cast<std::size_t>(mc.at("levels").as_number());
-  }
-  if (mc.contains("replications")) {
-    opts.mc.replications =
-        static_cast<std::size_t>(mc.at("replications").as_number());
-  }
+  const auto count = [&](const char* name, auto& field) {
+    if (mc.contains(name)) field = checked_count(name, mc.at(name));
+  };
+  count("trajectories", opts.mc.trajectories);
+  count("seed", opts.mc.seed);
+  count("batch", opts.mc.batch);
+  count("levels", opts.mc.levels);
+  count("replications", opts.mc.replications);
 }
 
 void write_uq_band(json::writer& w, const uncertainty_band& band) {
@@ -276,11 +279,10 @@ std::string analysis_service::handle(const std::string& line) {
         std::size_t uq_samples = 0;
         std::uint64_t uq_seed = 1;
         if (root.contains("uq_samples")) {
-          uq_samples =
-              static_cast<std::size_t>(root.at("uq_samples").as_number());
+          uq_samples = checked_count("uq_samples", root.at("uq_samples"));
         }
         if (root.contains("uq_seed")) {
-          uq_seed = static_cast<std::uint64_t>(root.at("uq_seed").as_number());
+          uq_seed = checked_count("uq_seed", root.at("uq_seed"));
         }
         const scenario_result result = compiled->run(uq_samples, uq_seed);
         w.key("initiating_probability").number(result.initiating_probability);

@@ -38,6 +38,11 @@ namespace sdft::serve {
 ///   {"op":"stats"}                                        metrics dump
 ///   {"op":"shutdown"}
 ///
+/// analyze and sweep also take "backend" ("mocus" or "mc") and an "mc"
+/// block (service.cpp). Count and seed fields (mc trajectories, batch,
+/// levels, replications, seed; uq_samples, uq_seed) must be non-negative
+/// integers below 2^64; anything else is answered with "ok":false.
+///
 /// Every request may carry an "id" (string or number), echoed verbatim in
 /// the response. Responses carry "ok":true, or "ok":false plus "error".
 ///

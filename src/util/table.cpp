@@ -51,13 +51,20 @@ std::string sci(double value, int digits) {
 }
 
 std::string duration_str(double seconds) {
+  // Round once, to the unit printed, then pick the format from the
+  // rounded value — so 0.99996 s is "1.0s", not "1000.0ms", and 59.97 s
+  // is "1m 00s", not "60.0s".
   char buf[64];
-  if (seconds < 60.0) {
-    std::snprintf(buf, sizeof buf, "%.1fs", seconds);
+  const long long tenth_ms = std::llround(seconds * 1e4);
+  const long long tenth_s = std::llround(seconds * 10.0);
+  if (tenth_ms < 10'000) {
+    std::snprintf(buf, sizeof buf, "%lld.%lldms", tenth_ms / 10,
+                  tenth_ms % 10);
+  } else if (tenth_s < 600) {
+    std::snprintf(buf, sizeof buf, "%lld.%llds", tenth_s / 10, tenth_s % 10);
   } else {
-    const int mins = static_cast<int>(seconds) / 60;
-    const int secs = static_cast<int>(std::lround(seconds)) % 60;
-    std::snprintf(buf, sizeof buf, "%dm %02ds", mins, secs);
+    const long long secs = std::llround(seconds);
+    std::snprintf(buf, sizeof buf, "%lldm %02llds", secs / 60, secs % 60);
   }
   return buf;
 }

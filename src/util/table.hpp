@@ -29,7 +29,8 @@ class text_table {
 /// Formats a probability/frequency like the paper: "4.09e-09".
 std::string sci(double value, int digits = 2);
 
-/// Formats seconds as "7.9s" or "2m 12s" like the paper's analysis times.
+/// Formats seconds as "12.3ms", "7.9s" or "2m 12s" like the paper's
+/// analysis times (sub-second stages in milliseconds).
 std::string duration_str(double seconds);
 
 }  // namespace sdft

@@ -205,6 +205,30 @@ TEST(BddOrdering, EngineExactStaticOnBwrStudy) {
   }
 }
 
+TEST(BddOrdering, EngineExactStaticReportsItsBddNodes) {
+  // bdd.nodes counts the exact-static BDD: non-zero exactly when the run
+  // compiled (or reused) it, on the cutset path and on the mc backend,
+  // and the same on a structure-cache hit as on the miss that built it.
+  bwr_options opt;
+  opt.dynamic_events = true;
+  opt.repair_rate = 0.1;
+  const sd_fault_tree tree = make_bwr_model(with_bwr_triggers(opt, 2));
+  for (const cutset_backend backend :
+       {cutset_backend::mocus, cutset_backend::mc}) {
+    analysis_options opts;
+    opts.backend = backend;
+    opts.cutoff = 1e-12;
+    opts.mc.trajectories = 1000;
+    analysis_engine engine(opts);
+    EXPECT_EQ(engine.run(tree).stats.bdd_nodes, 0u) << to_string(backend);
+    opts.exact_static = true;
+    const analysis_result first = engine.run(tree, opts);
+    EXPECT_GT(first.stats.bdd_nodes, 0u) << to_string(backend);
+    EXPECT_EQ(engine.run(tree, opts).stats.bdd_nodes, first.stats.bdd_nodes)
+        << to_string(backend);
+  }
+}
+
 TEST(BddOrdering, ParseRoundTrips) {
   for (const bdd_ordering ordering : kAllOrderings) {
     const auto parsed = parse_bdd_ordering(to_string(ordering));

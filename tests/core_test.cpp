@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/analyzer.hpp"
 #include "core/mcs_model.hpp"
+#include "engine/engine.hpp"
 #include "product/product_ctmc.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"

@@ -1,17 +1,17 @@
 // Determinism regression tests for the parallel cutset-generation stage:
 // the engine must produce the identical sorted cutset list and the
-// bit-identical failure probability for every thread count, for both
-// cutset backends, with or without the quantification cache, with the
-// prep rewrite/modularization layer on or off, and for every BDD variable
-// ordering (the canonical cutset list is ordering-independent). Exercised
-// on the BWR example study, random SD trees and a small industrial model.
+// bit-identical failure probability for every thread count, with or
+// without the quantification cache, and with the prep rewrite/
+// modularization layer on or off — 12 configurations against the serial
+// no-prep reference. Exercised on the BWR example study, random SD trees
+// and a small industrial model. (That the list equals the BDD's, under
+// every variable ordering, is bdd_ordering_test's and engine_test's job.)
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
@@ -26,15 +26,12 @@ namespace {
 /// One analysis configuration of the determinism matrix.
 struct config {
   std::size_t threads;
-  cutset_backend backend;
   bool cache;
   bool prep;
-  bdd_ordering ordering;
 
   std::string label() const {
-    return std::string(to_string(backend)) + " threads=" +
-           std::to_string(threads) + (cache ? " cache" : " no-cache") +
-           (prep ? " prep" : " no-prep") + " ordering=" + to_string(ordering);
+    return "threads=" + std::to_string(threads) +
+           (cache ? " cache" : " no-cache") + (prep ? " prep" : " no-prep");
   }
 };
 
@@ -42,29 +39,9 @@ std::vector<config> matrix() {
   std::vector<config> out;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (bool prep : {false, true}) {
-      for (bool cache : {false, true}) {
-        out.push_back(
-            {threads, cutset_backend::mocus, cache, prep, bdd_ordering::dfs});
-        out.push_back(
-            {threads, cutset_backend::bdd, cache, prep, bdd_ordering::dfs});
-      }
-      // BDD variable orderings only change BDD shape, never the canonical
-      // cutset list — every ordering must reproduce the reference bit for
-      // bit (one cache setting keeps the matrix affordable).
-      for (bdd_ordering ordering : {bdd_ordering::natural, bdd_ordering::weight,
-                                    bdd_ordering::sift}) {
-        out.push_back({threads, cutset_backend::bdd, true, prep, ordering});
-      }
+      for (bool cache : {false, true}) out.push_back({threads, cache, prep});
     }
   }
-  return out;
-}
-
-/// The full sorted cutset list of a run (the engine's canonical order).
-std::vector<cutset> cutset_list(const analysis_result& result) {
-  std::vector<cutset> out;
-  out.reserve(result.cutsets.size());
-  for (const auto& q : result.cutsets) out.push_back(q.events);
   return out;
 }
 
@@ -83,16 +60,16 @@ void expect_deterministic(const sd_fault_tree& tree, double horizon,
   opts.prep.enabled = false;
   const analysis_result reference = analyze(tree, opts);
   ASSERT_GT(reference.num_cutsets, 0u) << model;
-  const std::vector<cutset> reference_list = cutset_list(reference);
+  const std::vector<cutset> reference_list =
+      testing::engine_cutsets(reference);
 
   for (const config& c : matrix()) {
     opts.threads = c.threads;
-    opts.backend = c.backend;
     opts.cache_quantifications = c.cache;
     opts.prep.enabled = c.prep;
-    opts.bdd_ordering = c.ordering;
     const analysis_result r = analyze(tree, opts);
-    EXPECT_EQ(cutset_list(r), reference_list) << model << ": " << c.label();
+    EXPECT_EQ(testing::engine_cutsets(r), reference_list)
+        << model << ": " << c.label();
     EXPECT_EQ(r.failure_probability, reference.failure_probability)
         << model << ": " << c.label();
   }

@@ -1,8 +1,8 @@
-// Tests of the pluggable analysis-engine layer: backend-agnostic cutset
-// sources (MOCUS vs BDD), the memoising quantification stage, and the
-// engine_stats instrumentation. Includes the property tests asserting both
-// backends produce identical cutsets and failure probabilities on the
-// generated BWR and industrial models.
+// Tests of the analysis-engine layer: the MOCUS cutset source against the
+// BDD oracle (ft_bdd::minimal_cutsets() under the same cutoff), the
+// memoising quantification stage, and the engine_stats instrumentation.
+// The oracle properties run on the running example and on the generated
+// BWR and industrial models.
 
 #include <gtest/gtest.h>
 
@@ -16,53 +16,44 @@
 #include "mcs/mocus.hpp"
 #include "sdft/translate.hpp"
 #include "test_models.hpp"
+#include "util/error.hpp"
 
 namespace sdft {
 namespace {
 
-std::vector<cutset> sorted_cutsets(std::vector<cutset> sets) {
-  std::sort(sets.begin(), sets.end(), [](const cutset& a, const cutset& b) {
-    return a.size() != b.size() ? a.size() < b.size() : a < b;
-  });
-  return sets;
-}
-
-/// Asserts both cutset sources agree on the relevant minimal cutsets and
-/// the engine reproduces the same failure probability through either.
-void expect_backend_agreement(const sd_fault_tree& tree,
-                              analysis_options opts) {
+/// Asserts the MOCUS source on FT-bar and the engine's final list (in SD
+/// indices, canonical order) both equal the BDD oracle under the cutoff.
+void expect_matches_bdd_oracle(const sd_fault_tree& tree,
+                               analysis_options opts) {
   const static_translation tr =
       translate_to_static(tree, opts.horizon, opts.epsilon,
                           opts.reference_cutoff);
   const cutset_generation via_mocus =
       mocus_source().generate(tr.ft_bar, opts.cutoff, nullptr);
-  const cutset_generation via_bdd = bdd_source().generate(tr.ft_bar, opts.cutoff, nullptr);
-  EXPECT_EQ(sorted_cutsets(via_mocus.cutsets),
-            sorted_cutsets(via_bdd.cutsets));
+  EXPECT_EQ(via_mocus.cutsets,
+            testing::bdd_oracle_cutsets(tr.ft_bar, opts.cutoff));
 
   opts.backend = cutset_backend::mocus;
-  const analysis_result mocus_result = analyze(tree, opts);
-  opts.backend = cutset_backend::bdd;
-  const analysis_result bdd_result = analyze(tree, opts);
-  EXPECT_EQ(mocus_result.num_cutsets, bdd_result.num_cutsets);
-  EXPECT_NEAR(mocus_result.failure_probability,
-              bdd_result.failure_probability, 1e-12);
-  EXPECT_EQ(mocus_result.stats.backend, "mocus");
-  EXPECT_EQ(bdd_result.stats.backend, "bdd");
-  EXPECT_GT(bdd_result.stats.bdd_nodes, 0u);
+  opts.keep_cutset_details = true;
+  const analysis_result result = analyze(tree, opts);
+  EXPECT_EQ(result.stats.backend, "mocus");
+  EXPECT_EQ(testing::engine_cutsets(result),
+            testing::bdd_oracle_cutsets(tree, opts));
+  EXPECT_EQ(result.num_cutsets, result.cutsets.size());
 }
 
-// --- Cutset sources ------------------------------------------------------
+// --- Cutset source --------------------------------------------------------
 
-TEST(CutsetSource, BackendsAgreeOnRunningExample) {
+TEST(CutsetSource, MatchesBddOracleOnRunningExample) {
   analysis_options opts;
   opts.horizon = 24.0;
-  expect_backend_agreement(testing::example3_sd(), opts);
+  expect_matches_bdd_oracle(testing::example3_sd(), opts);
 }
 
-TEST(CutsetSource, BackendsAgreeUnderCutoff) {
-  // The cutoff drops cutsets below 1e-5 on FT-bar in both sources with
-  // identical semantics (product >= cutoff survives).
+TEST(CutsetSource, MatchesBddOracleUnderCutoff) {
+  // The cutoff drops cutsets below 1e-5 on FT-bar: MOCUS prunes partials
+  // by the same predicate (product >= cutoff survives) that filters the
+  // oracle's complete list.
   analysis_options opts;
   opts.horizon = 24.0;
   opts.cutoff = 1e-5;
@@ -70,23 +61,31 @@ TEST(CutsetSource, BackendsAgreeUnderCutoff) {
   const static_translation tr = translate_to_static(tree, opts.horizon);
   const cutset_generation via_mocus =
       mocus_source().generate(tr.ft_bar, opts.cutoff, nullptr);
-  const cutset_generation via_bdd = bdd_source().generate(tr.ft_bar, opts.cutoff, nullptr);
   EXPECT_LT(via_mocus.cutsets.size(), 5u);
-  EXPECT_EQ(sorted_cutsets(via_mocus.cutsets),
-            sorted_cutsets(via_bdd.cutsets));
-  EXPECT_GT(via_bdd.discarded, 0u);
-  expect_backend_agreement(tree, opts);
+  EXPECT_LT(via_mocus.cutsets.size(),
+            testing::bdd_oracle_cutsets(tr.ft_bar, 0.0).size());
+  EXPECT_GT(via_mocus.discarded, 0u);
+  expect_matches_bdd_oracle(tree, opts);
 }
 
-TEST(CutsetSource, FactoryMatchesBackendNames) {
+TEST(CutsetSource, FactoryAndBackendNames) {
   EXPECT_STREQ(make_cutset_source(cutset_backend::mocus)->name(), "mocus");
-  EXPECT_STREQ(make_cutset_source(cutset_backend::bdd)->name(), "bdd");
-  EXPECT_STREQ(to_string(cutset_backend::bdd), "bdd");
+  EXPECT_THROW(make_cutset_source(cutset_backend::mc), model_error);
+  for (const cutset_backend backend :
+       {cutset_backend::mocus, cutset_backend::mc}) {
+    cutset_backend parsed = cutset_backend::mc;
+    ASSERT_TRUE(parse_cutset_backend(to_string(backend), parsed));
+    EXPECT_EQ(parsed, backend);
+  }
+  // MOCUS is the only cutset generator: "bdd" is as unknown as "qmc".
+  cutset_backend parsed = cutset_backend::mocus;
+  EXPECT_FALSE(parse_cutset_backend("bdd", parsed));
+  EXPECT_FALSE(parse_cutset_backend("qmc", parsed));
 }
 
-// --- Backend equivalence on the paper-scale generators (property) --------
+// --- The oracle on the paper-scale generators (property) -----------------
 
-TEST(CutsetSource, BackendsAgreeOnBwrModels) {
+TEST(CutsetSource, MatchesBddOracleOnBwrModels) {
   for (int triggers : {0, 2, 4}) {
     bwr_options bopts;
     bopts.dynamic_events = true;
@@ -96,11 +95,11 @@ TEST(CutsetSource, BackendsAgreeOnBwrModels) {
     analysis_options opts;
     opts.horizon = 24.0;
     opts.cutoff = 1e-15;
-    expect_backend_agreement(tree, opts);
+    expect_matches_bdd_oracle(tree, opts);
   }
 }
 
-TEST(CutsetSource, BackendsAgreeOnIndustrialModel) {
+TEST(CutsetSource, MatchesBddOracleOnIndustrialModel) {
   industrial_options gopts;
   gopts.seed = 7;
   gopts.num_frontline_systems = 6;
@@ -122,8 +121,7 @@ TEST(CutsetSource, BackendsAgreeOnIndustrialModel) {
   opts.horizon = 24.0;
   opts.cutoff = 1e-15;
   opts.threads = 2;
-  opts.keep_cutset_details = false;
-  expect_backend_agreement(tree, opts);
+  expect_matches_bdd_oracle(tree, opts);
 }
 
 // --- The memoising quantification stage ----------------------------------

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <optional>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "etree/event_tree.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"

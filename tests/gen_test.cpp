@@ -4,7 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "ft/parser.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"

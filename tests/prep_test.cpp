@@ -193,8 +193,8 @@ TEST(Prep, ToSourceMapsBasicEventsFaithfully) {
 }
 
 /// Engine-level agreement: with prep on, with prep off, and with
-/// modularization alone disabled, both backends and several thread counts
-/// must produce the bit-identical probability and cutset list.
+/// modularization alone disabled, several thread counts must produce the
+/// bit-identical probability and cutset list.
 void expect_engine_agreement(const sd_fault_tree& tree, double horizon,
                              double cutoff, const std::string& model) {
   analysis_options opts;
@@ -206,32 +206,25 @@ void expect_engine_agreement(const sd_fault_tree& tree, double horizon,
   opts.prep.enabled = false;
   const analysis_result reference = analyze(tree, opts);
   ASSERT_GT(reference.num_cutsets, 0u) << model;
-  std::vector<cutset> reference_list;
-  for (const auto& q : reference.cutsets) reference_list.push_back(q.events);
+  const std::vector<cutset> reference_list =
+      testing::engine_cutsets(reference);
 
   for (const bool prep_enabled : {true, false}) {
     for (const bool modularize : {true, false}) {
       if (!prep_enabled && !modularize) continue;  // duplicate of (false, *)
       for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        for (const cutset_backend backend :
-             {cutset_backend::mocus, cutset_backend::bdd}) {
-          opts.threads = threads;
-          opts.backend = backend;
-          opts.prep = prep_options{};
-          opts.prep.enabled = prep_enabled;
-          opts.prep.modularize = modularize;
-          const analysis_result r = analyze(tree, opts);
-          const std::string label =
-              model + ": " + to_string(backend) +
-              " threads=" + std::to_string(threads) +
-              (prep_enabled ? " prep" : " no-prep") +
-              (modularize ? "" : " no-modules");
-          std::vector<cutset> list;
-          for (const auto& q : r.cutsets) list.push_back(q.events);
-          EXPECT_EQ(list, reference_list) << label;
-          EXPECT_EQ(r.failure_probability, reference.failure_probability)
-              << label;
-        }
+        opts.threads = threads;
+        opts.prep = prep_options{};
+        opts.prep.enabled = prep_enabled;
+        opts.prep.modularize = modularize;
+        const analysis_result r = analyze(tree, opts);
+        const std::string label = model +
+                                  ": threads=" + std::to_string(threads) +
+                                  (prep_enabled ? " prep" : " no-prep") +
+                                  (modularize ? "" : " no-modules");
+        EXPECT_EQ(testing::engine_cutsets(r), reference_list) << label;
+        EXPECT_EQ(r.failure_probability, reference.failure_probability)
+            << label;
       }
     }
   }

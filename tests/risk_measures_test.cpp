@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "core/analyzer.hpp"
 #include "core/risk_measures.hpp"
+#include "engine/engine.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 

@@ -594,11 +594,11 @@ TEST(ScenarioEngine, RejectsBrokenModels) {
       "CCF group members cannot initiate");
 }
 
-TEST(ScenarioEngine, BackendAndThreadMatrixIsBitIdentical) {
+TEST(ScenarioEngine, ThreadMatrixIsBitIdentical) {
   // The scenario dimension of the determinism matrix: exact and MCS
-  // probabilities must be bit-identical across thread counts and cutset
-  // backends (the exact column never touches the backend; the MCS column
-  // goes through the engine whose lists are canonical either way).
+  // probabilities must be bit-identical across thread counts (the exact
+  // column never touches stage 2; the MCS column goes through the engine,
+  // whose MOCUS lists are canonical at any thread count).
   const std::string text =
       demo_text("ccf-beta PUMPS 0.1 PUMP_A PUMP_B\n");
 
@@ -610,32 +610,24 @@ TEST(ScenarioEngine, BackendAndThreadMatrixIsBitIdentical) {
       run_scenario(parse_scenario_string(text), ref_opts);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (cutset_backend backend :
-         {cutset_backend::mocus, cutset_backend::bdd}) {
-      scenario_options opts;
-      opts.analysis.threads = threads;
-      opts.analysis.backend = backend;
-      const scenario_result r =
-          run_scenario(parse_scenario_string(text), opts);
-      const std::string label = std::string(to_string(backend)) +
-                                " threads=" + std::to_string(threads);
-      ASSERT_EQ(r.sequences.size(), reference.sequences.size()) << label;
-      for (std::size_t s = 0; s < r.sequences.size(); ++s) {
-        EXPECT_EQ(r.sequences[s].probability,
-                  reference.sequences[s].probability)
-            << label << " sequence " << s;
-        EXPECT_EQ(r.sequences[s].mcs_probability,
-                  reference.sequences[s].mcs_probability)
-            << label << " sequence " << s;
-        EXPECT_EQ(r.sequences[s].num_cutsets,
-                  reference.sequences[s].num_cutsets)
-            << label << " sequence " << s;
-      }
-      for (std::size_t e = 0; e < r.end_states.size(); ++e) {
-        EXPECT_EQ(r.end_states[e].probability,
-                  reference.end_states[e].probability)
-            << label << " end state " << e;
-      }
+    scenario_options opts;
+    opts.analysis.threads = threads;
+    const scenario_result r = run_scenario(parse_scenario_string(text), opts);
+    const std::string label = "threads=" + std::to_string(threads);
+    ASSERT_EQ(r.sequences.size(), reference.sequences.size()) << label;
+    for (std::size_t s = 0; s < r.sequences.size(); ++s) {
+      EXPECT_EQ(r.sequences[s].probability, reference.sequences[s].probability)
+          << label << " sequence " << s;
+      EXPECT_EQ(r.sequences[s].mcs_probability,
+                reference.sequences[s].mcs_probability)
+          << label << " sequence " << s;
+      EXPECT_EQ(r.sequences[s].num_cutsets, reference.sequences[s].num_cutsets)
+          << label << " sequence " << s;
+    }
+    for (std::size_t e = 0; e < r.end_states.size(); ++e) {
+      EXPECT_EQ(r.end_states[e].probability,
+                reference.end_states[e].probability)
+          << label << " end state " << e;
     }
   }
 }

@@ -329,6 +329,49 @@ TEST(Serve, EtreeLoadQuantifySweepUnload) {
   EXPECT_EQ(service.num_scenarios(), 0u);
 }
 
+TEST(Serve, RejectsMalformedCountsAndRetiredBackend) {
+  // Count fields arrive as JSON numbers: anything but a non-negative
+  // integer below 2^64 is a model error, never a cast (a negative or
+  // out-of-range cast is undefined, a fraction truncates silently). The
+  // mc block is validated even when the backend does not read it.
+  serve::analysis_service service = make_service();
+  service.load_text("m", example_text());
+  service.load_etree_text("plant", etree_text());
+  const std::size_t errors_before = service.errors();
+  const auto expect_rejected = [&](const std::string& request,
+                                   const std::string& complaint) {
+    const json::value r = handle(service, request);
+    ASSERT_FALSE(r.at("ok").as_bool()) << request;
+    EXPECT_NE(r.at("error").as_string().find(complaint), std::string::npos)
+        << request << ": " << r.at("error").as_string();
+  };
+  for (const std::string bad : {"2.5", "-1", "1e300"}) {
+    expect_rejected(
+        R"({"op":"analyze","model":"m","mc":{"trajectories":)" + bad + "}}",
+        "'trajectories' must be a non-negative integer");
+    expect_rejected(
+        R"({"op":"etree","model":"plant","uq_samples":)" + bad + "}",
+        "'uq_samples' must be a non-negative integer");
+  }
+  // MOCUS is the only cutset generator; "bdd" is an unknown backend.
+  expect_rejected(R"({"op":"analyze","model":"m","backend":"bdd"})",
+                  "unknown backend 'bdd'");
+  EXPECT_EQ(service.errors(), errors_before + 7);
+
+  // Integral counts, also written with an exponent, still pass.
+  EXPECT_TRUE(handle(service,
+                     R"({"op":"analyze","model":"m","backend":"mc",)"
+                     R"("mc":{"trajectories":1e3,"seed":0}})")
+                  .at("ok")
+                  .as_bool());
+  EXPECT_TRUE(
+      handle(service,
+             R"({"op":"etree","model":"plant","uq_samples":4,"uq_seed":3})")
+          .at("ok")
+          .as_bool());
+  EXPECT_EQ(service.errors(), errors_before + 7);
+}
+
 TEST(Serve, StdioTransportRoundTrip) {
   serve::analysis_service service = make_service();
   service.load_text("m", example_text());

@@ -6,7 +6,7 @@
 #include <variant>
 #include <vector>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "product/product_ctmc.hpp"
 #include "sim/simulator.hpp"

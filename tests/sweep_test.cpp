@@ -170,28 +170,23 @@ TEST(SweepResolve, GridExpansionAndErrors) {
   EXPECT_THROW(resolve_sweep(sweep_description{}, tree), model_error);
 }
 
-TEST(SweepDeterminism, BwrAcrossBackendsThreadsAndCache) {
+TEST(SweepDeterminism, BwrAcrossThreadsAndCache) {
   const sd_fault_tree tree = bwr_tree();
   const sweep_spec spec = resolve_sweep(
       parse_sweep_ranges({"DG1_FTS=0.001:0.05:3:log", "CST=1e-7:1e-5:2:log"}),
       tree);
 
-  for (const cutset_backend backend :
-       {cutset_backend::mocus, cutset_backend::bdd}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool struct_cache : {true, false}) {
-        analysis_options opts;
-        opts.horizon = 24.0;
-        opts.cutoff = 1e-12;
-        opts.threads = threads;
-        opts.backend = backend;
-        opts.use_structure_cache = struct_cache;
-        expect_sweep_matches_oneshots(
-            tree, spec, opts,
-            std::string("bwr ") + to_string(backend) + " threads=" +
-                std::to_string(threads) +
-                (struct_cache ? " cache" : " no-cache"));
-      }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool struct_cache : {true, false}) {
+      analysis_options opts;
+      opts.horizon = 24.0;
+      opts.cutoff = 1e-12;
+      opts.threads = threads;
+      opts.use_structure_cache = struct_cache;
+      expect_sweep_matches_oneshots(
+          tree, spec, opts,
+          "bwr threads=" + std::to_string(threads) +
+              (struct_cache ? " cache" : " no-cache"));
     }
   }
 }

@@ -2,18 +2,22 @@
 
 // Shared model builders for the test suite: the paper's running example
 // (Examples 1-7), small structures exercising the trigger classes of
-// Figure 1 / Example 9, and seeded random tree generators for property
-// and determinism tests.
+// Figure 1 / Example 9, seeded random tree generators for property and
+// determinism tests, and the BDD oracle for stage-2 cutset lists.
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bdd/ft_bdd.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/triggered.hpp"
+#include "engine/engine.hpp"
 #include "ft/fault_tree.hpp"
+#include "mcs/cutset.hpp"
 #include "sdft/sd_fault_tree.hpp"
+#include "sdft/translate.hpp"
 #include "util/rng.hpp"
 
 namespace sdft::testing {
@@ -218,6 +222,44 @@ inline sd_fault_tree make_random_static_tree(std::uint64_t seed,
   tree.set_top(tree.add_gate("top", gate_type::or_gate, top_inputs));
   tree.validate();
   return tree;
+}
+
+/// The stage-2 oracle: every minimal cutset of `ft` from its BDD
+/// (ft_bdd::minimal_cutsets(), generated without a cutoff), kept when its
+/// probability product reaches `cutoff` — the predicate MOCUS prunes
+/// partial cutsets with — in canonical (size, content) order.
+inline std::vector<cutset> bdd_oracle_cutsets(const fault_tree& ft,
+                                              double cutoff) {
+  std::vector<cutset> out;
+  for (cutset& c : ft_bdd(ft).minimal_cutsets()) {
+    if (cutset_probability(ft, c) >= cutoff) out.push_back(std::move(c));
+  }
+  sort_cutsets_canonically(out);
+  return out;
+}
+
+/// The oracle for an engine run: bdd_oracle_cutsets() on the FT-bar the
+/// engine translates `tree` to under `opts`, mapped back to SD-tree
+/// indices — the list analysis_result::cutsets must hold, in order.
+inline std::vector<cutset> bdd_oracle_cutsets(const sd_fault_tree& tree,
+                                              const analysis_options& opts) {
+  const static_translation tr = translate_to_static(
+      tree, opts.horizon, opts.epsilon, opts.reference_cutoff);
+  std::vector<cutset> out = bdd_oracle_cutsets(tr.ft_bar, opts.cutoff);
+  for (cutset& c : out) {
+    for (node_index& e : c) e = tr.to_sd.at(e);
+    std::sort(c.begin(), c.end());
+  }
+  sort_cutsets_canonically(out);
+  return out;
+}
+
+/// The cutset list of an engine run (keep_cutset_details on), in order.
+inline std::vector<cutset> engine_cutsets(const analysis_result& result) {
+  std::vector<cutset> out;
+  out.reserve(result.cutsets.size());
+  for (const cutset_result& q : result.cutsets) out.push_back(q.events);
+  return out;
 }
 
 }  // namespace sdft::testing

@@ -323,6 +323,13 @@ TEST(Formatting, SciAndDuration) {
   EXPECT_EQ(sci(4.09e-9), "4.09e-09");
   EXPECT_EQ(duration_str(7.9), "7.9s");
   EXPECT_EQ(duration_str(132.0), "2m 12s");
+  // Rounded once: minutes and seconds carry together, and a value that
+  // rounds up to the next unit switches format.
+  EXPECT_EQ(duration_str(119.7), "2m 00s");
+  EXPECT_EQ(duration_str(59.97), "1m 00s");
+  EXPECT_EQ(duration_str(0.0123), "12.3ms");
+  EXPECT_EQ(duration_str(0.0), "0.0ms");
+  EXPECT_EQ(duration_str(0.99996), "1.0s");
 }
 
 }  // namespace

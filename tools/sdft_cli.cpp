@@ -22,12 +22,12 @@
 // Options: --horizon H (hours, default 24), --cutoff C (default 0),
 //          --threads N, --mode exact|under|over, --top K (rows to print),
 //          --details (per-cutset breakdown),
-//          --backend mocus|bdd|mc (cutset source, or Monte-Carlo
+//          --backend mocus|mc (MOCUS cutsets, or Monte-Carlo
 //          estimation; mc reports a confidence interval and composes with
 //          --mc-method crude|forcing|splitting, --mc-trajectories N,
 //          --mc-batch N, --mc-levels N, --mc-replications N, --seed S),
-//          --bdd-ordering dfs|natural|weight|sift (BDD variable order),
 //          --exact-static (exact static FT-bar probability via one BDD),
+//          --bdd-ordering dfs|natural|weight|sift (its variable order),
 //          --no-cache,
 //          --no-prep (mandatory normalisation only) and per-rewrite
 //          --no-prep-{fold,coalesce,merge,factor,absorb,modules},
@@ -139,7 +139,7 @@ struct cli_options {
       "<file>\n"
       "            [--horizon H] [--cutoff C] [--threads N]\n"
       "            [--mode exact|under|over] [--top K] [--details]\n"
-      "            [--backend mocus|bdd|mc] [--no-cache] [--stats]\n"
+      "            [--backend mocus|mc] [--no-cache] [--stats]\n"
       "            [--mc-method crude|forcing|splitting] "
       "[--mc-trajectories N]\n"
       "            [--mc-batch N] [--mc-levels N] [--mc-replications N]\n"
@@ -164,6 +164,24 @@ struct cli_options {
   usage();
 }
 
+/// A count or seed flag value: decimal digits only, fitting 64 bits —
+/// the same rule the serve grammar applies to its count fields. (stoul
+/// alone accepts "-1" and wraps it to 2^64 - 1.)
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  if (digits) {
+    try {
+      return std::stoull(text);
+    } catch (const std::out_of_range&) {
+    }
+  }
+  usage_error(flag + " needs a non-negative integer below 2^64, got '" +
+              text + "'");
+}
+
 cli_options parse_args(int argc, char** argv) {
   if (argc < 2) usage();
   cli_options opt;
@@ -184,9 +202,9 @@ cli_options parse_args(int argc, char** argv) {
     } else if (arg == "--cutoff") {
       opt.cutoff = std::stod(next());
     } else if (arg == "--threads") {
-      opt.threads = std::stoul(next());
+      opt.threads = parse_count(arg, next());
     } else if (arg == "--top") {
-      opt.top = std::stoul(next());
+      opt.top = parse_count(arg, next());
     } else if (arg == "--details") {
       opt.details = true;
     } else if (arg == "--stats") {
@@ -212,17 +230,20 @@ cli_options parse_args(int argc, char** argv) {
     } else if (arg == "--no-prep-modules") {
       opt.prep.modularize = false;
     } else if (arg == "--backend") {
-      if (!parse_cutset_backend(next(), opt.backend)) usage();
+      const std::string name = next();
+      if (!parse_cutset_backend(name, opt.backend)) {
+        usage_error("unknown backend '" + name + "' (mocus or mc)");
+      }
     } else if (arg == "--mc-method") {
       if (!sim::parse_mc_method(next(), opt.mc.method)) usage();
     } else if (arg == "--mc-trajectories") {
-      opt.mc.trajectories = std::stoul(next());
+      opt.mc.trajectories = parse_count(arg, next());
     } else if (arg == "--mc-batch") {
-      opt.mc.batch = std::stoul(next());
+      opt.mc.batch = parse_count(arg, next());
     } else if (arg == "--mc-levels") {
-      opt.mc.levels = std::stoul(next());
+      opt.mc.levels = parse_count(arg, next());
     } else if (arg == "--mc-replications") {
-      opt.mc.replications = std::stoul(next());
+      opt.mc.replications = parse_count(arg, next());
     } else if (arg == "--bdd-ordering") {
       const auto ordering = parse_bdd_ordering(next());
       if (!ordering) usage();
@@ -230,9 +251,9 @@ cli_options parse_args(int argc, char** argv) {
     } else if (arg == "--exact-static") {
       opt.exact_static = true;
     } else if (arg == "--runs") {
-      opt.runs = std::stoul(next());
+      opt.runs = parse_count(arg, next());
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(next());
+      opt.seed = parse_count(arg, next());
     } else if (arg == "--trace-json") {
       opt.trace_json = next();
     } else if (arg == "--metrics-json") {
@@ -240,15 +261,15 @@ cli_options parse_args(int argc, char** argv) {
     } else if (arg == "--no-struct-cache") {
       opt.struct_cache = false;
     } else if (arg == "--struct-cache-entries") {
-      opt.struct_cache_entries = std::stoul(next());
+      opt.struct_cache_entries = parse_count(arg, next());
     } else if (arg == "--quant-cache-entries") {
-      opt.quant_cache_entries = std::stoul(next());
+      opt.quant_cache_entries = parse_count(arg, next());
     } else if (arg == "--sweep-param") {
       opt.sweep_params.push_back(next());
     } else if (arg == "--sweep-spec") {
       opt.sweep_spec = next();
     } else if (arg == "--uq-samples") {
-      opt.uq_samples = std::stoul(next());
+      opt.uq_samples = parse_count(arg, next());
     } else if (arg == "--port") {
       opt.port = std::stoi(next());
       if (opt.port < 0 || opt.port > 65535) {
@@ -399,6 +420,16 @@ int cmd_mcs(const cli_options& opt) {
 
 void print_engine_stats(const engine_stats& s) {
   text_table table({"stage / counter", "value"});
+  // The exact-static BDD's rows, on either backend (its node count is
+  // never 0 once it was compiled: the manager holds both terminals).
+  const auto add_exact_static_rows = [&] {
+    if (s.bdd_nodes == 0) return;
+    table.add_row({"exact static", duration_str(s.exact_static_seconds)});
+    table.add_row({"bdd nodes", std::to_string(s.bdd_nodes)});
+    table.add_row({"bdd ordering", s.bdd_ordering + " (" +
+                                       std::to_string(s.bdd_sift_swaps) +
+                                       " sift swaps)"});
+  };
   table.add_row({"backend", s.backend});
   if (s.backend == "mc") {
     table.add_row({"mc method", s.mc_method});
@@ -418,9 +449,7 @@ void print_engine_stats(const engine_stats& s) {
     table.add_row({"mc campaign", duration_str(s.mc_seconds)});
     table.add_row({"translate", duration_str(s.translate_seconds)});
     table.add_row({"prep", duration_str(s.prep_seconds)});
-    if (s.exact_static_seconds > 0) {
-      table.add_row({"exact static", duration_str(s.exact_static_seconds)});
-    }
+    add_exact_static_rows();
     table.add_row({"total", duration_str(s.total_seconds)});
     table.add_row({"pool threads", std::to_string(s.pool_threads)});
     std::printf("%s", table.str().c_str());
@@ -452,22 +481,12 @@ void print_engine_stats(const engine_stats& s) {
   table.add_row({"prep modules", std::to_string(s.prep_modules) + " (" +
                                      std::to_string(s.prep_module_cutsets) +
                                      " module cutsets)"});
-  if (s.backend == "bdd") {
-    table.add_row({"bdd nodes", std::to_string(s.bdd_nodes)});
-    table.add_row({"bdd ordering", s.bdd_ordering + " (" +
-                                       std::to_string(s.bdd_sift_swaps) +
-                                       " sift swaps)"});
-  } else {
-    table.add_row({"mocus partials", std::to_string(s.source_partials)});
-    table.add_row({"mocus subset tests",
-                   std::to_string(s.subset_tests) + " (" +
-                       std::to_string(s.bitset_words) +
-                       "-word subset masks)"});
-  }
+  table.add_row({"mocus partials", std::to_string(s.source_partials)});
+  table.add_row({"mocus subset tests",
+                 std::to_string(s.subset_tests) + " (" +
+                     std::to_string(s.bitset_words) + "-word subset masks)"});
   table.add_row({"cutoff discarded", std::to_string(s.source_discarded)});
-  if (s.exact_static_seconds > 0) {
-    table.add_row({"exact static", duration_str(s.exact_static_seconds)});
-  }
+  add_exact_static_rows();
   table.add_row(
       {"failed quantifications", std::to_string(s.failed_quantifications)});
   table.add_row({"lumped orbits",
@@ -551,9 +570,10 @@ int cmd_analyze(const cli_options& opt) {
                 sci(result.exact_static_probability).c_str());
   }
   if (opt.backend != cutset_backend::mc) {
-    std::printf("times: translate %.2fs, MCS %.2fs, quantify %.2fs\n",
-                result.stats.translate_seconds, result.stats.generate_seconds,
-                result.stats.quantify_seconds);
+    std::printf("times: translate %s, MCS %s, quantify %s\n",
+                duration_str(result.stats.translate_seconds).c_str(),
+                duration_str(result.stats.generate_seconds).c_str(),
+                duration_str(result.stats.quantify_seconds).c_str());
   }
   if (opt.stats) print_engine_stats(result.stats);
   if (opt.details) {
