@@ -135,6 +135,8 @@ struct engine_stats {
   std::size_t scenario_gates_compiled = 0;  ///< distinct gates compiled once
   std::size_t scenario_prefix_hits = 0;     ///< sequence prefix products reused
   std::size_t scenario_sequence_cutsets = 0;  ///< recombined MCSs, all sequences
+  std::size_t scenario_cutset_prefixes = 0;   ///< failed-branch trie nodes extended
+  std::size_t scenario_cutset_candidates = 0;  ///< recombination pairs priced
 
   // Common-cause expansion counters (ft/ccf, run before prep).
   std::size_t ccf_groups = 0;
@@ -214,6 +216,8 @@ struct engine_stats {
     scenario_gates_compiled += o.scenario_gates_compiled;
     scenario_prefix_hits += o.scenario_prefix_hits;
     scenario_sequence_cutsets += o.scenario_sequence_cutsets;
+    scenario_cutset_prefixes += o.scenario_cutset_prefixes;
+    scenario_cutset_candidates += o.scenario_cutset_candidates;
     ccf_groups += o.ccf_groups;
     ccf_events_added += o.ccf_events_added;
     ccf_members_expanded += o.ccf_members_expanded;
@@ -312,6 +316,8 @@ struct engine_stats {
         {"scenario.gates_compiled", n(scenario_gates_compiled)},
         {"scenario.prefix_hits", n(scenario_prefix_hits)},
         {"scenario.sequence_cutsets", n(scenario_sequence_cutsets)},
+        {"scenario.cutset_prefixes", n(scenario_cutset_prefixes)},
+        {"scenario.cutset_candidates", n(scenario_cutset_candidates)},
         {"ccf.groups", n(ccf_groups)},
         {"ccf.events_added", n(ccf_events_added)},
         {"ccf.members_expanded", n(ccf_members_expanded)},

@@ -1,7 +1,11 @@
 #include "engine/scenario.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,9 +25,20 @@ namespace {
 constexpr double z95 = 1.6448536269514722;
 constexpr double two_pi = 6.283185307179586;
 
-/// Recombination guard: a sequence whose cartesian product of per-gate
-/// MCS lists grows past this is rejected with a pointer at the cutoff.
+/// Recombination guard: an extension whose pruned product grows past this
+/// many sets before it is minimised is rejected with a pointer at the cutoff.
 constexpr std::size_t max_recombined_cutsets = std::size_t{1} << 20;
+
+/// Relative slack of the product pricing filter. A disjoint pair's
+/// product p(base) * p(add) and the canonical cutset_probability() of its
+/// union are two roundings of the same product of at most a few thousand
+/// factors, so they differ by far less than this.
+constexpr double pricing_slack = 1e-9;
+
+/// Smallest cutoff the pricing filter applies at: above it, every product
+/// that could reach the cutoff is a normal number, so the rounding bound
+/// behind pricing_slack holds.
+constexpr double min_priced_cutoff = 0x1p-1000;
 
 std::vector<ccf_group> resolve_ccf_groups(
     const std::vector<ccf_group_description>& groups, const fault_tree& ft) {
@@ -52,7 +67,213 @@ double clamp_probability(double p) {
   return std::min(std::max(p, 0.0), 1.0);
 }
 
+/// A trie node's list: minimal sets with their canonical probabilities.
+struct priced_cutsets {
+  std::vector<cutset> sets;
+  std::vector<double> p;  ///< cutset_probability() of each set
+};
+
+priced_cutsets price(const fault_tree& ft, std::vector<cutset> sets) {
+  priced_cutsets out;
+  out.p.reserve(sets.size());
+  for (const cutset& c : sets) out.p.push_back(cutset_probability(ft, c));
+  out.sets = std::move(sets);
+  return out;
+}
+
+bool disjoint(const cutset& a, const cutset& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One walk of the failed-branch prefix trie (recombine_sequence_cutsets).
+/// A node is the set of sequences agreeing on which of the first `depth`
+/// functional events failed; its list depends only on those failures.
+/// Every node is extended exactly once, so the lists, the counters and the
+/// reported guard trip are the same on any schedule.
+class recombination_walk {
+ public:
+  recombination_walk(const event_tree& et, const gate_cutset_lists& gates,
+                     double cutoff, thread_pool* pool, sequence_cutsets& out)
+      : et_(et),
+        ie_(et.initiating_event()),
+        cutoff_(cutoff),
+        priced_(cutoff >= min_priced_cutoff),
+        reject_below_(cutoff * (1.0 - pricing_slack)),
+        // Subtrees below this depth run as pool jobs: up to 16 of them,
+        // fixed by the tree rather than by the schedule.
+        split_depth_(pool != nullptr
+                         ? std::min<std::size_t>(et.num_functional_events(), 4)
+                         : 0),
+        pool_(pool),
+        out_(out) {
+    const std::size_t num_fe = et.num_functional_events();
+    gate_lists_.resize(num_fe);
+    for (std::size_t i = 0; i < num_fe; ++i) {
+      bool demanded = false;
+      for (std::size_t s = 0; s < et.num_sequences() && !demanded; ++s) {
+        demanded = et.sequence_outcomes(s)[i] == branch_outcome::failure;
+      }
+      if (!demanded) continue;
+      const node_index gate = et.functional_gate(i);
+      const auto it = gates.find(gate);
+      require_model(it != gates.end(),
+                    "scenario: no cutset list for functional event '" +
+                        et.functional_name(i) + "'");
+      if (priced_gates_.find(gate) == priced_gates_.end()) {
+        priced_gates_.emplace(gate, price(et.ft(), it->second));
+      }
+      gate_lists_[i] = &priced_gates_.at(gate);
+    }
+  }
+
+  void run() {
+    std::vector<std::size_t> all(et_.num_sequences());
+    for (std::size_t s = 0; s < all.size(); ++s) all[s] = s;
+    out_.lists.assign(all.size(), {});
+    if (all.empty()) return;
+    auto root = std::make_shared<const priced_cutsets>(
+        price(et_.ft(), {cutset{et_.initiating_event()}}));
+    if (pool_ != nullptr) {
+      pool_->submit([this, root = std::move(root), all = std::move(all)] {
+        walk(0, root, all);
+      });
+      pool_->wait_idle();
+    } else {
+      walk(0, std::move(root), std::move(all));
+    }
+    out_.prefixes = prefixes_.load();
+    out_.candidates = candidates_.load();
+    if (const std::size_t s = tripped_.load(); s != none) {
+      throw model_error("scenario: sequence " + std::to_string(s) +
+                        " recombines to more than " +
+                        std::to_string(max_recombined_cutsets) +
+                        " cutsets; set a relevance cutoff");
+    }
+  }
+
+ private:
+  static constexpr std::size_t none = static_cast<std::size_t>(-1);
+  using list_ref = std::shared_ptr<const priced_cutsets>;
+
+  /// `seqs` (ascending) share the node at `depth` whose list is `list`.
+  void walk(std::size_t depth, list_ref list, std::vector<std::size_t> seqs) {
+    // A subtree can only report a trip at or above its lowest sequence.
+    if (seqs.front() > tripped_.load()) return;
+    if (depth == et_.num_functional_events()) {
+      for (std::size_t s : seqs) out_.lists[s] = list->sets;
+      return;
+    }
+    std::vector<std::size_t> failed;
+    std::vector<std::size_t> other;
+    for (std::size_t s : seqs) {
+      (et_.sequence_outcomes(s)[depth] == branch_outcome::failure ? failed
+                                                                 : other)
+          .push_back(s);
+    }
+    const auto descend = [&](list_ref child, std::vector<std::size_t> group) {
+      if (group.empty()) return;
+      if (depth < split_depth_) {
+        pool_->submit([this, depth, child = std::move(child),
+                       group = std::move(group)]() mutable {
+          walk(depth + 1, std::move(child), std::move(group));
+        });
+      } else {
+        walk(depth + 1, std::move(child), std::move(group));
+      }
+    };
+    if (!failed.empty()) {
+      list_ref child = extend(*list, *gate_lists_[depth], failed.front());
+      if (child != nullptr) descend(std::move(child), std::move(failed));
+    }
+    descend(std::move(list), std::move(other));
+  }
+
+  /// minimize(prune(base x add)), or null when the pruned product outgrows
+  /// the guard (recorded against `first_seq`). Each pair is priced before
+  /// it is built: a disjoint pair whose product is clearly below the
+  /// cutoff cannot survive; every other pair is merged and decided by its
+  /// canonical probability.
+  list_ref extend(const priced_cutsets& base, const priced_cutsets& add,
+                  std::size_t first_seq) {
+    prefixes_.fetch_add(1);
+    candidates_.fetch_add(base.sets.size() * add.sets.size());
+    const fault_tree& ft = et_.ft();
+    std::vector<cutset> next;
+    cutset merged;
+    for (std::size_t i = 0; i < base.sets.size(); ++i) {
+      const cutset& b = base.sets[i];
+      for (std::size_t j = 0; j < add.sets.size(); ++j) {
+        const cutset& a = add.sets[j];
+        if (priced_ && base.p[i] * add.p[j] < reject_below_ && disjoint(b, a)) {
+          continue;
+        }
+        merged.clear();
+        std::set_union(b.begin(), b.end(), a.begin(), a.end(),
+                       std::back_inserter(merged));
+        if (cutoff_ > 0.0 && cutset_probability(ft, merged) < cutoff_) {
+          continue;
+        }
+        // Every set holds the IE. It decides no subsumption, and when it is
+        // the smallest member (an IE declared first) it would put every set
+        // in one shard of minimize_cutsets(), so it sits out minimisation.
+        merged.erase(std::lower_bound(merged.begin(), merged.end(), ie_));
+        next.push_back(merged);
+      }
+      if (next.size() > max_recombined_cutsets) {
+        std::size_t seen = tripped_.load();
+        while (first_seq < seen &&
+               !tripped_.compare_exchange_weak(seen, first_seq)) {
+        }
+        return nullptr;
+      }
+    }
+    // Dropping a member common to every set keeps minimize_cutsets()'s
+    // (size, content) order, so putting it back yields the same list.
+    std::vector<cutset> kept = minimize_cutsets(std::move(next));
+    for (cutset& c : kept) {
+      c.insert(std::lower_bound(c.begin(), c.end(), ie_), ie_);
+    }
+    return std::make_shared<const priced_cutsets>(price(ft, std::move(kept)));
+  }
+
+  const event_tree& et_;
+  const node_index ie_;
+  const double cutoff_;
+  const bool priced_;
+  const double reject_below_;
+  const std::size_t split_depth_;
+  thread_pool* const pool_;
+  sequence_cutsets& out_;
+  std::unordered_map<node_index, priced_cutsets> priced_gates_;
+  std::vector<const priced_cutsets*> gate_lists_;  ///< per functional event
+  std::atomic<std::size_t> prefixes_{0};
+  std::atomic<std::size_t> candidates_{0};
+  std::atomic<std::size_t> tripped_{none};  ///< lowest tripping sequence
+};
+
 }  // namespace
+
+sequence_cutsets recombine_sequence_cutsets(const event_tree& et,
+                                            const gate_cutset_lists& gates,
+                                            double cutoff,
+                                            std::size_t threads) {
+  sequence_cutsets out;
+  std::optional<thread_pool> pool;
+  if (threads != 1) pool.emplace(threads);
+  recombination_walk(et, gates, cutoff, pool ? &*pool : nullptr, out).run();
+  return out;
+}
 
 scenario_engine::scenario_engine(scenario_model model, scenario_options options)
     : model_(std::move(model)),
@@ -240,7 +461,7 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
   gate_options.keep_cutset_details = true;
   gate_options.exact_static = false;
   gate_options.publish_metrics = false;
-  std::unordered_map<node_index, std::vector<cutset>> gate_cutsets;
+  gate_cutset_lists gate_cutsets;
   for (std::size_t i = 0; i < et_->num_functional_events(); ++i) {
     const node_index gate = et_->functional_gate(i);
     if (gate_cutsets.find(gate) != gate_cutsets.end()) continue;
@@ -260,43 +481,12 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
     gate_cutsets.emplace(gate, std::move(list));
   }
 
-  // Recombination: {IE} x the failed gates' lists, cutoff-pruned as the
-  // product grows (a partial product below the cutoff can only shrink),
-  // then minimized. Success branches are dropped — the same conservative
-  // delete-term-free treatment end_state_fault_tree() uses.
-  const double cutoff = options_.analysis.cutoff;
-  std::vector<std::vector<cutset>> seq_cutsets(num_seq);
-  for_each_index(num_seq, [&](std::size_t s) {
-    std::vector<cutset> combos{{et_->initiating_event()}};
-    const auto& outcomes = et_->sequence_outcomes(s);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i] != branch_outcome::failure) continue;
-      const auto& gate_list = gate_cutsets.at(et_->functional_gate(i));
-      std::vector<cutset> next;
-      next.reserve(combos.size());
-      for (const auto& base : combos) {
-        for (const auto& add : gate_list) {
-          cutset merged = base;
-          merged.insert(merged.end(), add.begin(), add.end());
-          std::sort(merged.begin(), merged.end());
-          merged.erase(std::unique(merged.begin(), merged.end()),
-                       merged.end());
-          if (cutoff > 0.0 &&
-              cutset_probability(expanded_.tree, merged) < cutoff) {
-            continue;
-          }
-          next.push_back(std::move(merged));
-        }
-        require_model(next.size() <= max_recombined_cutsets,
-                      "scenario: sequence " + std::to_string(s) +
-                          " recombines to more than " +
-                          std::to_string(max_recombined_cutsets) +
-                          " cutsets; set a relevance cutoff");
-      }
-      combos = std::move(next);
-    }
-    seq_cutsets[s] = minimize_cutsets(std::move(combos));
-  });
+  const sequence_cutsets recombined = recombine_sequence_cutsets(
+      *et_, gate_cutsets, options_.analysis.cutoff,
+      options_.analysis.inline_execution ? 1 : options_.analysis.threads);
+  const std::vector<std::vector<cutset>>& seq_cutsets = recombined.lists;
+  stats.scenario_cutset_prefixes = recombined.prefixes;
+  stats.scenario_cutset_candidates = recombined.candidates;
 
   for (std::size_t s = 0; s < num_seq; ++s) {
     out.sequences[s].num_cutsets = seq_cutsets[s].size();

@@ -5,6 +5,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,10 +35,11 @@ struct scenario_options {
   std::size_t uq_samples = 0;
   std::uint64_t uq_seed = 1;
 
-  /// Also build per-sequence minimal-cutset lists (per-gate lists through
-  /// the engine's structure cache, recombined across each sequence's
-  /// failed branches) and report their rare-event sums next to the exact
-  /// probabilities. Skipped under the mc backend.
+  /// Also build per-sequence minimal-cutset lists and report their
+  /// rare-event sums next to the exact probabilities. Per-gate lists come
+  /// through the engine's structure cache; recombine_sequence_cutsets()
+  /// then extends them along the failed-branch prefix trie, minimising and
+  /// cutoff-pruning once per shared prefix. Skipped under the mc backend.
   bool quantify_cutsets = true;
 };
 
@@ -136,7 +138,7 @@ class scenario_engine {
 
  private:
   /// Per-gate MCS lists through the engine (each distinct demanded gate
-  /// analysed once), recombined across each sequence's failed branches.
+  /// analysed once), recombined by recombine_sequence_cutsets().
   void quantify_cutsets(scenario_result& out);
 
   /// The Monte-Carlo UQ layer: one draw per (sample, parameter) substream,
@@ -176,6 +178,38 @@ class scenario_engine {
   analysis_engine engine_;  ///< per-gate cutset lists (structure-cached)
   double compile_seconds_ = 0;
 };
+
+/// Minimal-cutset list of every distinct demanded functional gate.
+using gate_cutset_lists = std::unordered_map<node_index, std::vector<cutset>>;
+
+/// Result of recombine_sequence_cutsets().
+struct sequence_cutsets {
+  /// Per sequence: the minimal sets of {IE} x the failed gates' lists, in
+  /// minimize_cutsets()'s (size, content) order.
+  std::vector<std::vector<cutset>> lists;
+  std::size_t prefixes = 0;    ///< failed-branch trie nodes extended
+  std::size_t candidates = 0;  ///< (prefix set, gate set) pairs priced
+};
+
+/// The scenario engine's cutset recombination. Every sequence's list is
+/// min(prune({IE} x MCS(g_1) x ... x MCS(g_k))) over its failed branches
+/// g_1..g_k; success and bypass branches are dropped (the delete-term-free
+/// convention of end_state_fault_tree()). Sequences sharing a failed-branch
+/// prefix share its work: one walk of the prefix trie keeps one pruned,
+/// minimised list per node, and a failure child is
+/// minimize(prune(parent x gate list)). Pruning drops sets whose
+/// cutset_probability() is below `cutoff` (no pruning at cutoff 0); a
+/// disjoint pair is rejected on its probability product before it is
+/// built. `gates` must hold a list for every gate some sequence fails.
+///
+/// Subtrees near the root run on a pool of `threads` workers (0 = hardware
+/// threads, 1 = serially on the caller); the lists do not depend on it.
+/// Throws model_error when one extension builds more than 2^20 pruned sets
+/// before minimising, naming the lowest-index sequence under that prefix.
+sequence_cutsets recombine_sequence_cutsets(const event_tree& et,
+                                            const gate_cutset_lists& gates,
+                                            double cutoff,
+                                            std::size_t threads);
 
 /// One-shot convenience wrapper: compile + run.
 scenario_result run_scenario(scenario_model model,

@@ -115,9 +115,11 @@ sweep_description parse_sweep_value(const json::value& root) {
       r.event = p.at("name").as_string();
       r.lo = p.at("lo").as_number();
       r.hi = p.at("hi").as_number();
-      const double n = p.at("n").as_number();
-      if (n < 1) throw error("sweep spec: 'n' must be >= 1");
-      r.count = static_cast<std::size_t>(n);
+      const std::optional<std::size_t> n = p.at("n").as_count();
+      if (!n || *n < 1) {
+        throw error("sweep spec: 'n' must be >= 1 (an integer below 2^64)");
+      }
+      r.count = *n;
       if (p.contains("scale")) {
         const std::string& scale = p.at("scale").as_string();
         if (scale == "log") {

@@ -1,7 +1,7 @@
 #include "serve/service.hpp"
 
-#include <cmath>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "engine/sweep.hpp"
@@ -32,15 +32,13 @@ double checked_probability(const std::string& name, double p) {
   return p;
 }
 
-/// A count or seed field: a non-negative integer that fits std::size_t.
-/// Negative, fractional, non-finite and out-of-range numbers are rejected
-/// (casting them would be undefined or silently truncate).
+/// A count or seed field (json::value::as_count).
 std::size_t checked_count(const std::string& name, const json::value& v) {
-  const double x = v.as_number();
-  require_model(x >= 0.0 && x < 0x1p64 && x == std::floor(x),
-                "serve: '" + name + "' must be a non-negative integer below "
-                "2^64");
-  return static_cast<std::size_t>(x);
+  const std::optional<std::size_t> n = v.as_count();
+  require_model(n.has_value(), "serve: '" + name +
+                                   "' must be a non-negative integer below "
+                                   "2^64");
+  return *n;
 }
 
 /// Shared backend/"mc" request grammar of the analyze and sweep ops:

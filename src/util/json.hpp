@@ -7,9 +7,11 @@
 // on malformed input. Not a general-purpose library: no unicode surrogate
 // handling, no streaming.
 
+#include <cmath>
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,14 @@ class value {
   double as_number() const {
     require(kind_ == kind::number, "not a number");
     return number_;
+  }
+  /// The number as a count: a non-negative integer below 2^64. Empty for
+  /// negative, fractional, non-finite and out-of-range numbers, which a
+  /// cast to std::size_t would truncate or leave undefined.
+  std::optional<std::size_t> as_count() const {
+    const double x = as_number();
+    if (!(x >= 0.0 && x < 0x1p64 && x == std::floor(x))) return std::nullopt;
+    return static_cast<std::size_t>(x);
   }
   const std::string& as_string() const {
     require(kind_ == kind::string, "not a string");

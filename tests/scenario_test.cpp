@@ -2,12 +2,15 @@
 // errors), bit-agreement of the one-pass engine with per-sequence one-shot
 // compilations, the CCF beta/alpha closed forms (exact and MCS-approx),
 // the UQ layer's seed/thread determinism, point re-evaluation off the
-// compiled structure, and concurrent reads of one frozen scenario.
+// compiled structure, concurrent reads of one frozen scenario, and the
+// prefix-trie cutset recombination against the per-sequence loop it
+// replaced (lists, counters and the 2^20 guard).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +21,57 @@
 #include "ft/ccf.hpp"
 #include "gen/industrial.hpp"
 #include "sim/stream_rng.hpp"
+#include "test_models.hpp"
 #include "util/error.hpp"
+
+namespace sdft::testing {
+
+/// The scenario engine's cutset recombination before the prefix-trie walk,
+/// kept as the differential oracle of recombine_sequence_cutsets(): every
+/// sequence rebuilds {IE} x its failed gates' lists from scratch, pruning
+/// as the product grows and minimising once at the end. Serial; `merges`,
+/// when given, counts the pairs it merges.
+std::vector<std::vector<cutset>> reference_sequence_cutsets(
+    const event_tree& et, const gate_cutset_lists& gate_cutsets,
+    double cutoff, std::size_t* merges = nullptr) {
+  constexpr std::size_t max_recombined_cutsets = std::size_t{1} << 20;
+  const std::size_t num_seq = et.num_sequences();
+  std::vector<std::vector<cutset>> seq_cutsets(num_seq);
+  for (std::size_t s = 0; s < num_seq; ++s) {
+    std::vector<cutset> combos{{et.initiating_event()}};
+    const auto& outcomes = et.sequence_outcomes(s);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (outcomes[i] != branch_outcome::failure) continue;
+      const auto& gate_list = gate_cutsets.at(et.functional_gate(i));
+      std::vector<cutset> next;
+      next.reserve(combos.size());
+      for (const auto& base : combos) {
+        for (const auto& add : gate_list) {
+          if (merges != nullptr) ++*merges;
+          cutset merged = base;
+          merged.insert(merged.end(), add.begin(), add.end());
+          std::sort(merged.begin(), merged.end());
+          merged.erase(std::unique(merged.begin(), merged.end()),
+                       merged.end());
+          if (cutoff > 0.0 && cutset_probability(et.ft(), merged) < cutoff) {
+            continue;
+          }
+          next.push_back(std::move(merged));
+        }
+        require_model(next.size() <= max_recombined_cutsets,
+                      "scenario: sequence " + std::to_string(s) +
+                          " recombines to more than " +
+                          std::to_string(max_recombined_cutsets) +
+                          " cutsets; set a relevance cutoff");
+      }
+      combos = std::move(next);
+    }
+    seq_cutsets[s] = minimize_cutsets(std::move(combos));
+  }
+  return seq_cutsets;
+}
+
+}  // namespace sdft::testing
 
 namespace sdft {
 namespace {
@@ -624,12 +677,250 @@ TEST(ScenarioEngine, ThreadMatrixIsBitIdentical) {
       EXPECT_EQ(r.sequences[s].num_cutsets, reference.sequences[s].num_cutsets)
           << label << " sequence " << s;
     }
+    ASSERT_EQ(r.end_states.size(), reference.end_states.size()) << label;
     for (std::size_t e = 0; e < r.end_states.size(); ++e) {
       EXPECT_EQ(r.end_states[e].probability,
                 reference.end_states[e].probability)
           << label << " end state " << e;
+      EXPECT_EQ(r.end_states[e].mcs_probability,
+                reference.end_states[e].mcs_probability)
+          << label << " end state " << e;
+      EXPECT_EQ(r.end_states[e].num_cutsets,
+                reference.end_states[e].num_cutsets)
+          << label << " end state " << e;
     }
   }
+}
+
+/// Per-gate lists of every functional gate of `et`, as the scenario engine
+/// builds them: one engine run per distinct gate at `cutoff`.
+gate_cutset_lists engine_gate_lists(const event_tree& et, double cutoff) {
+  analysis_engine engine;
+  analysis_options opts;
+  opts.cutoff = cutoff;
+  opts.keep_cutset_details = true;
+  opts.publish_metrics = false;
+  gate_cutset_lists lists;
+  for (std::size_t i = 0; i < et.num_functional_events(); ++i) {
+    const node_index gate = et.functional_gate(i);
+    if (lists.count(gate) != 0) continue;
+    fault_tree sub = et.ft();
+    sub.set_top(gate);
+    lists.emplace(gate, testing::engine_cutsets(
+                            engine.run(sd_fault_tree(std::move(sub)), opts)));
+  }
+  return lists;
+}
+
+/// recombine_sequence_cutsets() must return the reference loop's lists —
+/// every set, in order — at every thread count.
+void expect_matches_reference(const event_tree& et,
+                              const gate_cutset_lists& lists, double cutoff,
+                              const std::string& label) {
+  const auto expected = testing::reference_sequence_cutsets(et, lists, cutoff);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const sequence_cutsets got =
+        recombine_sequence_cutsets(et, lists, cutoff, threads);
+    EXPECT_EQ(got.lists, expected)
+        << label << " cutoff " << cutoff << " threads " << threads;
+  }
+}
+
+TEST(ScenarioRecombination, MatchesReferenceOnIndustrialTree) {
+  // The 5-FE industrial event tree: 32 full-binary sequences, CCF groups.
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  const scenario_engine engine(industrial_scenario(5), opts);
+  const event_tree& et = engine.compiled_event_tree();
+  ASSERT_EQ(et.num_sequences(), 32u);
+  for (double cutoff : {1e-12, 1e-9}) {
+    expect_matches_reference(et, engine_gate_lists(et, cutoff), cutoff,
+                             "industrial");
+  }
+}
+
+TEST(ScenarioRecombination, MatchesReferenceOnRandomTrees) {
+  // Random event trees over random static trees whose gates share basic
+  // events, so merged pairs overlap: bypass outcomes, sequence sets of a
+  // non-power-of-two size, and the same gate behind two functional events.
+  // Cutoffs: none, two fixed ones, and cutoffs equal to the canonical
+  // probability of a recombined set — the pricing filter's boundary.
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    rng random(seed * 7919);
+    fault_tree ft = testing::make_random_static_tree(seed, 10, 6).structure();
+    const node_index ie = ft.add_basic_event("IE", random.uniform(0.01, 0.5));
+    const auto num_fe = static_cast<std::size_t>(random.between(2, 5));
+    event_tree et(ft, ie, "RND");
+    for (std::size_t i = 0; i < num_fe; ++i) {
+      const node_index gate =
+          i == 1 && seed % 3 == 0
+              ? et.functional_gate(0)
+              : ft.find("g" + std::to_string(random.below(6)));
+      et.add_functional_event("F" + std::to_string(i), gate);
+    }
+    std::size_t outcome_space = 1;
+    for (std::size_t i = 0; i < num_fe; ++i) outcome_space *= 3;
+    std::size_t num_seq = static_cast<std::size_t>(
+        random.between(3, static_cast<std::int64_t>(
+                              std::min<std::size_t>(outcome_space, 24))));
+    if ((num_seq & (num_seq - 1)) == 0) --num_seq;
+    std::set<std::vector<branch_outcome>> seen;
+    while (seen.size() < num_seq) {
+      std::vector<branch_outcome> outcomes;
+      for (std::size_t i = 0; i < num_fe; ++i) {
+        const std::uint64_t pick = random.below(5);
+        outcomes.push_back(pick < 2   ? branch_outcome::failure
+                           : pick < 4 ? branch_outcome::success
+                                      : branch_outcome::bypass);
+      }
+      if (seen.insert(outcomes).second) {
+        et.add_sequence(outcomes, random.chance(0.5) ? "CD" : "OK");
+      }
+    }
+    et.validate();
+
+    gate_cutset_lists lists;
+    for (std::size_t i = 0; i < num_fe; ++i) {
+      const node_index gate = et.functional_gate(i);
+      if (lists.count(gate) != 0) continue;
+      fault_tree sub = ft;
+      sub.set_top(gate);
+      lists.emplace(gate, minimal_cutsets_brute_force(sub));
+    }
+
+    std::vector<double> cutoffs{0.0, 1e-3, 1e-5};
+    std::vector<double> boundary;
+    for (const auto& list :
+         testing::reference_sequence_cutsets(et, lists, 0.0)) {
+      for (const cutset& c : list) {
+        if (c.size() >= 3) boundary.push_back(cutset_probability(ft, c));
+      }
+    }
+    std::sort(boundary.begin(), boundary.end());
+    if (!boundary.empty()) {
+      cutoffs.push_back(boundary.front());
+      cutoffs.push_back(boundary[boundary.size() / 2]);
+      cutoffs.push_back(boundary.back());
+    }
+    for (double cutoff : cutoffs) {
+      expect_matches_reference(et, lists, cutoff, label);
+    }
+  }
+}
+
+TEST(ScenarioRecombination, CountersShowPrefixSharing) {
+  // On the 512-sequence tree the walk extends each failed-branch prefix at
+  // most once and prices fewer pairs than the per-sequence loop merges.
+  constexpr std::size_t systems = 9;
+  constexpr double cutoff = 1e-12;
+  scenario_options opts;
+  opts.analysis.cutoff = cutoff;
+  opts.analysis.publish_metrics = false;
+  scenario_engine engine(industrial_scenario(systems), opts);
+  const scenario_result r = engine.run();
+  const event_tree& et = engine.compiled_event_tree();
+  ASSERT_EQ(r.sequences.size(), std::size_t{1} << systems);
+
+  std::size_t merges = 0;
+  const auto reference = testing::reference_sequence_cutsets(
+      et, engine_gate_lists(et, cutoff), cutoff, &merges);
+  EXPECT_GT(r.stats.scenario_cutset_prefixes, 0u);
+  EXPECT_LE(r.stats.scenario_cutset_prefixes, (std::size_t{1} << systems) - 1);
+  EXPECT_GT(r.stats.scenario_cutset_candidates, 0u);
+  EXPECT_LT(r.stats.scenario_cutset_candidates, merges);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < r.sequences.size(); ++s) {
+    EXPECT_EQ(r.sequences[s].num_cutsets, reference[s].size()) << s;
+    total += reference[s].size();
+  }
+  EXPECT_EQ(r.stats.scenario_sequence_cutsets, total);
+}
+
+/// A scenario whose functional event k fails an OR gate over
+/// `gate_sizes[fe_gates[k]]` fresh basic events (p = 1e-3); one sequence,
+/// every branch failed. The engine runs at cutoff 0.
+scenario_model or_gate_scenario(const std::vector<std::size_t>& gate_sizes,
+                                const std::vector<std::size_t>& fe_gates) {
+  sd_fault_tree tree;
+  tree.add_static_event("IE", 1e-2);
+  std::vector<node_index> gates;
+  for (std::size_t g = 0; g < gate_sizes.size(); ++g) {
+    std::vector<node_index> inputs;
+    for (std::size_t k = 0; k < gate_sizes[g]; ++k) {
+      inputs.push_back(tree.add_static_event(
+          "G" + std::to_string(g) + "_E" + std::to_string(k), 1e-3));
+    }
+    gates.push_back(tree.add_gate("G" + std::to_string(g),
+                                  gate_type::or_gate, inputs));
+  }
+  tree.set_top(tree.add_gate("TOP", gate_type::or_gate, gates));
+  scenario_description sc;
+  sc.name = "GUARD";
+  sc.initiating_event = "IE";
+  scenario_description::sequence seq;
+  for (std::size_t k = 0; k < fe_gates.size(); ++k) {
+    sc.functional.push_back(
+        {"F" + std::to_string(k), "G" + std::to_string(fe_gates[k])});
+    seq.outcomes.push_back(branch_outcome::failure);
+  }
+  seq.end_state = "CD";
+  sc.sequences.push_back(std::move(seq));
+  return {std::move(tree), std::move(sc)};
+}
+
+TEST(ScenarioRecombination, GuardRejectsOversizedProducts) {
+  // Two disjoint 1,025-event ORs: 1025^2 minimal sets, past 2^20.
+  try {
+    (void)run_scenario(or_gate_scenario({1025, 1025}, {0, 1}));
+    FAIL() << "expected the recombination guard to trip";
+  } catch (const model_error& e) {
+    EXPECT_NE(std::string(e.what()).find("recombines to more than 1048576"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("sequence 0"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioRecombination, GuardCountsMinimisedPrefixes) {
+  // The same 1,000-event OR twice, then a 2-event OR: the second step
+  // builds 10^6 sets that minimise back to 1,000, so the third step stays
+  // far below the guard. The per-sequence loop carried all 10^6 into the
+  // third step and tripped.
+  const scenario_model m = or_gate_scenario({1000, 2}, {0, 0, 1});
+  const scenario_engine engine(m, {});
+  const event_tree& et = engine.compiled_event_tree();
+  const fault_tree& ft = et.ft();
+  gate_cutset_lists lists;
+  std::vector<cutset> expected;
+  for (std::size_t g = 0; g < 2; ++g) {
+    const std::size_t size = g == 0 ? 1000 : 2;
+    std::vector<cutset>& list = lists[ft.find("G" + std::to_string(g))];
+    for (std::size_t k = 0; k < size; ++k) {
+      list.push_back({ft.find("G" + std::to_string(g) + "_E" +
+                              std::to_string(k))});
+    }
+    std::sort(list.begin(), list.end());
+  }
+  for (const cutset& a : lists.at(ft.find("G0"))) {
+    for (const cutset& b : lists.at(ft.find("G1"))) {
+      cutset c{et.initiating_event(), a[0], b[0]};
+      std::sort(c.begin(), c.end());
+      expected.push_back(std::move(c));
+    }
+  }
+  expected = minimize_cutsets(std::move(expected));
+  ASSERT_EQ(expected.size(), 2000u);
+
+  const sequence_cutsets got = recombine_sequence_cutsets(et, lists, 0.0, 1);
+  ASSERT_EQ(got.lists.size(), 1u);
+  EXPECT_EQ(got.lists[0], expected);
+  EXPECT_THROW((void)testing::reference_sequence_cutsets(et, lists, 0.0),
+               model_error);
+
+  const scenario_result r = run_scenario(m);
+  EXPECT_EQ(r.sequences[0].num_cutsets, 2000u);
 }
 
 }  // namespace

@@ -140,6 +140,20 @@ TEST(SweepParse, JsonGrammar) {
       error);
 }
 
+TEST(SweepParse, JsonCountIsAnIntegerAtLeastOne) {
+  // "n" follows serve's count rule (a non-negative integer below 2^64)
+  // and must be >= 1: no truncation of 2.5, no undefined cast of 1e300.
+  const auto params = [](const std::string& n) {
+    return parse_sweep_json(R"({"params":[{"name":"a","lo":1e-3,"hi":1e-2,"n":)" +
+                            n + "}]}");
+  };
+  for (const char* bad : {"2.5", "1e300", "-1", "0"}) {
+    EXPECT_THROW(params(bad), error) << "n = " << bad;
+  }
+  const sd_fault_tree tree = example3_sd();
+  EXPECT_EQ(resolve_sweep(params("3"), tree).points.size(), 3u);
+}
+
 TEST(SweepResolve, GridExpansionAndErrors) {
   const sd_fault_tree tree = example3_sd();
   sweep_description d =

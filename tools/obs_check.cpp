@@ -134,7 +134,8 @@ int check_metrics(const std::string& path) {
       "scenario.functional_events", "scenario.bdd_nodes",
       "scenario.plan_nodes",
       "scenario.gates_compiled",  "scenario.prefix_hits",
-      "scenario.sequence_cutsets",
+      "scenario.sequence_cutsets", "scenario.cutset_prefixes",
+      "scenario.cutset_candidates",
       "ccf.groups",               "ccf.events_added",
       "ccf.members_expanded",
       "uq.seconds",               "uq.samples",

@@ -793,8 +793,12 @@ void print_scenario_stats(const engine_stats& s) {
                      std::to_string(s.ccf_events_added) + " events added, " +
                      std::to_string(s.ccf_members_expanded) +
                      " members expanded)"});
-  table.add_row(
-      {"sequence cutsets", std::to_string(s.scenario_sequence_cutsets)});
+  table.add_row({"sequence cutsets",
+                 std::to_string(s.scenario_sequence_cutsets) + " (" +
+                     std::to_string(s.scenario_cutset_prefixes) +
+                     " prefixes, " +
+                     std::to_string(s.scenario_cutset_candidates) +
+                     " candidates)"});
   if (s.uq_samples > 0) {
     table.add_row({"uq samples x parameters",
                    std::to_string(s.uq_samples) + " x " +
