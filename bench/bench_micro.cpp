@@ -16,6 +16,7 @@
 #include "gen/industrial.hpp"
 #include "ft/modules.hpp"
 #include "mcs/mocus.hpp"
+#include "minimize_reference.hpp"
 #include "obs/obs.hpp"
 #include "prep/prep.hpp"
 #include "product/product_ctmc.hpp"
@@ -357,7 +358,7 @@ void bm_bitset_minimize_industrial(benchmark::State& state) {
     std::vector<cutset> copy = family;
     benchmark::DoNotOptimize(
         packed ? minimize_cutsets(std::move(copy)).size()
-               : minimize_cutsets_reference(std::move(copy)).size());
+               : testing::minimize_cutsets_reference(std::move(copy)).size());
   }
   state.counters["family"] = static_cast<double>(family.size());
   minimize_stats stats;

@@ -1,7 +1,10 @@
 #include "core/mcs_model.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -16,11 +19,29 @@ namespace sdft {
 
 namespace {
 
+/// The trigger_set_memo key of one mocus_from(gate) run: fixed-width
+/// indices with the failed list's length up front, so distinct inputs
+/// never encode alike.
+std::string trigger_set_key(node_index gate,
+                            const std::vector<node_index>& assume_failed,
+                            const std::vector<node_index>& assume_working) {
+  std::vector<node_index> words;
+  words.reserve(2 + assume_failed.size() + assume_working.size());
+  words.push_back(gate);
+  words.push_back(static_cast<node_index>(assume_failed.size()));
+  words.insert(words.end(), assume_failed.begin(), assume_failed.end());
+  words.insert(words.end(), assume_working.begin(), assume_working.end());
+  std::string key(words.size() * sizeof(node_index), '\0');
+  std::memcpy(key.data(), words.data(), key.size());
+  return key;
+}
+
 /// Incremental FT_C construction state.
 class ftc_builder {
  public:
-  ftc_builder(const sd_fault_tree& source, const cutset& c, approx_mode mode)
-      : source_(source), mode_(mode) {
+  ftc_builder(const sd_fault_tree& source, const cutset& c, approx_mode mode,
+              const trigger_set_memo* memo)
+      : source_(source), mode_(mode), memo_(memo) {
     for (node_index b : c) {
       require_model(source_.structure().is_basic(b),
                     "mcs_model: cutset contains a non-basic node");
@@ -154,22 +175,21 @@ class ftc_builder {
     }
 
     // Minimal trigger sets A_1..A_k over Rel_a.
-    mocus_options opts;
-    opts.assume_failed = assumed_failed;
-    opts.assume_working = assumed_working;
-    const mocus_result sets = mocus_from(source_.structure(), gate, opts);
+    const trigger_set_memo::sets sets =
+        trigger_sets(gate, std::move(assumed_failed),
+                     std::move(assumed_working));
 
     // Build the trigger model: OR of ANDs (constants via zero-input gates).
     const std::string base = "trig::" + source_.structure().node(gate).name;
     node_index model_gate;
-    if (sets.cutsets.size() == 1 && sets.cutsets.front().empty()) {
+    if (sets->size() == 1 && sets->front().empty()) {
       // Already failed under the static assumptions: constant TRUE, the
       // event is switched on from time 0.
       model_gate = result_.tree.add_gate(base, gate_type::and_gate);
     } else {
       model_gate = result_.tree.add_gate(base, gate_type::or_gate);
       std::size_t i = 0;
-      for (const cutset& a : sets.cutsets) {
+      for (const cutset& a : *sets) {
         if (a.size() == 1) {
           result_.tree.add_input(model_gate, add_event(a.front()));
         } else {
@@ -182,7 +202,7 @@ class ftc_builder {
         }
         ++i;
       }
-      // An empty OR (sets.cutsets empty) is constant FALSE: the trigger can
+      // An empty OR (no trigger set) is constant FALSE: the trigger can
       // never fire, so the event stays off. This cannot arise for cutsets
       // produced from FT-bar but is well-defined for hand-built cutsets.
     }
@@ -190,8 +210,34 @@ class ftc_builder {
     result_.tree.set_trigger(model_gate, event_map_.at(event));
   }
 
+  /// The minimal trigger sets of `gate` under the given assumptions, from
+  /// the memo when it holds them, otherwise solved by MOCUS (and stored).
+  /// No cutoff and no order bound: the result is purely structural, the
+  /// precondition for sharing it across parameter points.
+  trigger_set_memo::sets trigger_sets(node_index gate,
+                                      std::vector<node_index> assumed_failed,
+                                      std::vector<node_index> assumed_working) {
+    std::string key;
+    if (memo_ != nullptr) {
+      key = trigger_set_key(gate, assumed_failed, assumed_working);
+      if (trigger_set_memo::sets hit = memo_->find(key)) {
+        ++result_.trigger_set_hits;
+        return hit;
+      }
+    }
+    mocus_options opts;
+    opts.assume_failed = std::move(assumed_failed);
+    opts.assume_working = std::move(assumed_working);
+    auto solved = std::make_shared<const std::vector<cutset>>(
+        mocus_from(source_.structure(), gate, opts).cutsets);
+    ++result_.trigger_sets_solved;
+    if (memo_ == nullptr) return solved;
+    return memo_->insert(std::move(key), std::move(solved));
+  }
+
   const sd_fault_tree& source_;
   const approx_mode mode_;
+  const trigger_set_memo* memo_;  // nullptr: every gate runs MOCUS
   mcs_model result_;
   std::vector<node_index> cutset_static_;
   std::unordered_set<node_index> in_cutset_;
@@ -202,9 +248,27 @@ class ftc_builder {
 
 }  // namespace
 
+trigger_set_memo::sets trigger_set_memo::find(const std::string& key) const {
+  std::lock_guard lock(mutex_);
+  const auto it = map_.find(key);
+  return it == map_.end() ? nullptr : it->second;
+}
+
+trigger_set_memo::sets trigger_set_memo::insert(std::string key,
+                                                sets value) const {
+  std::lock_guard lock(mutex_);
+  return map_.try_emplace(std::move(key), std::move(value)).first->second;
+}
+
+std::size_t trigger_set_memo::size() const {
+  std::lock_guard lock(mutex_);
+  return map_.size();
+}
+
 mcs_model build_mcs_model(const sd_fault_tree& tree, const cutset& c,
-                          approx_mode mode) {
-  return ftc_builder(tree, c, mode).build();
+                          approx_mode mode,
+                          const trigger_set_memo* trigger_sets) {
+  return ftc_builder(tree, c, mode, trigger_sets).build();
 }
 
 double quantify_mcs_model(const mcs_model& model, double t, double epsilon,

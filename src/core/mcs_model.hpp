@@ -1,5 +1,10 @@
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mcs/cutset.hpp"
@@ -50,6 +55,38 @@ struct mcs_model {
 
   /// Trigger classes actually used, one per modelled triggering gate.
   std::vector<trigger_class> used_classes;
+
+  /// Modelled triggering gates whose minimal trigger sets MOCUS solved,
+  /// and those taken from a trigger_set_memo instead.
+  std::size_t trigger_sets_solved = 0;
+  std::size_t trigger_set_hits = 0;
+};
+
+/// Thread-safe memo of minimal trigger sets (paper §V-C step 2), keyed by
+/// the exact MOCUS inputs: the triggering gate, the events assumed failed
+/// and the events assumed working (encoded by build_mcs_model). MOCUS runs
+/// there without a cutoff or an order bound, so the sets depend on the
+/// tree's structure alone — wiring, the static/dynamic split and the
+/// trigger edges — never on probabilities, rates or the horizon. One memo
+/// may therefore serve every cutset, approximation mode and parameter
+/// point of one structure; it must not be shared between structures (keys
+/// are node indices). Concurrent misses on one key may both solve it; the
+/// first insert wins and both results are identical.
+class trigger_set_memo {
+ public:
+  using sets = std::shared_ptr<const std::vector<cutset>>;
+
+  /// The stored sets under `key`, or nullptr.
+  sets find(const std::string& key) const;
+
+  /// Stores `value` under `key` unless present; returns the stored sets.
+  sets insert(std::string key, sets value) const;
+
+  std::size_t size() const;
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::unordered_map<std::string, sets> map_;
 };
 
 /// Builds FT_C for cutset `c` of `tree` following paper §V-C:
@@ -64,8 +101,11 @@ struct mcs_model {
 ///
 /// Requires `c` to contain at least one dynamic event (purely static
 /// cutsets are quantified directly as their probability product).
+/// `trigger_sets` (optional) memoises step 2's MOCUS runs; it must belong
+/// to `tree`'s structure. The model is the same with or without it.
 mcs_model build_mcs_model(const sd_fault_tree& tree, const cutset& c,
-                          approx_mode mode = approx_mode::as_classified);
+                          approx_mode mode = approx_mode::as_classified,
+                          const trigger_set_memo* trigger_sets = nullptr);
 
 /// Pr[Reach<=t(Failed(C))] ~ failure probability of the FT_C product chain
 /// times the static factor (paper §V-C). `chain_states` (optional out)

@@ -417,7 +417,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     const static_product_quantifier static_quantifier(tree);
     const product_chain_quantifier chain_quantifier(
         tree, acq.translation, qopts,
-        opt.cache_quantifications ? &cache_ : nullptr);
+        opt.cache_quantifications ? &cache_ : nullptr,
+        &acq.entry->trigger_sets);
     result.cutsets.resize(generated.cutsets.size());
     std::vector<cutset_result>& quantified = result.cutsets;
     stats.pool_threads = pool_ptr != nullptr ? pool_ptr->size() : 1;
@@ -466,6 +467,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
       stats.lumped_orbits += q.lumped_orbits;
       if (q.lumped_orbits > 0) ++stats.lumped_cutsets;
       stats.uniformisation_steps_saved += q.steps_saved;
+      stats.trigger_set_hits += q.trigger_set_hits;
+      stats.trigger_set_misses += q.trigger_sets_solved;
       if (q.chain_states > 0 || q.cache_hit) {
         if (q.packed_keys) {
           ++stats.packed_key_chains;

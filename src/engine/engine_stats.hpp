@@ -77,6 +77,12 @@ struct engine_stats {
   std::size_t vector_key_chains = 0;  ///< chains on the vector-key fallback
   std::size_t uniformisation_steps_saved = 0;  ///< early-terminated steps
 
+  // Trigger-set memo counters (this run only): FT_C trigger gates whose
+  // minimal trigger sets came from the structure entry's memo, and those
+  // MOCUS had to solve.
+  std::size_t trigger_set_hits = 0;
+  std::size_t trigger_set_misses = 0;
+
   // Quantification-cache counters (this run only).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
@@ -188,6 +194,8 @@ struct engine_stats {
     packed_key_chains += o.packed_key_chains;
     vector_key_chains += o.vector_key_chains;
     uniformisation_steps_saved += o.uniformisation_steps_saved;
+    trigger_set_hits += o.trigger_set_hits;
+    trigger_set_misses += o.trigger_set_misses;
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     cache_evictions += o.cache_evictions;
@@ -287,6 +295,8 @@ struct engine_stats {
         {"quant.packed_key_chains", n(packed_key_chains)},
         {"quant.vector_key_chains", n(vector_key_chains)},
         {"transient.steps_saved", n(uniformisation_steps_saved)},
+        {"quant.trigger_set_hits", n(trigger_set_hits)},
+        {"quant.trigger_set_misses", n(trigger_set_misses)},
         {"quant.cache_hit", n(cache_hits)},
         {"quant.cache_miss", n(cache_misses)},
         {"quant.cache_evictions", n(cache_evictions)},

@@ -42,9 +42,14 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
   out.events = std::move(c);
   out.dynamic = true;
   try {
-    const mcs_model model = build_mcs_model(tree_, out.events, options_.mode);
+    const mcs_model model =
+        build_mcs_model(tree_, out.events, options_.mode, trigger_sets_);
     out.num_dynamic = model.cutset_dynamic.size();
     out.num_added_dynamic = model.added_dynamic.size();
+    out.trigger_sets_solved = model.trigger_sets_solved;
+    out.trigger_set_hits = model.trigger_set_hits;
+    span.arg("trigger_sets_solved",
+             static_cast<double>(out.trigger_sets_solved));
 
     std::string key;
     if (cache_ != nullptr) {

@@ -22,6 +22,8 @@ struct cutset_result {
   std::size_t chain_states = 0;       ///< product chain size (dynamic only)
   std::size_t lumped_orbits = 0;      ///< symmetry orbits lumped in the chain
   std::size_t steps_saved = 0;        ///< uniformisation steps early-skipped
+  std::size_t trigger_sets_solved = 0;  ///< FT_C trigger gates MOCUS solved
+  std::size_t trigger_set_hits = 0;     ///< FT_C trigger gates from the memo
   bool packed_keys = false;  ///< chain explored via the packed 64-bit key
   double seconds = 0;        ///< quantification wall time
   std::string error;  ///< non-empty if quantification fell back (see above)
@@ -76,7 +78,9 @@ class static_product_quantifier final : public quantifier {
 /// transient solve is memoised in `cache` (optional) under the structural
 /// signature of the mcs_model, so cutsets sharing dynamic sub-structure —
 /// e.g. thousands of MCSs combining the same triggered chain with
-/// different static events — pay for one solve. Falls back to the
+/// different static events — pay for one solve. The minimal trigger sets
+/// FT_C is built from are memoised in `trigger_sets` (optional, owned by
+/// the tree's structure-cache entry). Falls back to the
 /// conservative FT-bar worst-case product when the chain is too large
 /// (paper eq. (1)).
 class product_chain_quantifier final : public quantifier {
@@ -84,11 +88,13 @@ class product_chain_quantifier final : public quantifier {
   product_chain_quantifier(const sd_fault_tree& tree,
                            const static_translation& translation,
                            const quantify_options& options,
-                           quantification_cache* cache)
+                           quantification_cache* cache,
+                           const trigger_set_memo* trigger_sets = nullptr)
       : tree_(tree),
         translation_(translation),
         options_(options),
-        cache_(cache) {}
+        cache_(cache),
+        trigger_sets_(trigger_sets) {}
 
   const char* name() const override { return "product-chain"; }
   bool handles(const cutset& c) const override;
@@ -99,6 +105,7 @@ class product_chain_quantifier final : public quantifier {
   const static_translation& translation_;
   const quantify_options options_;
   quantification_cache* cache_;  // nullptr disables memoisation
+  const trigger_set_memo* trigger_sets_;  // nullptr: MOCUS per trigger gate
 };
 
 }  // namespace sdft

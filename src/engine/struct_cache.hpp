@@ -11,6 +11,7 @@
 
 #include "bdd/ft_bdd.hpp"
 #include "bdd/ordering.hpp"
+#include "core/mcs_model.hpp"
 #include "mcs/cutset.hpp"
 #include "prep/prep.hpp"
 #include "sdft/sd_fault_tree.hpp"
@@ -73,6 +74,13 @@ struct structure_entry {
   /// fresh run would.
   std::shared_ptr<const fault_tree> prep_tree;
   std::vector<node_index> prep_to_source;
+
+  /// Minimal trigger sets solved while quantifying against this entry
+  /// (paper §V-C step 2). They are structural, and the entry's key covers
+  /// everything they depend on, so every run holding the entry — any
+  /// horizon, override or sweep point — reuses them. Filled lazily by
+  /// stage 3, dropped with the entry.
+  trigger_set_memo trigger_sets;
 
   /// Exact static top-event probability over `prep_tree` with the given
   /// per-prep-node probability overrides, evaluated on a lazily compiled

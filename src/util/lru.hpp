@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -39,7 +40,7 @@ class lru_map {
       return false;
     }
     order_.emplace_front(key, std::move(value));
-    index_.emplace(key, order_.begin());
+    index_.emplace(order_.front().first, order_.begin());
     trim();
     return true;
   }
@@ -54,7 +55,7 @@ class lru_map {
       return;
     }
     order_.emplace_front(key, std::move(value));
-    index_.emplace(key, order_.begin());
+    index_.emplace(order_.front().first, order_.begin());
     trim();
   }
 
@@ -83,11 +84,23 @@ class lru_map {
     }
   }
 
+  /// The index refers to the key stored in its list node (list nodes never
+  /// move), so each key is held once — the quantification cache's keys
+  /// are a few hundred bytes each.
+  using key_ref = std::reference_wrapper<const Key>;
+  struct ref_hash {
+    std::size_t operator()(key_ref k) const { return Hash{}(k.get()); }
+  };
+  struct ref_equal {
+    bool operator()(key_ref a, key_ref b) const { return a.get() == b.get(); }
+  };
+
   std::size_t capacity_;
   std::size_t evictions_ = 0;
-  std::list<std::pair<Key, Value>> order_;  ///< front = most recently used
-  std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
-                     Hash>
+  std::list<std::pair<const Key, Value>> order_;  ///< front = most recent
+  std::unordered_map<key_ref,
+                     typename std::list<std::pair<const Key, Value>>::iterator,
+                     ref_hash, ref_equal>
       index_;
 };
 

@@ -2,7 +2,7 @@
 // exhaustive word-boundary checks of packed_bitset, randomized differential
 // runs against a std::set<int> oracle, and seeded cutset-family minimize
 // runs asserting the packed minimize_cutsets() is bit-identical both to the
-// pre-packing counting implementation (kept as minimize_cutsets_reference)
+// pre-packing counting implementation (testing::minimize_cutsets_reference)
 // and to a direct O(n^2) std::includes oracle.
 
 #include <gtest/gtest.h>
@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "mcs/cutset.hpp"
+#include "minimize_reference.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace sdft {
 namespace {
+
+using testing::minimize_cutsets_reference;
 
 // Widths straddling the 64-bit word boundaries; 0 is the valid empty set.
 const std::size_t kBoundaryWidths[] = {0, 1, 63, 64, 65, 128};

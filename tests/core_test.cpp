@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/mcs_model.hpp"
 #include "engine/engine.hpp"
+#include "engine/quant_cache.hpp"
+#include "gen/bwr.hpp"
+#include "gen/industrial.hpp"
+#include "mcs/importance.hpp"
+#include "mcs/mocus.hpp"
 #include "product/product_ctmc.hpp"
+#include "sdft/translate.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 
@@ -256,6 +264,123 @@ TEST(McsModel, UniformTriggeringChainQuantifiesAgainstExact) {
   const double exact = exact_failure_probability(fx.tree, t);
   EXPECT_GE(result.failure_probability, exact - 1e-10);
   EXPECT_LE(result.failure_probability, 3.0 * exact);
+}
+
+// --- The trigger-set memo -------------------------------------------------
+
+/// Every minimal cutset of `tree`'s FT-bar at `cutoff` that holds a
+/// dynamic event, in SD-tree indices (stage 2 only: nothing is solved).
+std::vector<cutset> dynamic_cutsets(const sd_fault_tree& tree, double cutoff) {
+  const static_translation tr = translate_to_static(tree, 24.0);
+  mocus_options opts;
+  opts.cutoff = cutoff;
+  std::vector<cutset> out;
+  for (cutset c : mocus(tr.ft_bar, opts).cutsets) {
+    for (node_index& e : c) e = tr.to_sd.at(e);
+    std::sort(c.begin(), c.end());
+    if (std::any_of(c.begin(), c.end(),
+                    [&](node_index e) { return tree.is_dynamic(e); })) {
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+/// Builds FT_C for every cutset under every approx_mode twice, fresh and
+/// through ONE memo shared by all of them, and requires equal models: a
+/// key aliasing two modes' (or two cutsets') MOCUS inputs would surface
+/// as a different trigger model. Returns the memo hits.
+std::size_t expect_memo_exact(const sd_fault_tree& tree,
+                              const std::vector<cutset>& cutsets,
+                              const std::string& label) {
+  EXPECT_FALSE(cutsets.empty()) << label;
+  const trigger_set_memo memo;
+  std::size_t solved = 0;
+  std::size_t hits = 0;
+  for (approx_mode mode :
+       {approx_mode::as_classified, approx_mode::under_approximate,
+        approx_mode::over_approximate}) {
+    for (const cutset& c : cutsets) {
+      const mcs_model fresh = build_mcs_model(tree, c, mode);
+      const mcs_model memoised = build_mcs_model(tree, c, mode, &memo);
+      const auto where = [&] {
+        return label + " mode " + std::to_string(static_cast<int>(mode)) +
+               " cutset of " + std::to_string(c.size());
+      };
+      EXPECT_EQ(mcs_model_signature(memoised, 24.0, 1e-10),
+                mcs_model_signature(fresh, 24.0, 1e-10))
+          << where();
+      EXPECT_EQ(memoised.static_factor, fresh.static_factor) << where();
+      EXPECT_EQ(memoised.cutset_dynamic, fresh.cutset_dynamic) << where();
+      EXPECT_EQ(memoised.added_dynamic, fresh.added_dynamic) << where();
+      EXPECT_EQ(memoised.added_static, fresh.added_static) << where();
+      EXPECT_EQ(memoised.used_classes, fresh.used_classes) << where();
+      EXPECT_EQ(fresh.trigger_set_hits, 0u);
+      EXPECT_EQ(memoised.trigger_sets_solved + memoised.trigger_set_hits,
+                fresh.trigger_sets_solved)
+          << where();
+      solved += memoised.trigger_sets_solved;
+      hits += memoised.trigger_set_hits;
+    }
+  }
+  // Serially every miss stores a new key.
+  EXPECT_EQ(solved, memo.size()) << label;
+  return hits;
+}
+
+TEST(McsModel, TriggerSetMemoIsExact) {
+  bwr_options bwr;
+  bwr.dynamic_events = true;
+  bwr.repair_rate = 0.1;
+  const sd_fault_tree bwr_tree =
+      make_bwr_model(with_bwr_triggers(bwr, bwr_num_triggers));
+  EXPECT_GT(
+      expect_memo_exact(bwr_tree, dynamic_cutsets(bwr_tree, 1e-12), "bwr"),
+      0u);
+
+  industrial_options gopts;
+  gopts.seed = 7;
+  gopts.num_frontline_systems = 6;
+  gopts.num_support_systems = 2;
+  gopts.num_initiating_events = 4;
+  gopts.sequences_per_ie = 3;
+  gopts.components_per_train = 3;
+  const industrial_model model = generate_industrial(gopts);
+  // The downsized model's cutsets sit mostly below 1e-15.
+  mocus_options mopts;
+  mopts.cutoff = 1e-18;
+  annotation_options aopts;
+  aopts.dynamic_fraction = 1.0;
+  aopts.trigger_fraction = 0.1;
+  const sd_fault_tree industrial = annotate_dynamic(
+      model, rank_by_fussell_vesely(model.ft, mocus(model.ft, mopts).cutsets),
+      aopts);
+  EXPECT_GT(expect_memo_exact(industrial, dynamic_cutsets(industrial, 1e-20),
+                              "industrial"),
+            0u);
+
+  // The general case with static guards, which the models above never
+  // reach.
+  const sd_fault_tree guarded = testing::guarded_trains_sd(4);
+  const std::vector<cutset> guarded_cutsets = dynamic_cutsets(guarded, 0.0);
+  ASSERT_FALSE(guarded_cutsets.empty());
+  const mcs_model deepest = build_mcs_model(guarded, guarded_cutsets.back());
+  EXPECT_FALSE(deepest.added_static.empty());
+  for (trigger_class cls : deepest.used_classes) {
+    EXPECT_EQ(cls, trigger_class::general);
+  }
+  EXPECT_GT(expect_memo_exact(guarded, guarded_cutsets, "guarded trains"),
+            0u);
+
+  std::size_t random_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const testing::random_sd_tree random = testing::make_random_sd_tree(seed);
+    const std::vector<cutset> cutsets = dynamic_cutsets(random.tree, 0.0);
+    if (random.num_triggered == 0 || cutsets.empty()) continue;
+    random_hits += expect_memo_exact(random.tree, cutsets,
+                                     "random seed " + std::to_string(seed));
+  }
+  EXPECT_GT(random_hits, 0u);
 }
 
 // --- The full pipeline ---------------------------------------------------

@@ -11,7 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/mcs_model.hpp"
 #include "engine/engine.hpp"
+#include "engine/quant_cache.hpp"
 #include "engine/struct_cache.hpp"
 #include "gen/bwr.hpp"
 #include "test_models.hpp"
@@ -238,6 +240,112 @@ TEST(StructureCache, PrimeMakesFirstRunHit) {
   EXPECT_EQ(r.failure_probability, analyze(tree, opts).failure_probability);
 }
 
+/// Per-cutset probabilities of an engine run, in list order.
+std::vector<double> cutset_probabilities(const analysis_result& result) {
+  std::vector<double> out;
+  out.reserve(result.cutsets.size());
+  for (const auto& q : result.cutsets) out.push_back(q.probability);
+  return out;
+}
+
+TEST(StructureCache, WarmRunSolvesNoTriggerSets) {
+  // The serve pattern: prime at the envelope (longest horizon), run once
+  // there, then answer a request at a new horizon with lowered
+  // overrides. Its cutsets are a subset of the first run's, so every
+  // trigger set it needs is already in the entry's memo.
+  analysis_options envelope_opts;
+  envelope_opts.horizon = 48.0;
+  envelope_opts.cutoff = 1e-12;
+  const sd_fault_tree base = bwr_tree();
+  analysis_engine engine(envelope_opts);
+  engine.prime(base);
+  const analysis_result first = engine.run(base);
+  EXPECT_EQ(first.stats.struct_cache_hits, 1u);
+  EXPECT_GT(first.stats.trigger_set_misses, 0u);
+
+  sd_fault_tree lowered = base;
+  fault_tree& ft = lowered.structure();
+  ft.set_probability(ft.find("DG1_FTS"), 8e-4);
+  ft.set_probability(ft.find("CST"), 1e-7);
+  analysis_options request = envelope_opts;
+  request.horizon = 30.0;
+  const analysis_result warm = engine.run(lowered, request);
+  EXPECT_EQ(warm.stats.struct_cache_hits, 1u);
+  EXPECT_EQ(warm.stats.trigger_set_misses, 0u);
+  EXPECT_GT(warm.stats.trigger_set_hits, 0u);
+
+  analysis_engine cold(request);
+  const analysis_result fresh = cold.run(lowered);
+  EXPECT_GT(fresh.stats.trigger_set_misses, 0u);
+  EXPECT_EQ(warm.failure_probability, fresh.failure_probability);
+  EXPECT_EQ(cutset_list(warm), cutset_list(fresh));
+  EXPECT_EQ(cutset_probabilities(warm), cutset_probabilities(fresh));
+}
+
+/// `first` and `second` differ only in static probabilities and rates.
+/// One engine runs both at cutoff 0: the second run replays every trigger
+/// set from the first run's memo and still equals a fresh engine; and,
+/// model by model, FT_C of `second` built through a memo filled from
+/// `first` equals a fresh build.
+void expect_trigger_sets_shared(const sd_fault_tree& first,
+                                const sd_fault_tree& second) {
+  analysis_options opts;
+  opts.horizon = 24.0;
+  opts.cutoff = 0.0;
+  ASSERT_EQ(structural_signature(first, opts.prep),
+            structural_signature(second, opts.prep));
+
+  analysis_engine engine(opts);
+  const analysis_result a = engine.run(first);
+  EXPECT_GT(a.stats.trigger_set_misses, 0u);
+  const analysis_result b = engine.run(second);
+  EXPECT_EQ(b.stats.struct_cache_hits, 1u);
+  EXPECT_EQ(b.stats.trigger_set_misses, 0u);
+  EXPECT_EQ(b.stats.trigger_set_hits,
+            a.stats.trigger_set_hits + a.stats.trigger_set_misses);
+
+  analysis_engine cold(opts);
+  const analysis_result fresh = cold.run(second);
+  EXPECT_EQ(b.failure_probability, fresh.failure_probability);
+  EXPECT_EQ(cutset_probabilities(b), cutset_probabilities(fresh));
+
+  trigger_set_memo memo;
+  for (const auto& q : a.cutsets) {
+    if (q.dynamic) (void)build_mcs_model(first, q.events, opts.mode, &memo);
+  }
+  const std::size_t filled = memo.size();
+  ASSERT_GT(filled, 0u);
+  for (const auto& q : fresh.cutsets) {
+    if (!q.dynamic) continue;
+    const mcs_model shared =
+        build_mcs_model(second, q.events, opts.mode, &memo);
+    EXPECT_EQ(shared.trigger_sets_solved, 0u);
+    EXPECT_EQ(mcs_model_signature(shared, opts.horizon, opts.epsilon),
+              mcs_model_signature(build_mcs_model(second, q.events, opts.mode),
+                                  opts.horizon, opts.epsilon));
+  }
+  EXPECT_EQ(memo.size(), filled);
+}
+
+TEST(StructureCache, TriggerSetsIgnoreProbabilities) {
+  // Trigger sets are solved without a cutoff, so trees that differ only
+  // in parameters share memo entries. Were a probability-dependent cutoff
+  // to enter model_trigger_of, the guarded trains' second tree (guards at
+  // 1e-30) would lose its guarded trigger sets and differ from the first
+  // tree's.
+  bwr_options other;
+  other.dynamic_events = true;
+  other.repair_rate = 0.5;
+  sd_fault_tree bwr_rescaled = make_bwr_model(with_bwr_triggers(other, 2));
+  fault_tree& ft = bwr_rescaled.structure();
+  for (node_index e : bwr_rescaled.static_events()) {
+    ft.set_probability(e, 1e-3 * ft.node(e).probability);
+  }
+  expect_trigger_sets_shared(bwr_tree(), bwr_rescaled);
+  expect_trigger_sets_shared(guarded_trains_sd(2, 0.05, 1.0),
+                             guarded_trains_sd(2, 1e-30, 3.0));
+}
+
 TEST(StructureCache, ExactStaticOnHitMatchesFreshEngine) {
   analysis_options opts;
   opts.horizon = 24.0;
@@ -335,43 +443,56 @@ TEST(QuantCache, LruBoundHolds) {
 
 TEST(StructureCacheConcurrent, ParallelRunsShareOneEngine) {
   // TSan target: many threads run perturbed analyses against one engine;
-  // all share one cached structure, and every result must equal the
-  // fresh-engine reference for its parameter point.
+  // all share one cached structure — and, the model being triggered, its
+  // trigger-set memo, which priming leaves empty so the first rounds race
+  // to fill it — and every result must equal the fresh-engine reference
+  // for its parameter point.
   analysis_options opts;
   opts.horizon = 24.0;
-  opts.cutoff = 0.0;
+  opts.cutoff = 1e-12;
   opts.inline_execution = true;  // each thread runs its pipeline inline
-  const sd_fault_tree base = example3_sd();
+  const sd_fault_tree base = bwr_tree();
+  const node_index knob = base.structure().find("DG1_FTS");
+  const double knob_base = base.structure().node(knob).probability;
   analysis_engine engine(opts);
   engine.prime(base);
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 10;
+  constexpr int kPoints = 5;
+  // Lowered below the primed point, so every run reuses the entry.
+  const auto perturbed = [&](int point) {
+    sd_fault_tree tree = base;
+    tree.structure().set_probability(knob, knob_base / (1 + point));
+    return tree;
+  };
   std::vector<double> results(kThreads * kRounds, -1.0);
+  std::atomic<std::size_t> struct_hits{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        sd_fault_tree perturbed = base;
-        fault_tree& ft = perturbed.structure();
-        ft.set_probability(ft.find("a"), 1e-3 * (1 + (t + round) % 5));
+        const analysis_result r = engine.run(perturbed((t + round) % kPoints));
         results[static_cast<std::size_t>(t * kRounds + round)] =
-            engine.run(perturbed).failure_probability;
+            r.failure_probability;
+        struct_hits += r.stats.struct_cache_hits;
       }
     });
   }
   for (std::thread& w : workers) w.join();
+  EXPECT_EQ(struct_hits.load(), std::size_t{kThreads * kRounds});
 
   analysis_options serial = opts;
   serial.inline_execution = false;
+  std::vector<double> reference;
+  for (int point = 0; point < kPoints; ++point) {
+    reference.push_back(analyze(perturbed(point), serial).failure_probability);
+  }
   for (int t = 0; t < kThreads; ++t) {
     for (int round = 0; round < kRounds; ++round) {
-      sd_fault_tree perturbed = base;
-      fault_tree& ft = perturbed.structure();
-      ft.set_probability(ft.find("a"), 1e-3 * (1 + (t + round) % 5));
       EXPECT_EQ(results[static_cast<std::size_t>(t * kRounds + round)],
-                analyze(perturbed, serial).failure_probability)
+                reference[static_cast<std::size_t>((t + round) % kPoints)])
           << "thread " << t << " round " << round;
     }
   }

@@ -90,6 +90,51 @@ inline sd_fault_tree example3_sd(double failure_rate = 1e-3,
   return tree;
 }
 
+/// Chained trains whose triggering gates fall in the general case with a
+/// static guard (paper Example 10, repeated): per train i, repairable
+/// chains a_i, b_i, c_i and a static guard d_i;
+/// G_i = AND(OR(a_i, b_i, e_{i-1}), OR(c_i, d_i)) triggers e_i, and
+/// TRAIN_i = AND(a_i, c_i, e_i) feeds the top OR. Modelling e_i pulls the
+/// triggered e_{i-1} into FT_C, so every earlier gate is modelled too.
+/// Every guard has probability `guard`; every rate is scaled by
+/// `rate_scale`. Dynamic events carry a reference probability of 0.1, so
+/// a probability cutoff applied to the SD tree's events would keep their
+/// sets and prune only those with a tiny guard.
+inline sd_fault_tree guarded_trains_sd(std::size_t trains = 3,
+                                       double guard = 0.05,
+                                       double rate_scale = 1.0) {
+  sd_fault_tree tree;
+  std::vector<node_index> top_inputs;
+  node_index previous = fault_tree::npos;
+  for (std::size_t i = 0; i < trains; ++i) {
+    const std::string n = std::to_string(i);
+    const auto chain = [&](const char* name, double rate) {
+      return tree.add_dynamic_event(
+          name + n, make_repairable(rate * rate_scale, 0.3 * rate_scale),
+          0.1);
+    };
+    const node_index a = chain("a", 0.03);
+    const node_index b = chain("b", 0.02);
+    const node_index c = chain("c", 0.03);
+    const node_index d = tree.add_static_event("d" + n, guard);
+    std::vector<node_index> starters = {a, b};
+    if (previous != fault_tree::npos) starters.push_back(previous);
+    const node_index g = tree.add_gate(
+        "G" + n, gate_type::and_gate,
+        {tree.add_gate("S" + n, gate_type::or_gate, starters),
+         tree.add_gate("R" + n, gate_type::or_gate, {c, d})});
+    const node_index e = tree.add_dynamic_event(
+        "e" + n, example2_pump2(0.1 * rate_scale, 0.3 * rate_scale), 0.1);
+    tree.set_trigger(g, e);
+    top_inputs.push_back(
+        tree.add_gate("TRAIN" + n, gate_type::and_gate, {a, c, e}));
+    previous = e;
+  }
+  tree.set_top(tree.add_gate("top", gate_type::or_gate, top_inputs));
+  tree.validate();
+  return tree;
+}
+
 /// Random SD fault tree with a guaranteed-acyclic trigger structure:
 /// the events are split into a "source" half (static + untriggered
 /// dynamic, combined by a random subtree) and a "target" half (whose

@@ -118,7 +118,8 @@ int check_metrics(const std::string& path) {
       "quant.dynamic_cutsets",    "quant.failed",
       "quant.lumped_orbits",      "quant.lumped_cutsets",
       "quant.packed_key_chains",  "quant.vector_key_chains",
-      "transient.steps_saved",    "quant.cache_hit",
+      "transient.steps_saved",    "quant.trigger_set_hits",
+      "quant.trigger_set_misses", "quant.cache_hit",
       "quant.cache_miss",         "quant.cache_entries",
       "quant.cache_hit_rate",     "quant.cache_evictions",
       "struct_cache.hits",        "struct_cache.misses",

@@ -503,6 +503,9 @@ void print_engine_stats(const engine_stats& s) {
                                             std::to_string(s.cache_misses) +
                                             " (" + rate + " hit rate)"});
   table.add_row({"cache entries", std::to_string(s.cache_entries)});
+  table.add_row({"trigger-set hits / misses",
+                 std::to_string(s.trigger_set_hits) + " / " +
+                     std::to_string(s.trigger_set_misses)});
   table.add_row({"pool threads", std::to_string(s.pool_threads)});
   char occupancy[32];
   std::snprintf(occupancy, sizeof occupancy, "%.1f%%",
