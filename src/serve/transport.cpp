@@ -56,32 +56,39 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// Outcome of reading one request line off a connection.
+enum class read_status { line, closed, oversized };
+
 /// Pulls the next '\n'-terminated line out of `buffer`, receiving more as
 /// needed. The socket has a short receive timeout, so the loop notices a
-/// shutdown initiated by another connection. Returns false on EOF, error
-/// or shutdown.
-bool read_line(int fd, const analysis_service& service, std::string& buffer,
-               std::string& line) {
+/// shutdown initiated by another connection. Returns `closed` on EOF,
+/// error or shutdown, and `oversized` once more than max_request_bytes
+/// arrive without a newline.
+read_status read_line(int fd, const analysis_service& service,
+                      std::string& buffer, std::string& line) {
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
   for (;;) {
-    const std::size_t nl = buffer.find('\n');
+    const std::size_t nl = buffer.find('\n', scanned);
     if (nl != std::string::npos) {
       line.assign(buffer, 0, nl);
       buffer.erase(0, nl + 1);
-      return true;
+      return read_status::line;
     }
+    scanned = buffer.size();
+    if (buffer.size() > max_request_bytes) return read_status::oversized;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n > 0) {
       buffer.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
-    if (n == 0) return false;  // peer closed
+    if (n == 0) return read_status::closed;  // peer closed
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (service.shutdown_requested()) return false;
+      if (service.shutdown_requested()) return read_status::closed;
       continue;
     }
-    return false;
+    return read_status::closed;
   }
 }
 
@@ -92,7 +99,14 @@ void handle_connection(analysis_service& service, int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   std::string buffer;
   std::string line;
-  while (read_line(fd, service, buffer, line)) {
+  for (;;) {
+    const read_status status = read_line(fd, service, buffer, line);
+    if (status == read_status::oversized) {
+      send_all(fd, "{\"ok\":false,\"error\":\"request exceeds " +
+                       std::to_string(max_request_bytes) + " bytes\"}\n");
+      break;
+    }
+    if (status == read_status::closed) break;
     if (line.empty() || line == "\r") continue;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (!send_all(fd, service.handle(line) + '\n')) break;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <iosfwd>
 
 #include "serve/service.hpp"
@@ -13,6 +14,12 @@ namespace sdft::serve {
 /// request is handled. Blank lines are skipped.
 void serve_stdio(analysis_service& service, std::istream& in,
                  std::ostream& out);
+
+/// Longest request line the TCP transport buffers: 64 MiB, far above any
+/// inline model text. A client that sends more without a newline gets a
+/// `{"ok":false,"error":"request exceeds ... bytes"}` reply and is
+/// disconnected; other connections keep being served.
+inline constexpr std::size_t max_request_bytes = std::size_t{64} << 20;
 
 /// TCP NDJSON server on 127.0.0.1:`port` (0 = ephemeral). Each connection
 /// gets its own handler thread running the same per-line loop, so

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <sstream>
@@ -253,6 +255,187 @@ TEST(ObsEngine, PublishCoversEveryEngineStatsMetric) {
                 .get_counter("engine.cutsets")
                 .value(),
             result.num_cutsets);
+}
+
+// Every engine_stats field by type, written out here independently of the
+// header so the tests below pin the vocabulary instead of restating it.
+using count_field = std::size_t engine_stats::*;
+using gauge_field = double engine_stats::*;
+using label_field = std::string engine_stats::*;
+
+const std::vector<count_field> kCountFields = {
+    &engine_stats::prep_nodes_before, &engine_stats::prep_nodes_after,
+    &engine_stats::prep_nodes_eliminated, &engine_stats::prep_atleast_lowered,
+    &engine_stats::prep_constants_folded, &engine_stats::prep_gates_coalesced,
+    &engine_stats::prep_duplicates_merged,
+    &engine_stats::prep_common_args_merged, &engine_stats::prep_absorptions,
+    &engine_stats::prep_passes, &engine_stats::prep_modules,
+    &engine_stats::prep_module_cutsets, &engine_stats::num_cutsets,
+    &engine_stats::source_partials, &engine_stats::source_discarded,
+    &engine_stats::subset_tests, &engine_stats::bitset_words,
+    &engine_stats::bdd_nodes, &engine_stats::bdd_sift_swaps,
+    &engine_stats::static_cutsets, &engine_stats::dynamic_cutsets,
+    &engine_stats::failed_quantifications, &engine_stats::lumped_orbits,
+    &engine_stats::lumped_cutsets, &engine_stats::packed_key_chains,
+    &engine_stats::vector_key_chains,
+    &engine_stats::uniformisation_steps_saved,
+    &engine_stats::trigger_set_hits, &engine_stats::trigger_set_misses,
+    &engine_stats::cache_hits, &engine_stats::cache_misses,
+    &engine_stats::cache_evictions, &engine_stats::cache_entries,
+    &engine_stats::struct_cache_hits, &engine_stats::struct_cache_misses,
+    &engine_stats::struct_cache_evictions,
+    &engine_stats::struct_cache_entries, &engine_stats::pool_threads,
+    &engine_stats::mocus_threads, &engine_stats::mocus_tasks,
+    &engine_stats::mocus_steals, &engine_stats::quantify_tasks,
+    &engine_stats::quantify_steals, &engine_stats::mc_trajectories,
+    &engine_stats::mc_failures, &engine_stats::mc_levels,
+    &engine_stats::mc_replications, &engine_stats::scenario_sequences,
+    &engine_stats::scenario_end_states,
+    &engine_stats::scenario_functional_events,
+    &engine_stats::scenario_bdd_nodes, &engine_stats::scenario_plan_nodes,
+    &engine_stats::scenario_gates_compiled,
+    &engine_stats::scenario_prefix_hits,
+    &engine_stats::scenario_sequence_cutsets,
+    &engine_stats::scenario_cutset_prefixes,
+    &engine_stats::scenario_cutset_candidates, &engine_stats::ccf_groups,
+    &engine_stats::ccf_events_added, &engine_stats::ccf_members_expanded,
+    &engine_stats::uq_samples, &engine_stats::uq_parameters,
+};
+
+const std::vector<gauge_field> kGaugeFields = {
+    &engine_stats::translate_seconds, &engine_stats::prep_seconds,
+    &engine_stats::generate_seconds, &engine_stats::quantify_seconds,
+    &engine_stats::sum_seconds, &engine_stats::exact_static_seconds,
+    &engine_stats::total_seconds, &engine_stats::mocus_occupancy,
+    &engine_stats::quantify_occupancy, &engine_stats::mc_seconds,
+    &engine_stats::mc_estimate, &engine_stats::mc_std_error,
+    &engine_stats::mc_ci_half_width, &engine_stats::mc_relative_error,
+    &engine_stats::scenario_compile_seconds,
+    &engine_stats::scenario_quantify_seconds,
+    &engine_stats::scenario_cutset_seconds,
+    &engine_stats::scenario_total_seconds, &engine_stats::uq_seconds,
+};
+
+const std::vector<label_field> kLabelFields = {
+    &engine_stats::backend, &engine_stats::mc_method,
+    &engine_stats::bdd_ordering};
+
+/// Fills every field with a distinct non-zero value: counts get integers
+/// `base + 7i`, gauges the same plus one half (so no gauge reads as an
+/// integer), labels `tag` plus their index.
+engine_stats filled_stats(std::size_t base, const std::string& tag) {
+  engine_stats s;
+  for (std::size_t i = 0; i < kCountFields.size(); ++i) {
+    s.*kCountFields[i] = base + 7 * i;
+  }
+  for (std::size_t i = 0; i < kGaugeFields.size(); ++i) {
+    s.*kGaugeFields[i] = static_cast<double>(base + 7 * i) + 0.5;
+  }
+  for (std::size_t i = 0; i < kLabelFields.size(); ++i) {
+    s.*kLabelFields[i] = tag + std::to_string(i);
+  }
+  return s;
+}
+
+TEST(EngineStats, AccumulateFollowsDeclaredAggregation) {
+  // The lists above cover every numeric field: metrics() publishes each
+  // once plus the derived cache hit rate.
+  ASSERT_EQ(kCountFields.size() + kGaugeFields.size() + 1,
+            engine_stats{}.metrics().size());
+
+  // Pointers to members have no ordering, so these are plain lists.
+  const auto has = [](const auto& fields, auto f) {
+    return std::find(fields.begin(), fields.end(), f) != fields.end();
+  };
+  const std::vector<count_field> max_counts = {
+      &engine_stats::bitset_words, &engine_stats::pool_threads,
+      &engine_stats::mocus_threads, &engine_stats::mc_levels,
+      &engine_stats::mc_replications};
+  const std::vector<gauge_field> max_gauges = {
+      &engine_stats::mocus_occupancy, &engine_stats::quantify_occupancy};
+  const std::vector<count_field> latest_counts = {
+      &engine_stats::cache_entries, &engine_stats::struct_cache_entries};
+  const std::vector<gauge_field> latest_gauges = {
+      &engine_stats::mc_estimate, &engine_stats::mc_std_error,
+      &engine_stats::mc_ci_half_width, &engine_stats::mc_relative_error};
+
+  // `a` is below `b` in every field on the first pass and above it on the
+  // second, so max, latest, sum and keep-first disagree on every field.
+  const engine_stats b = filled_stats(1000, "b");
+  for (const std::size_t base : {1u, 5000u}) {
+    engine_stats a = filled_stats(base, "a");
+    const engine_stats before = a;
+    a.accumulate(b);
+    for (const count_field f : kCountFields) {
+      const std::size_t expected =
+          has(max_counts, f)      ? std::max(before.*f, b.*f)
+          : has(latest_counts, f) ? b.*f
+                                        : before.*f + b.*f;
+      EXPECT_EQ(a.*f, expected) << "count field #"
+                                << (std::find(kCountFields.begin(),
+                                              kCountFields.end(), f) -
+                                    kCountFields.begin());
+    }
+    for (const gauge_field f : kGaugeFields) {
+      const double expected =
+          has(max_gauges, f)      ? std::max(before.*f, b.*f)
+          : has(latest_gauges, f) ? b.*f
+                                        : before.*f + b.*f;
+      EXPECT_EQ(a.*f, expected) << "gauge field #"
+                                << (std::find(kGaugeFields.begin(),
+                                              kGaugeFields.end(), f) -
+                                    kGaugeFields.begin());
+    }
+    for (const label_field f : kLabelFields) EXPECT_EQ(a.*f, b.*f);
+  }
+}
+
+TEST(EngineStats, PublishedKindsFollowFieldTypes) {
+  const engine_stats s = filled_stats(3, "x");
+  obs::metrics_registry registry;
+  s.publish(registry);
+  const std::vector<std::string> published = registry.names();
+
+  const auto metrics = s.metrics();
+  std::set<std::string> unique;
+  for (const auto& [name, value] : metrics) unique.insert(name);
+  EXPECT_EQ(unique.size(), metrics.size()) << "duplicate metric name";
+  // Each name registered under exactly one kind, plus the three labels.
+  EXPECT_EQ(published.size(), metrics.size() + kLabelFields.size());
+
+  // Field values are distinct, so each metric value identifies its field:
+  // integral values come from count fields, the rest from gauge fields
+  // (or the derived hit rate, a ratio below one).
+  std::set<std::size_t> counts;
+  std::set<double> gauges;
+  for (const count_field f : kCountFields) counts.insert(s.*f);
+  for (const gauge_field f : kGaugeFields) gauges.insert(s.*f);
+  std::size_t seen_counts = 0;
+  std::size_t seen_gauges = 0;
+  for (const auto& [name, value] : metrics) {
+    if (name == "quant.cache_hit_rate") {
+      EXPECT_EQ(registry.get_gauge(name).value(), s.cache_hit_rate());
+    } else if (counts.count(static_cast<std::size_t>(value)) != 0 &&
+               value == std::floor(value)) {
+      ++seen_counts;
+      EXPECT_EQ(registry.get_counter(name).value(),
+                static_cast<std::uint64_t>(value))
+          << name;
+    } else {
+      ASSERT_EQ(gauges.count(value), 1u) << name;
+      ++seen_gauges;
+      EXPECT_EQ(registry.get_gauge(name).value(), value) << name;
+    }
+  }
+  EXPECT_EQ(seen_counts, kCountFields.size());
+  EXPECT_EQ(seen_gauges, kGaugeFields.size());
+  // A lookup under the wrong kind would have registered a second
+  // instrument of the same name.
+  EXPECT_EQ(registry.names(), published);
+
+  EXPECT_EQ(registry.label("engine.backend"), s.backend);
+  EXPECT_EQ(registry.label("bdd.ordering"), s.bdd_ordering);
+  EXPECT_EQ(registry.label("mc.method"), s.mc_method);
 }
 
 TEST(ObsEngine, TracingDoesNotPerturbDeterminism) {

@@ -16,9 +16,11 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "engine/engine.hpp"
 #include "engine/scenario.hpp"
 #include "etree/scenario.hpp"
+#include "gen/industrial.hpp"
 #include "sdft/parser.hpp"
 #include "serve/service.hpp"
 #include "serve/transport.hpp"
@@ -447,6 +449,46 @@ TEST(ServeConcurrent, HammerSharedService) {
   EXPECT_EQ(service.errors(), 0u);
 }
 
+/// A client socket connected to 127.0.0.1:`port`. Sends and receives time
+/// out after 10 s, so a server that never answers fails a test instead of
+/// hanging it.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<unsigned short>(port));
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+/// Sends all of `data`; returns how many bytes went out before an error or
+/// a send timeout.
+std::size_t send_bytes(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  return sent;
+}
+
+/// One reply line without its newline; empty on timeout or EOF.
+std::string read_reply(int fd) {
+  std::string buf;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') buf.push_back(c);
+  return buf;
+}
+
 TEST(ServeTcp, EndToEndOverLoopback) {
   serve::analysis_service service = make_service();
   service.load_text("m", example_text());
@@ -457,23 +499,10 @@ TEST(ServeTcp, EndToEndOverLoopback) {
       [&] { serve::serve_tcp(service, 0, log, &port); });
   while (port.load() == 0) std::this_thread::yield();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<unsigned short>(port.load()));
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-
+  const int fd = connect_loopback(port.load());
   const auto request = [&](const std::string& req) {
-    const std::string line = req + "\n";
-    EXPECT_EQ(::send(fd, line.data(), line.size(), 0),
-              static_cast<ssize_t>(line.size()));
-    std::string buf;
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') buf.push_back(c);
-    return json::parse(buf);
+    EXPECT_EQ(send_bytes(fd, req + "\n"), req.size() + 1);
+    return json::parse(read_reply(fd));
   };
 
   const json::value health = request(R"({"op":"health","id":"tcp"})");
@@ -489,6 +518,50 @@ TEST(ServeTcp, EndToEndOverLoopback) {
   ::close(fd);
   server.join();
   EXPECT_NE(log.str().find("listening on 127.0.0.1:"), std::string::npos);
+}
+
+TEST(ServeTcp, OversizedRequestIsRejected) {
+  // The cap leaves inline `load` of the largest shipped study ample room:
+  // full-size industrial model 1 with every fail-in-operation event
+  // dynamic takes under a hundredth of it (about 335 kB).
+  {
+    const industrial_model model =
+        generate_industrial(bench::model1_options(true));
+    annotation_options an;
+    an.dynamic_fraction = 1.0;
+    const std::string text =
+        write_sd_fault_tree(annotate_dynamic(model, model.fio_events, an));
+    EXPECT_LT(text.size() * 100, serve::max_request_bytes) << text.size();
+  }
+
+  serve::analysis_service service = make_service();
+  std::atomic<int> port{0};
+  std::ostringstream log;
+  std::thread server([&] { serve::serve_tcp(service, 0, log, &port); });
+  while (port.load() == 0) std::this_thread::yield();
+
+  // One byte over the cap and no newline: the server must answer with an
+  // error and hang up rather than buffer without bound.
+  const int flood = connect_loopback(port.load());
+  const std::string request(serve::max_request_bytes + 1, 'x');
+  EXPECT_EQ(send_bytes(flood, request), request.size());
+  const std::string reply = read_reply(flood);
+  EXPECT_EQ(reply, "{\"ok\":false,\"error\":\"request exceeds " +
+                       std::to_string(serve::max_request_bytes) +
+                       " bytes\"}");
+  char c;
+  EXPECT_EQ(::recv(flood, &c, 1, 0), 0) << "connection left open";
+  ::close(flood);
+
+  // Other clients are still served.
+  const int client = connect_loopback(port.load());
+  send_bytes(client, "{\"op\":\"health\"}\n");
+  const std::string health = read_reply(client);
+  EXPECT_NE(health.find("\"ok\":true"), std::string::npos) << health;
+  send_bytes(client, "{\"op\":\"shutdown\"}\n");
+  read_reply(client);
+  ::close(client);
+  server.join();
 }
 
 }  // namespace

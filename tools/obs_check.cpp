@@ -12,8 +12,9 @@
 // Trace checks: well-formed JSON, a traceEvents array whose "X" events have
 // non-negative ts/dur, unique span ids, parent ids that resolve (or 0), and
 // one span for each of the five engine stages parented to engine.run.
-// Metrics checks: a flat JSON object carrying every canonical engine_stats
-// key (DESIGN.md §11) with numeric values.
+// Metrics checks: a flat JSON object carrying every engine_stats metric
+// (engine/engine_stats.def, DESIGN.md §11) as a number and every label as a
+// string.
 // Bench-serve checks: the ISSUE acceptance thresholds — the batched sweep
 // bit-identical to its one-shots and at least 5x faster, with every point a
 // structure-cache hit.
@@ -32,6 +33,7 @@
 #include <sstream>
 #include <string>
 
+#include "engine/engine_stats.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -101,58 +103,19 @@ int check_trace(const std::string& path) {
 int check_metrics(const std::string& path) {
   const value doc = sdft::json::parse(slurp(path));
   check(doc.is_object(), "metrics file is not a JSON object");
-  // The canonical engine_stats vocabulary (engine_stats::metrics()).
-  const char* required[] = {
-      "prep.seconds",             "prep.nodes_before",
-      "prep.nodes_after",         "prep.nodes_eliminated",
-      "prep.atleast_lowered",     "prep.constants_folded",
-      "prep.gates_coalesced",     "prep.duplicates_merged",
-      "prep.common_args_merged",  "prep.absorptions",
-      "prep.passes",              "prep.modules",
-      "prep.module_cutsets",
-      "engine.translate_seconds", "engine.generate_seconds",
-      "engine.quantify_seconds",  "engine.sum_seconds",
-      "engine.total_seconds",     "engine.cutsets",
-      "mocus.partials_expanded",  "mocus.cutoff_discarded",
-      "bdd.nodes",                "quant.static_cutsets",
-      "quant.dynamic_cutsets",    "quant.failed",
-      "quant.lumped_orbits",      "quant.lumped_cutsets",
-      "quant.packed_key_chains",  "quant.vector_key_chains",
-      "transient.steps_saved",    "quant.trigger_set_hits",
-      "quant.trigger_set_misses", "quant.cache_hit",
-      "quant.cache_miss",         "quant.cache_entries",
-      "quant.cache_hit_rate",     "quant.cache_evictions",
-      "struct_cache.hits",        "struct_cache.misses",
-      "struct_cache.evictions",   "struct_cache.entries",
-      "pool.threads",
-      "mocus.threads",            "mocus.tasks",
-      "mocus.steals",             "mocus.occupancy",
-      "quant.tasks",              "quant.steals",
-      "pool.occupancy",
-      "scenario.compile_seconds", "scenario.quantify_seconds",
-      "scenario.cutset_seconds",  "scenario.total_seconds",
-      "scenario.sequences",       "scenario.end_states",
-      "scenario.functional_events", "scenario.bdd_nodes",
-      "scenario.plan_nodes",
-      "scenario.gates_compiled",  "scenario.prefix_hits",
-      "scenario.sequence_cutsets", "scenario.cutset_prefixes",
-      "scenario.cutset_candidates",
-      "ccf.groups",               "ccf.events_added",
-      "ccf.members_expanded",
-      "uq.seconds",               "uq.samples",
-      "uq.parameters",
-      "mc.seconds",               "mc.trajectories",
-      "mc.failures",              "mc.levels",
-      "mc.replications",          "mc.estimate",
-      "mc.std_error",             "mc.ci_half_width",
-      "mc.relative_error",
-  };
-  for (const char* key : required) {
-    check(doc.contains(key), std::string("missing metric '") + key + "'");
-    check(doc.at(key).is_number(),
-          std::string("metric '") + key + "' is not numeric");
+  // The engine_stats vocabulary: every metric numeric, every label a string.
+  for (const auto& metric : sdft::engine_stats{}.metrics()) {
+    const std::string& key = metric.first;
+    check(doc.contains(key), "missing metric '" + key + "'");
+    check(doc.at(key).is_number(), "metric '" + key + "' is not numeric");
   }
-  check(doc.contains("engine.backend"), "missing engine.backend label");
+  sdft::engine_stats::for_each_field([&](const std::string& key, auto,
+                                         auto member) {
+    if constexpr (sdft::engine_stats::is_label<decltype(member)>) {
+      check(doc.contains(key), "missing label '" + key + "'");
+      check(doc.at(key).is_string(), "label '" + key + "' is not a string");
+    }
+  });
   std::printf("metrics ok: %zu entries, all canonical keys present\n",
               doc.as_object().size());
   return 0;

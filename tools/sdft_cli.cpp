@@ -29,8 +29,7 @@
 //          --exact-static (exact static FT-bar probability via one BDD),
 //          --bdd-ordering dfs|natural|weight|sift (its variable order),
 //          --no-cache,
-//          --no-prep (mandatory normalisation only) and per-rewrite
-//          --no-prep-{fold,coalesce,merge,factor,absorb,modules},
+//          --no-prep (mandatory normalisation only),
 //          --stats (engine instrumentation: stage times, backend
 //          counters, quantification-cache hits/misses, pool occupancy),
 //          --no-struct-cache (regenerate cutsets per analysis),
@@ -101,8 +100,6 @@ struct cli_options {
   sdft::bdd_ordering bdd_ordering = sdft::bdd_ordering::dfs;
   bool exact_static = false;
   bool cache = true;
-  bool lumping = true;
-  bool early_termination = true;
   prep_options prep;
   std::size_t runs = 100'000;
   std::uint64_t seed = 1;
@@ -144,10 +141,8 @@ struct cli_options {
       "[--mc-trajectories N]\n"
       "            [--mc-batch N] [--mc-levels N] [--mc-replications N]\n"
       "            [--bdd-ordering dfs|natural|weight|sift] [--exact-static]\n"
-      "            [--no-lumping] [--no-early-termination]\n"
-      "            [--no-prep] "
-      "[--no-prep-{fold,coalesce,merge,factor,absorb,modules}]\n"
-      "            [--no-struct-cache] [--struct-cache-entries N]\n"
+      "            [--no-prep] [--no-struct-cache] "
+      "[--struct-cache-entries N]\n"
       "            [--quant-cache-entries N]\n"
       "            [--sweep-param NAME=lo:hi:N[:log|:linear]] "
       "[--sweep-spec FILE]\n"
@@ -211,24 +206,8 @@ cli_options parse_args(int argc, char** argv) {
       opt.stats = true;
     } else if (arg == "--no-cache") {
       opt.cache = false;
-    } else if (arg == "--no-lumping") {
-      opt.lumping = false;
-    } else if (arg == "--no-early-termination") {
-      opt.early_termination = false;
     } else if (arg == "--no-prep") {
       opt.prep.enabled = false;
-    } else if (arg == "--no-prep-fold") {
-      opt.prep.fold = false;
-    } else if (arg == "--no-prep-coalesce") {
-      opt.prep.coalesce = false;
-    } else if (arg == "--no-prep-merge") {
-      opt.prep.merge_duplicates = false;
-    } else if (arg == "--no-prep-factor") {
-      opt.prep.merge_common_args = false;
-    } else if (arg == "--no-prep-absorb") {
-      opt.prep.absorb = false;
-    } else if (arg == "--no-prep-modules") {
-      opt.prep.modularize = false;
     } else if (arg == "--backend") {
       const std::string name = next();
       if (!parse_cutset_backend(name, opt.backend)) {
@@ -530,8 +509,6 @@ analysis_options make_analysis_options(const cli_options& opt) {
   aopts.bdd_ordering = opt.bdd_ordering;
   aopts.exact_static = opt.exact_static;
   aopts.cache_quantifications = opt.cache;
-  aopts.lump_symmetry = opt.lumping;
-  aopts.transient_early_termination = opt.early_termination;
   aopts.prep = opt.prep;
   aopts.use_structure_cache = opt.struct_cache;
   aopts.structure_cache_entries = opt.struct_cache_entries;
