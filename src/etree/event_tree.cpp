@@ -30,17 +30,6 @@ std::size_t event_tree::add_sequence(std::vector<branch_outcome> outcomes,
   return sequences_.size() - 1;
 }
 
-void event_tree::validate() const {
-  require_model(!functional_.empty(), "event_tree: no functional events");
-  require_model(!sequences_.empty(), "event_tree: no sequences");
-  for (std::size_t a = 0; a < sequences_.size(); ++a) {
-    for (std::size_t b = a + 1; b < sequences_.size(); ++b) {
-      require_model(sequences_[a].outcomes != sequences_[b].outcomes,
-                    "event_tree: duplicate sequence outcomes");
-    }
-  }
-}
-
 namespace {
 /// Variable order: basic-event discovery order over a DFS of the IE and
 /// then each functional gate — a pure function of the event tree, so every
@@ -52,7 +41,30 @@ std::vector<node_index> variable_order(const event_tree& et) {
   }
   return dfs_leaves(et.ft(), roots);
 }
+
+/// Sequence indices sorted by outcome vector after validate()'s checks: the
+/// sequences below a trie node (sharing an outcome prefix) form one range.
+std::vector<std::size_t> sequence_trie_order(const event_tree& et) {
+  require_model(et.num_functional_events() > 0,
+                "event_tree: no functional events");
+  require_model(et.num_sequences() > 0, "event_tree: no sequences");
+  std::vector<std::size_t> order(et.num_sequences());
+  for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+  std::sort(order.begin(), order.end(), [&et](std::size_t a, std::size_t b) {
+    return et.sequence_outcomes(a) < et.sequence_outcomes(b);
+  });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto& outcomes = et.sequence_outcomes(order[k]);
+    require_model(outcomes.size() == et.num_functional_events(),
+                  "event_tree: sequence must cover every functional event");
+    require_model(k == 0 || outcomes != et.sequence_outcomes(order[k - 1]),
+                  "event_tree: duplicate sequence outcomes");
+  }
+  return order;
+}
 }  // namespace
+
+void event_tree::validate() const { sequence_trie_order(*this); }
 
 event_tree_bdd::event_tree_bdd(const event_tree& et)
     : et_(et),
@@ -89,11 +101,33 @@ bdd_ref event_tree_bdd::sequence(std::size_t s) {
 }
 
 bdd_ref event_tree_bdd::end_state(const std::string& end_state) {
+  trie_order_ = sequence_trie_order(et_);
+  return manager_.bdd_and(compiler_.compile(et_.initiating_event()),
+                          end_state_below(0, trie_order_.size(), 0, end_state));
+}
+
+bdd_ref event_tree_bdd::end_state_below(std::size_t lo, std::size_t hi,
+                                        std::size_t depth,
+                                        const std::string& end_state) {
+  if (depth == et_.num_functional_events()) {  // a leaf: one sequence
+    return et_.end_state(trie_order_[lo]) == end_state ? manager_.one()
+                                                       : manager_.zero();
+  }
+  // E = E_bypass ∨ (G ∧ E_failure) ∨ (¬G ∧ E_success) over the children
+  // present, which are consecutive ranges (failure, success, bypass).
   bdd_ref any = manager_.zero();
-  for (std::size_t s = 0; s < et_.num_sequences(); ++s) {
-    if (et_.end_state(s) == end_state) {
-      any = manager_.bdd_or(any, sequence(s));
+  for (std::size_t end = lo; lo < hi; lo = end) {
+    const branch_outcome o = et_.sequence_outcomes(trie_order_[lo])[depth];
+    while (end < hi && et_.sequence_outcomes(trie_order_[end])[depth] == o) {
+      ++end;
     }
+    bdd_ref below = end_state_below(lo, end, depth + 1, end_state);
+    if (below != manager_.zero() && o != branch_outcome::bypass) {
+      const bdd_ref gate = compiler_.compile(et_.functional_gate(depth));
+      below = manager_.bdd_and(
+          o == branch_outcome::failure ? gate : manager_.bdd_not(gate), below);
+    }
+    any = manager_.bdd_or(any, below);
   }
   return any;
 }
@@ -135,7 +169,6 @@ double sequence_probability_exact(const event_tree& et, std::size_t s) {
 
 double end_state_probability_exact(const event_tree& et,
                                    const std::string& end_state) {
-  et.validate();
   event_tree_bdd compiled(et);
   return compiled.probability(compiled.end_state(end_state));
 }

@@ -113,10 +113,10 @@ class event_tree_plan {
 /// by all gates. Sequence BDDs are built as prefix products (IE ∧
 /// outcome_0 ∧ …) and memoised per (partial product, functional event,
 /// outcome), so sequences differing in one late branch reuse the common
-/// prefix. BDD operations are canonical, so a probability read off a
-/// shared compilation is bit-identical to a one-shot compilation of the
-/// same sequence — the contract the scenario engine's one-pass mode
-/// relies on.
+/// prefix; end states are built on the sequence trie. BDD operations are
+/// canonical, so a probability read off a shared compilation is
+/// bit-identical to a one-shot compilation of the same root — the contract
+/// the scenario engine's one-pass mode relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
 /// thread-safe. Compile-once, evaluate-many callers freeze() the roots
@@ -131,7 +131,8 @@ class event_tree_bdd {
   /// event (success branches negated — exact, not rare-event).
   bdd_ref sequence(std::size_t s);
 
-  /// BDD of the union of all sequences whose end state is `end_state`.
+  /// BDD of the union of all sequences whose end state is `end_state`, built
+  /// bottom-up on the sequence trie (zero() if none). Validates the tree.
   bdd_ref end_state(const std::string& end_state);
 
   /// Probability of `f` under the referenced tree's own probabilities.
@@ -149,12 +150,18 @@ class event_tree_bdd {
   std::size_t prefix_hits() const { return prefix_hits_; }
 
  private:
+  friend struct event_tree_bdd_test_access;  ///< the fold oracle in tests
+  /// E of the trie node over trie_order_[lo, hi) at functional event depth.
+  bdd_ref end_state_below(std::size_t lo, std::size_t hi, std::size_t depth,
+                          const std::string& end_state);
+
   const event_tree& et_;
   bdd_manager manager_;
   std::vector<node_index> var_to_event_;
   ft_compiler compiler_;  ///< over manager_, declared after it
   std::unordered_map<std::uint64_t, bdd_ref> prefix_;
   std::size_t prefix_hits_ = 0;
+  std::vector<std::size_t> trie_order_;  ///< sequences by outcome vector
 };
 
 /// Exact probability of sequence `s`: P[IE and the outcome of every

@@ -1,15 +1,41 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/scenario.hpp"
 #include "etree/event_tree.hpp"
+#include "etree/scenario.hpp"
+#include "gen/industrial.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
+
+/// The end-state construction that event_tree_bdd::end_state() replaced,
+/// kept as its oracle: a left fold of bdd_or over the sequence roots, in
+/// the compilation's own manager.
+struct event_tree_bdd_test_access {
+  static bdd_ref fold(event_tree_bdd& compiled, const std::string& end_state) {
+    bdd_ref any = compiled.manager_.zero();
+    for (std::size_t s = 0; s < compiled.et_.num_sequences(); ++s) {
+      if (compiled.et_.end_state(s) == end_state) {
+        any = compiled.manager_.bdd_or(any, compiled.sequence(s));
+      }
+    }
+    return any;
+  }
+  static bdd_ref zero(const event_tree_bdd& compiled) {
+    return compiled.manager_.zero();
+  }
+};
+
 namespace {
 
 /// A two-function event tree over a small fault tree:
@@ -63,6 +89,66 @@ TEST(EventTree, ValidationCatchesMistakes) {
   et.add_sequence({branch_outcome::failure}, "CD");
   et.add_sequence({branch_outcome::failure}, "CD2");
   EXPECT_THROW(et.validate(), model_error);  // duplicate outcomes
+}
+
+/// validate()'s model_error message, or "" if `et` validates.
+std::string validation_error(const event_tree& et) {
+  try {
+    et.validate();
+  } catch (const model_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EventTree, ValidationRejectsSequencesShorterThanTheTree) {
+  // add_sequence checks a sequence against the functional events declared
+  // so far. One declared afterwards used to leave the older sequences
+  // short: validate() accepted them and sequence() ignored the new event.
+  fault_tree ft;
+  const node_index ie = ft.add_basic_event("IE", 0.1);
+  const node_index b = ft.add_basic_event("b", 0.2);
+  const node_index g = ft.add_gate("g", gate_type::or_gate, {b});
+  ft.set_top(g);
+  event_tree et(ft, ie);
+  et.add_functional_event("F", g);
+  et.add_sequence({branch_outcome::failure}, "CD");
+  EXPECT_EQ(validation_error(et), "");
+  et.add_functional_event("G", g);
+  et.add_sequence({branch_outcome::success, branch_outcome::failure}, "OK");
+  EXPECT_EQ(validation_error(et),
+            "event_tree: sequence must cover every functional event");
+  EXPECT_THROW(sequence_probability_exact(et, 1), model_error);
+  EXPECT_THROW(end_state_probability_exact(et, "OK"), model_error);
+}
+
+TEST(EventTree, ValidationFindsDistantDuplicate) {
+  // 2^10 distinct sequences, then a copy of one from the middle appended
+  // 700 places after its twin: sorted, the two are neighbours.
+  fault_tree ft;
+  const node_index ie = ft.add_basic_event("IE", 0.1);
+  const node_index g =
+      ft.add_gate("g", gate_type::or_gate, {ft.add_basic_event("b", 0.2)});
+  ft.set_top(g);
+  constexpr std::size_t events = 10;
+  event_tree et(ft, ie);
+  for (std::size_t i = 0; i < events; ++i) {
+    et.add_functional_event("F" + std::to_string(i), g);
+  }
+  const auto outcomes = [](std::size_t mask) {
+    std::vector<branch_outcome> out;
+    for (std::size_t i = 0; i < events; ++i) {
+      out.push_back((mask >> i) & 1u ? branch_outcome::failure
+                                     : branch_outcome::bypass);
+    }
+    return out;
+  };
+  for (std::size_t mask = 0; mask < (std::size_t{1} << events); ++mask) {
+    et.add_sequence(outcomes(mask), mask % 3 == 0 ? "CD" : "OK");
+  }
+  EXPECT_EQ(validation_error(et), "");
+  et.add_sequence(outcomes(324), "DUP");
+  EXPECT_EQ(validation_error(et), "event_tree: duplicate sequence outcomes");
 }
 
 TEST(EventTree, ExactEntryPointsValidateFirst) {
@@ -240,6 +326,117 @@ TEST(EventTree, DemandTriggersSkipSharedEvents) {
   et.add_sequence({branch_outcome::failure, branch_outcome::failure}, "CD");
 
   EXPECT_TRUE(suggest_demand_triggers(et, tree).empty());
+}
+
+/// In one compilation of `et`, every end state in `names` built on the
+/// sequence trie is the fold's own node.
+void expect_trie_equals_fold(const event_tree& et,
+                             const std::vector<std::string>& names,
+                             const std::string& label) {
+  event_tree_bdd compiled(et);
+  for (const std::string& name : names) {
+    const bdd_ref trie = compiled.end_state(name);
+    EXPECT_EQ(trie, event_tree_bdd_test_access::fold(compiled, name))
+        << label << " " << name;
+  }
+}
+
+scenario_model load_plant() {
+  std::ifstream in(std::string(SDFT_DATA_DIR) + "/plant.etree");
+  return parse_scenario(in);
+}
+
+TEST(EventTreeBdd, TrieEndStateEqualsFold) {
+  // A BDD is canonical within its manager, so the trie's distributed form
+  // of the sequence union must land on the fold's node — for the CCF-
+  // expanded plant tree and for random trees with bypass outcomes and
+  // incomplete sequence sets (some reach only one of CD and OK).
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  opts.analysis.publish_metrics = false;
+  const scenario_engine plant(load_plant(), opts);
+  expect_trie_equals_fold(plant.compiled_event_tree(), {"OK", "CD"}, "plant");
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fault_tree ft = testing::make_random_static_tree(seed, 10, 6).structure();
+    const event_tree et = testing::make_random_event_tree(seed, ft);
+    expect_trie_equals_fold(et, {"CD", "OK"}, "seed " + std::to_string(seed));
+  }
+
+  // An end state no sequence reaches is the zero terminal.
+  const et_fixture fx;
+  event_tree_bdd compiled(fx.et());
+  EXPECT_EQ(compiled.end_state("NONSENSE"),
+            event_tree_bdd_test_access::zero(compiled));
+  expect_trie_equals_fold(fx.et(), {"NONSENSE", "OK", "CD"}, "fixture");
+}
+
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+TEST(EventTree, PinnedResultsAcrossTrieRewrite) {
+  // Exact values captured while end states were still folds of their
+  // sequence roots. end_state_probability_exact is the oracle the scenario
+  // engine tests compare against, so it cannot vouch for itself: these
+  // literals pin it, and the engine, bit for bit.
+  scenario_options opts;
+  opts.analysis.threads = 1;
+  opts.analysis.publish_metrics = false;
+  scenario_engine plant(load_plant(), opts);
+  const scenario_result r = plant.run();
+  const std::vector<const char*> sequences = {
+      "0x1.4634c2aa5f0ebp-7", "0x1.79348680e8afap-15",
+      "0x1.3a128835619fp-27", "0x1.351b199f42e93p-28"};
+  ASSERT_EQ(r.sequences.size(), sequences.size());
+  for (std::size_t s = 0; s < sequences.size(); ++s) {
+    EXPECT_EQ(hex(r.sequences[s].probability), sequences[s]) << s;
+  }
+  const std::vector<std::pair<const char*, const char*>> end_states = {
+      {"OK", "0x1.47ae0ad2087acp-7"}, {"CD", "0x1.351b199f42e93p-28"}};
+  ASSERT_EQ(r.end_states.size(), end_states.size());
+  for (std::size_t e = 0; e < end_states.size(); ++e) {
+    const auto& [name, expected] = end_states[e];
+    EXPECT_EQ(r.end_states[e].name, name);
+    EXPECT_EQ(hex(r.end_states[e].probability), expected) << name;
+    EXPECT_EQ(hex(end_state_probability_exact(plant.compiled_event_tree(),
+                                              name)),
+              expected)
+        << name;
+  }
+
+  // The bench-size industrial model 1 (seed 1) behind nine functional
+  // events, all 512 success/failure sequences, CD on two or more failures.
+  industrial_options o;
+  o.seed = 1;
+  o.num_frontline_systems = 18;
+  o.num_support_systems = 5;
+  o.num_initiating_events = 10;
+  o.sequences_per_ie = 6;
+  o.components_per_train = 5;
+  const fault_tree ft = generate_industrial(o).ft;
+  constexpr int systems = 9;
+  event_tree et(ft, ft.find("IE0"), "IND");
+  for (int k = 0; k < systems; ++k) {
+    et.add_functional_event("F" + std::to_string(k),
+                            ft.find("SYS" + std::to_string(k) + "_F"));
+  }
+  for (std::size_t mask = 0; mask < (std::size_t{1} << systems); ++mask) {
+    std::vector<branch_outcome> outcomes;
+    int failures = 0;
+    for (int k = 0; k < systems; ++k) {
+      const bool failed = (mask >> k) & 1u;
+      failures += failed ? 1 : 0;
+      outcomes.push_back(failed ? branch_outcome::failure
+                                : branch_outcome::success);
+    }
+    et.add_sequence(std::move(outcomes), failures >= 2 ? "CD" : "OK");
+  }
+  EXPECT_EQ(hex(end_state_probability_exact(et, "CD")),
+            "0x1.9def7885dbff1p-25");
+  EXPECT_EQ(hex(end_state_probability_exact(et, "OK")),
+            "0x1.ae498bbdc4f9ap-8");
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -741,47 +740,16 @@ TEST(ScenarioRecombination, MatchesReferenceOnIndustrialTree) {
 
 TEST(ScenarioRecombination, MatchesReferenceOnRandomTrees) {
   // Random event trees over random static trees whose gates share basic
-  // events, so merged pairs overlap: bypass outcomes, sequence sets of a
-  // non-power-of-two size, and the same gate behind two functional events.
-  // Cutoffs: none, two fixed ones, and cutoffs equal to the canonical
-  // probability of a recombined set — the pricing filter's boundary.
+  // events, so merged pairs overlap (make_random_event_tree). Cutoffs:
+  // none, two fixed ones, and cutoffs equal to the canonical probability
+  // of a recombined set — the pricing filter's boundary.
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const std::string label = "seed " + std::to_string(seed);
-    rng random(seed * 7919);
     fault_tree ft = testing::make_random_static_tree(seed, 10, 6).structure();
-    const node_index ie = ft.add_basic_event("IE", random.uniform(0.01, 0.5));
-    const auto num_fe = static_cast<std::size_t>(random.between(2, 5));
-    event_tree et(ft, ie, "RND");
-    for (std::size_t i = 0; i < num_fe; ++i) {
-      const node_index gate =
-          i == 1 && seed % 3 == 0
-              ? et.functional_gate(0)
-              : ft.find("g" + std::to_string(random.below(6)));
-      et.add_functional_event("F" + std::to_string(i), gate);
-    }
-    std::size_t outcome_space = 1;
-    for (std::size_t i = 0; i < num_fe; ++i) outcome_space *= 3;
-    std::size_t num_seq = static_cast<std::size_t>(
-        random.between(3, static_cast<std::int64_t>(
-                              std::min<std::size_t>(outcome_space, 24))));
-    if ((num_seq & (num_seq - 1)) == 0) --num_seq;
-    std::set<std::vector<branch_outcome>> seen;
-    while (seen.size() < num_seq) {
-      std::vector<branch_outcome> outcomes;
-      for (std::size_t i = 0; i < num_fe; ++i) {
-        const std::uint64_t pick = random.below(5);
-        outcomes.push_back(pick < 2   ? branch_outcome::failure
-                           : pick < 4 ? branch_outcome::success
-                                      : branch_outcome::bypass);
-      }
-      if (seen.insert(outcomes).second) {
-        et.add_sequence(outcomes, random.chance(0.5) ? "CD" : "OK");
-      }
-    }
-    et.validate();
+    const event_tree et = testing::make_random_event_tree(seed, ft);
 
     gate_cutset_lists lists;
-    for (std::size_t i = 0; i < num_fe; ++i) {
+    for (std::size_t i = 0; i < et.num_functional_events(); ++i) {
       const node_index gate = et.functional_gate(i);
       if (lists.count(gate) != 0) continue;
       fault_tree sub = ft;

@@ -2,11 +2,13 @@
 
 // Shared model builders for the test suite: the paper's running example
 // (Examples 1-7), small structures exercising the trigger classes of
-// Figure 1 / Example 9, seeded random tree generators for property and
-// determinism tests, and the BDD oracle for stage-2 cutset lists.
+// Figure 1 / Example 9, seeded random fault- and event-tree generators for
+// property, determinism and differential tests, and the BDD oracle for
+// stage-2 cutset lists.
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/triggered.hpp"
 #include "engine/engine.hpp"
+#include "etree/event_tree.hpp"
 #include "ft/fault_tree.hpp"
 #include "mcs/cutset.hpp"
 #include "sdft/sd_fault_tree.hpp"
@@ -305,6 +308,46 @@ inline std::vector<cutset> engine_cutsets(const analysis_result& result) {
   out.reserve(result.cutsets.size());
   for (const cutset_result& q : result.cutsets) out.push_back(q.events);
   return out;
+}
+
+/// A random event tree over `ft`, a make_random_static_tree(seed, 10, 6)
+/// structure that gets the initiating event "IE" and must outlive the
+/// result: 2-5 functional events on the gates g0..g5 (on every third seed
+/// one gate backs the first two), bypass outcomes, and a sequence set of a
+/// non-power-of-two size between 3 and 24, each ending in "CD" or "OK".
+inline event_tree make_random_event_tree(std::uint64_t seed, fault_tree& ft) {
+  rng random(seed * 7919);
+  const node_index ie = ft.add_basic_event("IE", random.uniform(0.01, 0.5));
+  const auto num_fe = static_cast<std::size_t>(random.between(2, 5));
+  event_tree et(ft, ie, "RND");
+  for (std::size_t i = 0; i < num_fe; ++i) {
+    const node_index gate =
+        i == 1 && seed % 3 == 0
+            ? et.functional_gate(0)
+            : ft.find("g" + std::to_string(random.below(6)));
+    et.add_functional_event("F" + std::to_string(i), gate);
+  }
+  std::size_t outcome_space = 1;
+  for (std::size_t i = 0; i < num_fe; ++i) outcome_space *= 3;
+  std::size_t num_seq = static_cast<std::size_t>(
+      random.between(3, static_cast<std::int64_t>(
+                            std::min<std::size_t>(outcome_space, 24))));
+  if ((num_seq & (num_seq - 1)) == 0) --num_seq;
+  std::set<std::vector<branch_outcome>> seen;
+  while (seen.size() < num_seq) {
+    std::vector<branch_outcome> outcomes;
+    for (std::size_t i = 0; i < num_fe; ++i) {
+      const std::uint64_t pick = random.below(5);
+      outcomes.push_back(pick < 2   ? branch_outcome::failure
+                         : pick < 4 ? branch_outcome::success
+                                    : branch_outcome::bypass);
+    }
+    if (seen.insert(outcomes).second) {
+      et.add_sequence(outcomes, random.chance(0.5) ? "CD" : "OK");
+    }
+  }
+  et.validate();
+  return et;
 }
 
 }  // namespace sdft::testing
