@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 
 #include "ctmc/transient.hpp"
@@ -36,84 +35,90 @@ std::string trigger_set_key(node_index gate,
   return key;
 }
 
-/// Incremental FT_C construction state.
+/// Incremental FT_C planning state.
 class ftc_builder {
  public:
   ftc_builder(const sd_fault_tree& source, const cutset& c, approx_mode mode,
               const trigger_set_memo* memo)
-      : source_(source), mode_(mode), memo_(memo) {
+      : source_(source), cutset_(c), mode_(mode), memo_(memo) {
     for (node_index b : c) {
       require_model(source_.structure().is_basic(b),
                     "mcs_model: cutset contains a non-basic node");
-      if (source_.is_dynamic(b)) {
-        in_cutset_.insert(b);
-        result_.cutset_dynamic.push_back(b);
-      } else {
-        in_cutset_.insert(b);
-        cutset_static_.push_back(b);
-        result_.static_factor *= source_.structure().node(b).probability;
-      }
     }
-    require_model(!result_.cutset_dynamic.empty(),
-                  "mcs_model: cutset has no dynamic events");
   }
 
-  mcs_model build() {
-    // Step 1: top AND over the cutset's dynamic events.
-    std::vector<node_index> top_inputs;
-    for (node_index e : result_.cutset_dynamic) {
-      top_inputs.push_back(add_event(e));
+  ftc_plan build(std::size_t* trigger_sets_solved) {
+    // Step 1: top AND over the cutset's dynamic events, which take FT_C
+    // indices 0..d-1.
+    for (node_index b : cutset_) {
+      if (source_.is_dynamic(b)) add_event(b);
     }
-    const node_index top =
-        result_.tree.add_gate("MCS_TOP", gate_type::and_gate, top_inputs);
-    result_.tree.set_top(top);
+    const std::size_t d = plan_.nodes.size();
+    require_model(d > 0, "mcs_model: cutset has no dynamic events");
+    plan_.top = add_gate(ftc_plan::kind::and_gate, d);
+    for (std::size_t i = 0; i < d; ++i) {
+      set_input(plan_.top, i, static_cast<node_index>(i));
+    }
 
     // Steps 2-3: model triggering logic, breadth-first so cutset events
-    // (enqueued first) are processed before recursion-added ones.
-    while (!pending_.empty()) {
-      const node_index event = pending_.front();
-      pending_.pop_front();
-      model_trigger_of(event);
+    // (queued first) are processed before recursion-added ones.
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      model_trigger_of(pending_[i]);
     }
-    result_.tree.validate();
-    return std::move(result_);
+    if (trigger_sets_solved != nullptr) *trigger_sets_solved = solved_;
+    return std::move(plan_);
   }
 
  private:
+  bool in_cutset(node_index b) const {
+    return std::find(cutset_.begin(), cutset_.end(), b) != cutset_.end();
+  }
+
   /// Maps a source basic event into FT_C, creating it on first use. Newly
   /// added triggered events are queued for trigger modelling.
   node_index add_event(node_index b) {
-    auto it = event_map_.find(b);
-    if (it != event_map_.end()) return it->second;
-    const auto& node = source_.structure().node(b);
-    node_index idx;
-    if (source_.is_dynamic(b)) {
-      const dynamic_model& model = source_.model_of(b);
-      if (std::holds_alternative<triggered_ctmc>(model)) {
-        idx = result_.tree.add_dynamic_event(node.name,
-                                             std::get<triggered_ctmc>(model));
-        pending_.push_back(b);
-      } else {
-        idx = result_.tree.add_dynamic_event(node.name, std::get<ctmc>(model));
+    for (node_index n = 0; n < plan_.nodes.size(); ++n) {
+      const ftc_plan::node& node = plan_.nodes[n];
+      if (node.ref == b && (node.what == ftc_plan::kind::static_event ||
+                            node.what == ftc_plan::kind::dynamic_event)) {
+        return n;
       }
-      if (!in_cutset_.count(b)) result_.added_dynamic.push_back(b);
-    } else {
-      idx = result_.tree.add_static_event(node.name, node.probability);
-      result_.added_static.push_back(b);
     }
-    event_map_.emplace(b, idx);
+    const auto idx = static_cast<node_index>(plan_.nodes.size());
+    if (source_.is_dynamic(b)) {
+      plan_.nodes.push_back(
+          {ftc_plan::kind::dynamic_event, b, fault_tree::npos});
+      if (source_.has_triggered_model(b)) pending_.push_back(idx);
+    } else {
+      plan_.nodes.push_back({ftc_plan::kind::static_event, b, 0});
+    }
     return idx;
+  }
+
+  /// Adds a gate whose `arity` input slots set_input() fills.
+  node_index add_gate(ftc_plan::kind what, std::size_t arity) {
+    const auto idx = static_cast<node_index>(plan_.nodes.size());
+    plan_.nodes.push_back({what, static_cast<node_index>(plan_.inputs.size()),
+                           static_cast<node_index>(arity)});
+    plan_.inputs.resize(plan_.inputs.size() + arity);
+    return idx;
+  }
+
+  void set_input(node_index gate, std::size_t slot, node_index input) {
+    plan_.inputs[plan_.nodes[gate].ref + slot] = input;
   }
 
   /// Models the triggering gate of `event` (a triggered dynamic event
   /// already present in FT_C) per paper §V-C step 2, or reuses an
   /// already-modelled gate (step 3).
   void model_trigger_of(node_index event) {
-    const node_index gate = source_.trigger_gate_of(event);
-    auto it = gate_map_.find(gate);
-    if (it != gate_map_.end()) {
-      result_.tree.set_trigger(it->second, event_map_.at(event));
-      return;
+    const node_index source_event = plan_.nodes[event].ref;
+    const node_index gate = source_.trigger_gate_of(source_event);
+    for (const auto& [modelled, model_gate] : gate_map_) {
+      if (modelled == gate) {
+        plan_.nodes[event].aux = model_gate;
+        return;
+      }
     }
 
     // Determine the modelling class. Cutset events use the class their
@@ -122,7 +127,7 @@ class ftc_builder {
     trigger_class cls;
     if (mode_ == approx_mode::under_approximate) {
       cls = trigger_class::static_branching;
-    } else if (in_cutset_.count(event)) {
+    } else if (in_cutset(source_event)) {
       cls = classify_trigger_gate(source_, gate);
     } else {
       cls = trigger_class::general;
@@ -131,7 +136,7 @@ class ftc_builder {
         cls == trigger_class::general) {
       cls = trigger_class::static_joins;
     }
-    result_.used_classes.push_back(cls);
+    plan_.used_classes.push_back(cls);
 
     // Partition the subtree's basic events.
     std::vector<node_index> sub_static;
@@ -145,7 +150,7 @@ class ftc_builder {
     std::vector<node_index> rel;
     std::vector<node_index> assumed_failed;
     for (node_index s : sub_static) {
-      if (in_cutset_.count(s)) {
+      if (in_cutset(s)) {
         assumed_failed.push_back(s);
       } else if (cls == trigger_class::general) {
         rel.push_back(s);
@@ -157,7 +162,7 @@ class ftc_builder {
     }
     for (node_index d : sub_dynamic) {
       if (cls == trigger_class::static_branching) {
-        if (in_cutset_.count(d)) rel.push_back(d);
+        if (in_cutset(d)) rel.push_back(d);
       } else {
         rel.push_back(d);
       }
@@ -179,35 +184,33 @@ class ftc_builder {
         trigger_sets(gate, std::move(assumed_failed),
                      std::move(assumed_working));
 
-    // Build the trigger model: OR of ANDs (constants via zero-input gates).
-    const std::string base = "trig::" + source_.structure().node(gate).name;
+    // The trigger model: OR of ANDs (constants via zero-input gates).
     node_index model_gate;
     if (sets->size() == 1 && sets->front().empty()) {
       // Already failed under the static assumptions: constant TRUE, the
       // event is switched on from time 0.
-      model_gate = result_.tree.add_gate(base, gate_type::and_gate);
+      model_gate = add_gate(ftc_plan::kind::and_gate, 0);
     } else {
-      model_gate = result_.tree.add_gate(base, gate_type::or_gate);
-      std::size_t i = 0;
-      for (const cutset& a : *sets) {
-        if (a.size() == 1) {
-          result_.tree.add_input(model_gate, add_event(a.front()));
-        } else {
-          const node_index conj = result_.tree.add_gate(
-              base + "::" + std::to_string(i), gate_type::and_gate);
-          for (node_index b : a) {
-            result_.tree.add_input(conj, add_event(b));
-          }
-          result_.tree.add_input(model_gate, conj);
-        }
-        ++i;
-      }
       // An empty OR (no trigger set) is constant FALSE: the trigger can
       // never fire, so the event stays off. This cannot arise for cutsets
       // produced from FT-bar but is well-defined for hand-built cutsets.
+      model_gate = add_gate(ftc_plan::kind::or_gate, sets->size());
+      std::size_t i = 0;
+      for (const cutset& a : *sets) {
+        if (a.size() == 1) {
+          set_input(model_gate, i, add_event(a.front()));
+        } else {
+          const node_index conj =
+              add_gate(ftc_plan::kind::and_gate, a.size());
+          std::size_t j = 0;
+          for (node_index b : a) set_input(conj, j++, add_event(b));
+          set_input(model_gate, i, conj);
+        }
+        ++i;
+      }
     }
-    gate_map_.emplace(gate, model_gate);
-    result_.tree.set_trigger(model_gate, event_map_.at(event));
+    gate_map_.emplace_back(gate, model_gate);
+    plan_.nodes[event].aux = model_gate;
   }
 
   /// The minimal trigger sets of `gate` under the given assumptions, from
@@ -220,31 +223,39 @@ class ftc_builder {
     std::string key;
     if (memo_ != nullptr) {
       key = trigger_set_key(gate, assumed_failed, assumed_working);
-      if (trigger_set_memo::sets hit = memo_->find(key)) {
-        ++result_.trigger_set_hits;
-        return hit;
-      }
+      if (trigger_set_memo::sets hit = memo_->find(key)) return hit;
     }
     mocus_options opts;
     opts.assume_failed = std::move(assumed_failed);
     opts.assume_working = std::move(assumed_working);
     auto solved = std::make_shared<const std::vector<cutset>>(
         mocus_from(source_.structure(), gate, opts).cutsets);
-    ++result_.trigger_sets_solved;
+    ++solved_;
     if (memo_ == nullptr) return solved;
     return memo_->insert(std::move(key), std::move(solved));
   }
 
   const sd_fault_tree& source_;
+  const cutset& cutset_;
   const approx_mode mode_;
   const trigger_set_memo* memo_;  // nullptr: every gate runs MOCUS
-  mcs_model result_;
-  std::vector<node_index> cutset_static_;
-  std::unordered_set<node_index> in_cutset_;
-  std::unordered_map<node_index, node_index> event_map_;  // source -> FT_C
-  std::unordered_map<node_index, node_index> gate_map_;   // source -> FT_C
-  std::deque<node_index> pending_;  // triggered events awaiting modelling
+  ftc_plan plan_;
+  std::size_t solved_ = 0;
+  // Modelled source triggering gates and their FT_C model gates.
+  std::vector<std::pair<node_index, node_index>> gate_map_;
+  // Triggered FT_C events awaiting modelling, in FT_C index order.
+  std::vector<node_index> pending_;
 };
+
+/// The ftc_plan_memo key: the mode, then the cutset's fixed-width indices.
+std::string plan_key(approx_mode mode, const cutset& c) {
+  std::string key(1 + c.size() * sizeof(node_index), '\0');
+  key[0] = static_cast<char>(mode);
+  if (!c.empty()) {
+    std::memcpy(key.data() + 1, c.data(), c.size() * sizeof(node_index));
+  }
+  return key;
+}
 
 }  // namespace
 
@@ -265,10 +276,147 @@ std::size_t trigger_set_memo::size() const {
   return map_.size();
 }
 
+std::vector<node_index> ftc_plan::cutset_dynamic() const {
+  std::vector<node_index> out;
+  for (node_index n = 0; n < top; ++n) out.push_back(nodes[n].ref);
+  return out;
+}
+
+std::vector<node_index> ftc_plan::added_dynamic() const {
+  std::vector<node_index> out;
+  for (node_index n = top + 1; n < nodes.size(); ++n) {
+    if (nodes[n].what == kind::dynamic_event) out.push_back(nodes[n].ref);
+  }
+  return out;
+}
+
+std::vector<node_index> ftc_plan::added_static() const {
+  std::vector<node_index> out;
+  for (const node& n : nodes) {
+    if (n.what == kind::static_event) out.push_back(n.ref);
+  }
+  return out;
+}
+
+const ftc_plan* ftc_plan_memo::find(approx_mode mode, const cutset& c) const {
+  const std::string key = plan_key(mode, c);
+  std::shared_lock lock(mutex_);
+  const auto it = map_.find(key);
+  return it == map_.end() ? nullptr : &it->second;
+}
+
+const ftc_plan* ftc_plan_memo::insert(approx_mode mode, const cutset& c,
+                                      ftc_plan plan) const {
+  std::string key = plan_key(mode, c);
+  std::lock_guard lock(mutex_);
+  return &map_.try_emplace(std::move(key), std::move(plan)).first->second;
+}
+
+std::size_t ftc_plan_memo::size() const {
+  std::shared_lock lock(mutex_);
+  return map_.size();
+}
+
+ftc_plan build_ftc_plan(const sd_fault_tree& tree, const cutset& c,
+                        approx_mode mode, const trigger_set_memo* trigger_sets,
+                        std::size_t* trigger_sets_solved) {
+  return ftc_builder(tree, c, mode, trigger_sets).build(trigger_sets_solved);
+}
+
+sd_fault_tree materialise_ftc(const ftc_plan& plan, const sd_fault_tree& tree) {
+  const fault_tree& source = tree.structure();
+  using kind = ftc_plan::kind;
+  const auto is_gate = [&](node_index n) {
+    return plan.nodes[n].what == kind::and_gate ||
+           plan.nodes[n].what == kind::or_gate;
+  };
+
+  // Gate names: the top, then each trigger model after its source gate
+  // and each of its conjunctions after its trigger-set position.
+  std::vector<std::string> gate_names(plan.nodes.size());
+  gate_names[plan.top] = "MCS_TOP";
+  for (const ftc_plan::node& node : plan.nodes) {
+    if (node.what != kind::dynamic_event || node.aux == fault_tree::npos ||
+        !gate_names[node.aux].empty()) {
+      continue;
+    }
+    const std::string base =
+        "trig::" + source.node(tree.trigger_gate_of(node.ref)).name;
+    const ftc_plan::node& model = plan.nodes[node.aux];
+    for (node_index i = 0; i < model.aux; ++i) {
+      const node_index input = plan.inputs[model.ref + i];
+      if (is_gate(input)) gate_names[input] = base + "::" + std::to_string(i);
+    }
+    gate_names[node.aux] = base;
+  }
+
+  // Nodes in plan order; gate inputs once every node exists, since a
+  // trigger model precedes its conjunctions.
+  sd_fault_tree ftc;
+  for (node_index n = 0; n < plan.nodes.size(); ++n) {
+    const ftc_plan::node& node = plan.nodes[n];
+    switch (node.what) {
+      case kind::and_gate:
+      case kind::or_gate:
+        ftc.add_gate(std::move(gate_names[n]), node.what == kind::and_gate
+                                                   ? gate_type::and_gate
+                                                   : gate_type::or_gate);
+        break;
+      case kind::static_event:
+        ftc.add_static_event(source.node(node.ref).name,
+                             source.node(node.ref).probability);
+        break;
+      case kind::dynamic_event:
+        std::visit(
+            [&](const auto& model) {
+              ftc.add_dynamic_event(source.node(node.ref).name, model);
+            },
+            tree.model_of(node.ref));
+        break;
+    }
+  }
+  for (node_index n = 0; n < plan.nodes.size(); ++n) {
+    if (!is_gate(n)) continue;
+    const ftc_plan::node& gate = plan.nodes[n];
+    for (node_index i = 0; i < gate.aux; ++i) {
+      ftc.add_input(n, plan.inputs[gate.ref + i]);
+    }
+  }
+  ftc.set_top(plan.top);
+  // Trigger edges in FT_C index order, the order the events were queued
+  // for trigger modelling.
+  for (node_index n = 0; n < plan.nodes.size(); ++n) {
+    const ftc_plan::node& node = plan.nodes[n];
+    if (node.what == kind::dynamic_event && node.aux != fault_tree::npos) {
+      ftc.set_trigger(node.aux, n);
+    }
+  }
+  ftc.validate();
+  return ftc;
+}
+
+double ftc_static_factor(const sd_fault_tree& tree, const cutset& c) {
+  double factor = 1.0;
+  for (node_index b : c) {
+    if (!tree.is_dynamic(b)) factor *= tree.structure().node(b).probability;
+  }
+  return factor;
+}
+
 mcs_model build_mcs_model(const sd_fault_tree& tree, const cutset& c,
                           approx_mode mode,
                           const trigger_set_memo* trigger_sets) {
-  return ftc_builder(tree, c, mode, trigger_sets).build();
+  mcs_model model;
+  ftc_plan plan = build_ftc_plan(tree, c, mode, trigger_sets,
+                                 &model.trigger_sets_solved);
+  model.trigger_set_hits = plan.trigger_gates() - model.trigger_sets_solved;
+  model.tree = materialise_ftc(plan, tree);
+  model.static_factor = ftc_static_factor(tree, c);
+  model.cutset_dynamic = plan.cutset_dynamic();
+  model.added_dynamic = plan.added_dynamic();
+  model.added_static = plan.added_static();
+  model.used_classes = std::move(plan.used_classes);
+  return model;
 }
 
 double quantify_mcs_model(const mcs_model& model, double t, double epsilon,

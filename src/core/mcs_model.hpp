@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +33,59 @@ enum class approx_mode {
   over_approximate,
 };
 
+/// FT_C of one minimal cutset (paper §V-C) with every parameter left out:
+/// the structure of the small SD tree, and for each of its events the
+/// source basic event whose probability or chain it takes. Everything the
+/// plan holds is read off the source tree's structure — wiring, the
+/// static/dynamic split, trigger edges, trigger classes and the minimal
+/// trigger sets — so one plan serves every parameter point (probabilities,
+/// rates, horizon) of the structure it was built on. materialise_ftc()
+/// turns it into the sd_fault_tree itself; ftc_signature()
+/// (engine/quant_cache.hpp) keys a transient solve without doing so.
+struct ftc_plan {
+  enum class kind : std::uint8_t {
+    and_gate,
+    or_gate,
+    static_event,
+    dynamic_event
+  };
+
+  /// One FT_C node. FT_C has AND and OR gates only (no voting gates).
+  struct node {
+    kind what = kind::and_gate;
+    /// Gate: offset of its first input in `inputs`. Event: the source
+    /// basic event.
+    node_index ref = 0;
+    /// Gate: number of inputs. Dynamic event: its FT_C triggering gate,
+    /// or fault_tree::npos for an untriggered event. Static event: 0.
+    node_index aux = 0;
+  };
+
+  /// FT_C's nodes in FT_C index order: the cutset's dynamic events
+  /// first, then the top, then the triggering logic.
+  std::vector<node> nodes;
+  /// Gate inputs, concatenated per gate.
+  std::vector<node_index> inputs;
+  /// The top AND over the cutset's dynamic events.
+  node_index top = fault_tree::npos;
+  /// Trigger classes used, one per modelled triggering gate.
+  std::vector<trigger_class> used_classes;
+
+  /// Modelled triggering gates: one trigger-set lookup each.
+  std::size_t trigger_gates() const { return used_classes.size(); }
+
+  /// Dynamic events of the cutset itself (source indices, cutset order).
+  std::vector<node_index> cutset_dynamic() const;
+
+  /// Dynamic events added by the triggering logic (source indices, FT_C
+  /// order); the paper's "events added because triggering gates do not
+  /// have static branching" statistic.
+  std::vector<node_index> added_dynamic() const;
+
+  /// Static events added by general-case triggering logic ("guards").
+  std::vector<node_index> added_static() const;
+};
+
 /// The small SD fault tree FT_C quantifying one minimal cutset
 /// (paper §V-C), with bookkeeping for the statistics the paper reports.
 struct mcs_model {
@@ -42,18 +97,10 @@ struct mcs_model {
   /// Markov analysis, paper §V-C).
   double static_factor = 1.0;
 
-  /// Dynamic events of the cutset itself (original-tree indices).
+  /// As in ftc_plan (the first three are its accessors).
   std::vector<node_index> cutset_dynamic;
-
-  /// Dynamic events added by the triggering logic (original-tree indices);
-  /// the paper's "events added because triggering gates do not have static
-  /// branching" statistic.
   std::vector<node_index> added_dynamic;
-
-  /// Static events added by general-case triggering logic ("guards").
   std::vector<node_index> added_static;
-
-  /// Trigger classes actually used, one per modelled triggering gate.
   std::vector<trigger_class> used_classes;
 
   /// Modelled triggering gates whose minimal trigger sets MOCUS solved,
@@ -89,7 +136,31 @@ class trigger_set_memo {
   mutable std::unordered_map<std::string, sets> map_;
 };
 
-/// Builds FT_C for cutset `c` of `tree` following paper §V-C:
+/// Thread-safe memo of ftc_plans, keyed by (approximation mode, cutset).
+/// A plan depends on the structure alone (see ftc_plan), so one memo may
+/// serve every parameter point of one structure; like trigger_set_memo it
+/// must not be shared between structures. Entries are never erased, so
+/// the pointers handed out stay valid for the memo's lifetime. Concurrent
+/// misses on one key may both build the plan; the first insert wins and
+/// both plans are identical.
+class ftc_plan_memo {
+ public:
+  /// The stored plan for cutset `c` under `mode`, or nullptr.
+  const ftc_plan* find(approx_mode mode, const cutset& c) const;
+
+  /// Stores `plan` unless present; returns the stored plan.
+  const ftc_plan* insert(approx_mode mode, const cutset& c,
+                         ftc_plan plan) const;
+
+  std::size_t size() const;
+
+ private:
+  /// Warm runs only read: lookups share the lock, inserts take it alone.
+  mutable std::shared_mutex mutex_;
+  mutable std::unordered_map<std::string, ftc_plan> map_;
+};
+
+/// Plans FT_C for cutset `c` of `tree` following paper §V-C:
 ///  1. top gate = AND of the dynamic events of `c`;
 ///  2. for each triggered event, model its triggering gate over the
 ///     relevant events Rel_a of its class, as the OR of the minimal trigger
@@ -102,7 +173,27 @@ class trigger_set_memo {
 /// Requires `c` to contain at least one dynamic event (purely static
 /// cutsets are quantified directly as their probability product).
 /// `trigger_sets` (optional) memoises step 2's MOCUS runs; it must belong
-/// to `tree`'s structure. The model is the same with or without it.
+/// to `tree`'s structure. The plan is the same with or without it.
+/// `trigger_sets_solved` (optional out) receives the number of MOCUS runs;
+/// the plan's other trigger gates came from the memo. A plan is a few
+/// hundred bytes: the bookkeeping mcs_model carries is read off its nodes.
+ftc_plan build_ftc_plan(const sd_fault_tree& tree, const cutset& c,
+                        approx_mode mode = approx_mode::as_classified,
+                        const trigger_set_memo* trigger_sets = nullptr,
+                        std::size_t* trigger_sets_solved = nullptr);
+
+/// FT_C itself: `plan` with the current static probabilities and chains
+/// of `tree`, the tree it was planned on (or one of the same structure).
+/// Gates are named after the source's triggering gates ("trig::G",
+/// "trig::G::i" for the i-th trigger set), events after their sources.
+/// The result is validated.
+sd_fault_tree materialise_ftc(const ftc_plan& plan, const sd_fault_tree& tree);
+
+/// prod of p(a) over the static events of `c`, in cutset order.
+double ftc_static_factor(const sd_fault_tree& tree, const cutset& c);
+
+/// Builds FT_C for cutset `c` of `tree`: build_ftc_plan() (same
+/// arguments), then materialise_ftc() and ftc_static_factor().
 mcs_model build_mcs_model(const sd_fault_tree& tree, const cutset& c,
                           approx_mode mode = approx_mode::as_classified,
                           const trigger_set_memo* trigger_sets = nullptr);

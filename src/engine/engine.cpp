@@ -418,7 +418,7 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     const product_chain_quantifier chain_quantifier(
         tree, acq.translation, qopts,
         opt.cache_quantifications ? &cache_ : nullptr,
-        &acq.entry->trigger_sets);
+        &acq.entry->trigger_sets, &acq.entry->ftc_plans);
     result.cutsets.resize(generated.cutsets.size());
     std::vector<cutset_result>& quantified = result.cutsets;
     stats.pool_threads = pool_ptr != nullptr ? pool_ptr->size() : 1;
@@ -469,6 +469,7 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
       stats.uniformisation_steps_saved += q.steps_saved;
       stats.trigger_set_hits += q.trigger_set_hits;
       stats.trigger_set_misses += q.trigger_sets_solved;
+      ++(q.ftc_plan_hit ? stats.ftc_plan_hits : stats.ftc_plan_misses);
       if (q.chain_states > 0 || q.cache_hit) {
         if (q.packed_keys) {
           ++stats.packed_key_chains;

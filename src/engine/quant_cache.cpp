@@ -49,40 +49,38 @@ void put_dynamic_model(std::string& out, const dynamic_model& model) {
 
 }  // namespace
 
-std::string mcs_model_signature(const mcs_model& model, double horizon,
-                                double epsilon, bool lump_symmetry) {
-  const sd_fault_tree& tree = model.tree;
-  const fault_tree& ft = tree.structure();
+std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
+                          double horizon, double epsilon, bool lump_symmetry) {
+  using kind = ftc_plan::kind;
   std::string out;
   out.reserve(256);
   put_f64(out, horizon);
   put_f64(out, epsilon);
   out.push_back(lump_symmetry ? 'L' : 'l');
-  put_u32(out, static_cast<std::uint32_t>(ft.size()));
-  put_u32(out, ft.top());
+  put_u32(out, static_cast<std::uint32_t>(plan.nodes.size()));
+  put_u32(out, plan.top);
   // FT_C construction is deterministic, so serialising nodes in index
   // order is canonical for the cache's purpose: equal construction yields
   // equal bytes. (Permuted-but-isomorphic trees may get distinct keys —
   // that only costs a duplicate solve, never a wrong reuse.)
-  for (node_index n = 0; n < ft.size(); ++n) {
-    const ft_node& node = ft.node(n);
-    if (node.kind == node_kind::gate) {
-      if (node.type == gate_type::atleast_gate) {
-        out.push_back('V');
-        put_u32(out, node.k);
-      } else {
-        out.push_back(node.type == gate_type::and_gate ? 'A' : 'O');
-      }
-      put_u32(out, static_cast<std::uint32_t>(node.inputs.size()));
-      for (node_index input : node.inputs) put_u32(out, input);
-      continue;
-    }
-    if (tree.is_dynamic(n)) {
-      put_dynamic_model(out, tree.model_of(n));
-      put_u32(out, tree.trigger_gate_of(n));
-    } else {
-      out.push_back('S');
-      put_f64(out, node.probability);
+  for (const ftc_plan::node& node : plan.nodes) {
+    switch (node.what) {
+      case kind::and_gate:
+      case kind::or_gate:
+        out.push_back(node.what == kind::and_gate ? 'A' : 'O');
+        put_u32(out, node.aux);
+        for (node_index i = 0; i < node.aux; ++i) {
+          put_u32(out, plan.inputs[node.ref + i]);
+        }
+        break;
+      case kind::dynamic_event:
+        put_dynamic_model(out, source.model_of(node.ref));
+        put_u32(out, node.aux);
+        break;
+      case kind::static_event:
+        out.push_back('S');
+        put_f64(out, source.structure().node(node.ref).probability);
+        break;
     }
   }
   return out;

@@ -2,30 +2,32 @@
 
 #include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "core/mcs_model.hpp"
 #include "util/lru.hpp"
+#include "util/spin_mutex.hpp"
 
 namespace sdft {
 
-/// Structural signature of the transient solve an mcs_model induces: the
-/// full FT_C structure (gate types and wiring), the numeric content of
-/// every basic event (static probability, or the complete CTMC /
-/// triggered-CTMC definition), the trigger edges, and the solver inputs
-/// (horizon, epsilon, and whether symmetry lumping is enabled — lumped and
-/// unlumped solves agree only up to roundoff, so they must not alias).
-/// Everything that determines the product-chain probability is encoded
-/// byte-exactly; names and the static_factor are deliberately excluded, so
-/// cutsets that share dynamic sub-structure but differ in their static
-/// events map to the same key.
-std::string mcs_model_signature(const mcs_model& model, double horizon,
-                                double epsilon, bool lump_symmetry = true);
+/// Structural signature of the transient solve FT_C induces, for the FT_C
+/// `plan` materialise_ftc(plan, source) would build: the full FT_C
+/// structure (gate types and wiring), the numeric content of every basic
+/// event (static probability, or the complete CTMC / triggered-CTMC
+/// definition, read from `source`), the trigger edges, and the solver
+/// inputs (horizon, epsilon, and whether symmetry lumping is enabled —
+/// lumped and unlumped solves agree only up to roundoff, so they must not
+/// alias). Everything that determines the product-chain probability is
+/// encoded byte-exactly; names and the static factor are deliberately
+/// excluded, so cutsets that share dynamic sub-structure but differ in
+/// their static events map to the same key. FT_C is never built.
+std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
+                          double horizon, double epsilon,
+                          bool lump_symmetry = true);
 
 /// Thread-safe memoisation of product-chain transient solves, keyed by
-/// mcs_model_signature(). Stores the *chain* failure probability (before
+/// ftc_signature(). Stores the *chain* failure probability (before
 /// the static factor is multiplied back in), so structurally identical
 /// dynamic parts are solved once per engine lifetime.
 ///
@@ -79,7 +81,9 @@ class quantification_cache {
   void clear();
 
  private:
-  mutable std::mutex mutex_;
+  /// Every quantifying thread of every run takes this lock once or twice
+  /// per dynamic cutset, so it spins before it sleeps (see spin_mutex).
+  mutable spin_mutex mutex_;
   mutable lru_map<std::string, entry> map_;
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};

@@ -42,26 +42,38 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
   out.events = std::move(c);
   out.dynamic = true;
   try {
-    const mcs_model model =
-        build_mcs_model(tree_, out.events, options_.mode, trigger_sets_);
-    out.num_dynamic = model.cutset_dynamic.size();
-    out.num_added_dynamic = model.added_dynamic.size();
-    out.trigger_sets_solved = model.trigger_sets_solved;
-    out.trigger_set_hits = model.trigger_set_hits;
+    const ftc_plan* plan =
+        plans_ != nullptr ? plans_->find(options_.mode, out.events) : nullptr;
+    ftc_plan built;
+    if (plan != nullptr) {
+      // The plan's trigger sets were memoised along with it.
+      out.ftc_plan_hit = true;
+      out.trigger_set_hits = plan->trigger_gates();
+    } else {
+      built = build_ftc_plan(tree_, out.events, options_.mode, trigger_sets_,
+                             &out.trigger_sets_solved);
+      out.trigger_set_hits = built.trigger_gates() - out.trigger_sets_solved;
+      plan = plans_ != nullptr
+                 ? plans_->insert(options_.mode, out.events, std::move(built))
+                 : &built;
+    }
+    out.num_dynamic = plan->top;  // FT_C's first nodes: C's dynamic events
+    out.num_added_dynamic = plan->added_dynamic().size();
     span.arg("trigger_sets_solved",
              static_cast<double>(out.trigger_sets_solved));
+    const double static_factor = ftc_static_factor(tree_, out.events);
 
     std::string key;
     if (cache_ != nullptr) {
-      key = mcs_model_signature(model, options_.horizon, options_.epsilon,
-                                options_.lump_symmetry);
+      key = ftc_signature(*plan, tree_, options_.horizon, options_.epsilon,
+                          options_.lump_symmetry);
       if (const auto cached = cache_->find(key)) {
         out.cache_hit = true;
         out.chain_states = cached->chain_states;
         out.lumped_orbits = cached->lumped_orbits;
         out.steps_saved = cached->steps_saved;
         out.packed_keys = cached->packed_keys;
-        out.probability = cached->chain_probability * model.static_factor;
+        out.probability = cached->chain_probability * static_factor;
         out.seconds = timer.seconds();
         span.arg("cache_hit", 1.0);
         span.arg("states", static_cast<double>(out.chain_states));
@@ -73,7 +85,8 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
     popts.max_states = options_.max_product_states;
     popts.packed_state_keys = options_.packed_state_keys;
     popts.lump_symmetry = options_.lump_symmetry;
-    const product_ctmc product = build_product_ctmc(model.tree, popts);
+    const product_ctmc product =
+        build_product_ctmc(materialise_ftc(*plan, tree_), popts);
     out.chain_states = product.num_states();
     out.lumped_orbits = product.lumped_orbits;
     out.packed_keys = product.packed_keys;
@@ -96,7 +109,7 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
                           out.lumped_orbits, out.steps_saved,
                           out.packed_keys});
     }
-    out.probability = chain_probability * model.static_factor;
+    out.probability = chain_probability * static_factor;
   } catch (const error& e) {
     // Conservative fallback: the FT-bar product of worst-case
     // probabilities bounds p-tilde(C) from above (paper eq. (1)). The

@@ -24,6 +24,7 @@ struct cutset_result {
   std::size_t steps_saved = 0;        ///< uniformisation steps early-skipped
   std::size_t trigger_sets_solved = 0;  ///< FT_C trigger gates MOCUS solved
   std::size_t trigger_set_hits = 0;     ///< FT_C trigger gates from the memo
+  bool ftc_plan_hit = false;  ///< FT_C plan taken from the plan memo
   bool packed_keys = false;  ///< chain explored via the packed 64-bit key
   double seconds = 0;        ///< quantification wall time
   std::string error;  ///< non-empty if quantification fell back (see above)
@@ -73,14 +74,16 @@ class static_product_quantifier final : public quantifier {
   const sd_fault_tree& tree_;
 };
 
-/// Cutsets with dynamic events: build FT_C (paper §V-C), solve the product
+/// Cutsets with dynamic events: plan FT_C (paper §V-C), solve the product
 /// chain by uniformisation and multiply the static factor back in. The
-/// transient solve is memoised in `cache` (optional) under the structural
-/// signature of the mcs_model, so cutsets sharing dynamic sub-structure —
-/// e.g. thousands of MCSs combining the same triggered chain with
-/// different static events — pay for one solve. The minimal trigger sets
-/// FT_C is built from are memoised in `trigger_sets` (optional, owned by
-/// the tree's structure-cache entry). Falls back to the
+/// transient solve is memoised in `cache` (optional) under ftc_signature()
+/// of the plan, so cutsets sharing dynamic sub-structure — e.g. thousands
+/// of MCSs combining the same triggered chain with different static
+/// events — pay for one solve, and FT_C itself is materialised only when
+/// the cache misses. The plans are memoised in `plans` and the minimal
+/// trigger sets they are built from in `trigger_sets` (both optional,
+/// owned by the tree's structure-cache entry), so a warm cutset costs a
+/// plan lookup, a signature and a cache lookup. Falls back to the
 /// conservative FT-bar worst-case product when the chain is too large
 /// (paper eq. (1)).
 class product_chain_quantifier final : public quantifier {
@@ -89,12 +92,14 @@ class product_chain_quantifier final : public quantifier {
                            const static_translation& translation,
                            const quantify_options& options,
                            quantification_cache* cache,
-                           const trigger_set_memo* trigger_sets = nullptr)
+                           const trigger_set_memo* trigger_sets = nullptr,
+                           const ftc_plan_memo* plans = nullptr)
       : tree_(tree),
         translation_(translation),
         options_(options),
         cache_(cache),
-        trigger_sets_(trigger_sets) {}
+        trigger_sets_(trigger_sets),
+        plans_(plans) {}
 
   const char* name() const override { return "product-chain"; }
   bool handles(const cutset& c) const override;
@@ -106,6 +111,7 @@ class product_chain_quantifier final : public quantifier {
   const quantify_options options_;
   quantification_cache* cache_;  // nullptr disables memoisation
   const trigger_set_memo* trigger_sets_;  // nullptr: MOCUS per trigger gate
+  const ftc_plan_memo* plans_;            // nullptr: one plan per call
 };
 
 }  // namespace sdft

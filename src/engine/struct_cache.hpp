@@ -82,6 +82,12 @@ struct structure_entry {
   /// stage 3, dropped with the entry.
   trigger_set_memo trigger_sets;
 
+  /// FT_C plans of this entry's dynamic cutsets, per approximation mode
+  /// (paper §V-C). Structural for the same reason, so a warm run
+  /// quantifies a planned cutset without re-planning it. Filled lazily by
+  /// stage 3, dropped with the entry.
+  ftc_plan_memo ftc_plans;
+
   /// Exact static top-event probability over `prep_tree` with the given
   /// per-prep-node probability overrides, evaluated on a lazily compiled
   /// (and then cached) BDD for `ordering`. Thread-safe; bit-identical to

@@ -14,6 +14,7 @@
 #include "mcs/mocus.hpp"
 #include "product/product_ctmc.hpp"
 #include "sdft/translate.hpp"
+#include "ftc_reference.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 
@@ -286,8 +287,8 @@ std::vector<cutset> dynamic_cutsets(const sd_fault_tree& tree, double cutoff) {
   return out;
 }
 
-/// Builds FT_C for every cutset under every approx_mode twice, fresh and
-/// through ONE memo shared by all of them, and requires equal models: a
+/// Plans FT_C for every cutset under every approx_mode twice, fresh and
+/// through ONE memo shared by all of them, and requires equal plans: a
 /// key aliasing two modes' (or two cutsets') MOCUS inputs would surface
 /// as a different trigger model. Returns the memo hits.
 std::size_t expect_memo_exact(const sd_fault_tree& tree,
@@ -301,26 +302,27 @@ std::size_t expect_memo_exact(const sd_fault_tree& tree,
        {approx_mode::as_classified, approx_mode::under_approximate,
         approx_mode::over_approximate}) {
     for (const cutset& c : cutsets) {
-      const mcs_model fresh = build_mcs_model(tree, c, mode);
-      const mcs_model memoised = build_mcs_model(tree, c, mode, &memo);
+      std::size_t fresh_solved = 0;
+      std::size_t memo_solved = 0;
+      const ftc_plan fresh =
+          build_ftc_plan(tree, c, mode, nullptr, &fresh_solved);
+      const ftc_plan memoised =
+          build_ftc_plan(tree, c, mode, &memo, &memo_solved);
       const auto where = [&] {
         return label + " mode " + std::to_string(static_cast<int>(mode)) +
                " cutset of " + std::to_string(c.size());
       };
-      EXPECT_EQ(mcs_model_signature(memoised, 24.0, 1e-10),
-                mcs_model_signature(fresh, 24.0, 1e-10))
+      EXPECT_EQ(ftc_signature(memoised, tree, 24.0, 1e-10),
+                ftc_signature(fresh, tree, 24.0, 1e-10))
           << where();
-      EXPECT_EQ(memoised.static_factor, fresh.static_factor) << where();
-      EXPECT_EQ(memoised.cutset_dynamic, fresh.cutset_dynamic) << where();
-      EXPECT_EQ(memoised.added_dynamic, fresh.added_dynamic) << where();
-      EXPECT_EQ(memoised.added_static, fresh.added_static) << where();
+      EXPECT_EQ(memoised.cutset_dynamic(), fresh.cutset_dynamic()) << where();
+      EXPECT_EQ(memoised.added_dynamic(), fresh.added_dynamic()) << where();
+      EXPECT_EQ(memoised.added_static(), fresh.added_static()) << where();
       EXPECT_EQ(memoised.used_classes, fresh.used_classes) << where();
-      EXPECT_EQ(fresh.trigger_set_hits, 0u);
-      EXPECT_EQ(memoised.trigger_sets_solved + memoised.trigger_set_hits,
-                fresh.trigger_sets_solved)
-          << where();
-      solved += memoised.trigger_sets_solved;
-      hits += memoised.trigger_set_hits;
+      EXPECT_EQ(fresh_solved, fresh.trigger_gates());
+      EXPECT_EQ(memoised.trigger_gates(), fresh_solved) << where();
+      solved += memo_solved;
+      hits += memoised.trigger_gates() - memo_solved;
     }
   }
   // Serially every miss stores a new key.
@@ -381,6 +383,59 @@ TEST(McsModel, TriggerSetMemoIsExact) {
                                      "random seed " + std::to_string(seed));
   }
   EXPECT_GT(random_hits, 0u);
+}
+
+/// For every cutset and approx_mode: the signature read off the plan
+/// equals the reference serialisation of the materialised FT_C, with and
+/// without lumping, and the materialised FT_C validates. Returns the
+/// number of plans checked.
+std::size_t expect_signature_matches_reference(
+    const sd_fault_tree& tree, const std::vector<cutset>& cutsets,
+    const std::string& label) {
+  std::size_t checked = 0;
+  for (approx_mode mode :
+       {approx_mode::as_classified, approx_mode::under_approximate,
+        approx_mode::over_approximate}) {
+    for (const cutset& c : cutsets) {
+      const ftc_plan plan = build_ftc_plan(tree, c, mode);
+      const sd_fault_tree ftc = materialise_ftc(plan, tree);
+      EXPECT_NO_THROW(ftc.validate());
+      for (bool lump : {true, false}) {
+        EXPECT_EQ(ftc_signature(plan, tree, 24.0, 1e-10, lump),
+                  testing::reference_ftc_signature(ftc, 24.0, 1e-10, lump))
+            << label << " mode " << static_cast<int>(mode) << " cutset of "
+            << c.size() << " lump " << lump;
+      }
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST(FtcPlan, SignatureMatchesReference) {
+  bwr_options bwr;
+  bwr.dynamic_events = true;
+  bwr.repair_rate = 0.1;
+  const sd_fault_tree bwr_tree =
+      make_bwr_model(with_bwr_triggers(bwr, bwr_num_triggers));
+  EXPECT_GT(expect_signature_matches_reference(
+                bwr_tree, dynamic_cutsets(bwr_tree, 1e-12), "bwr"),
+            0u);
+
+  // General-case triggers with static guards: FT_C holds static events.
+  const sd_fault_tree guarded = testing::guarded_trains_sd(4);
+  EXPECT_GT(expect_signature_matches_reference(
+                guarded, dynamic_cutsets(guarded, 0.0), "guarded trains"),
+            0u);
+
+  std::size_t random_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const testing::random_sd_tree random = testing::make_random_sd_tree(seed);
+    random_checked += expect_signature_matches_reference(
+        random.tree, dynamic_cutsets(random.tree, 0.0),
+        "random seed " + std::to_string(seed));
+  }
+  EXPECT_GT(random_checked, 0u);
 }
 
 // --- The full pipeline ---------------------------------------------------

@@ -204,13 +204,13 @@ TEST(QuantificationCache, SignatureSeparatesHorizons) {
   const sd_fault_tree tree = testing::example3_sd();
   cutset bd{tree.structure().find("b"), tree.structure().find("d")};
   std::sort(bd.begin(), bd.end());
-  const mcs_model model = build_mcs_model(tree, bd);
-  EXPECT_NE(mcs_model_signature(model, 24.0, 1e-10),
-            mcs_model_signature(model, 48.0, 1e-10));
-  EXPECT_NE(mcs_model_signature(model, 24.0, 1e-10),
-            mcs_model_signature(model, 24.0, 1e-8));
-  EXPECT_EQ(mcs_model_signature(model, 24.0, 1e-10),
-            mcs_model_signature(model, 24.0, 1e-10));
+  const ftc_plan plan = build_ftc_plan(tree, bd);
+  EXPECT_NE(ftc_signature(plan, tree, 24.0, 1e-10),
+            ftc_signature(plan, tree, 48.0, 1e-10));
+  EXPECT_NE(ftc_signature(plan, tree, 24.0, 1e-10),
+            ftc_signature(plan, tree, 24.0, 1e-8));
+  EXPECT_EQ(ftc_signature(plan, tree, 24.0, 1e-10),
+            ftc_signature(plan, tree, 24.0, 1e-10));
 }
 
 TEST(QuantificationCache, FallbackDoesNotPoisonCache) {

@@ -253,12 +253,12 @@ TEST(Lumping, SignatureSeparatesLumpingModes) {
     for (node_index b : tree.structure().basic_events()) c.push_back(b);
     return c;
   }();
-  const mcs_model model =
-      build_mcs_model(tree, every_event, approx_mode::as_classified);
+  const ftc_plan plan =
+      build_ftc_plan(tree, every_event, approx_mode::as_classified);
   const std::string lumped =
-      mcs_model_signature(model, 24.0, 1e-10, /*lump_symmetry=*/true);
+      ftc_signature(plan, tree, 24.0, 1e-10, /*lump_symmetry=*/true);
   const std::string full =
-      mcs_model_signature(model, 24.0, 1e-10, /*lump_symmetry=*/false);
+      ftc_signature(plan, tree, 24.0, 1e-10, /*lump_symmetry=*/false);
   EXPECT_NE(lumped, full);
 }
 

@@ -280,6 +280,7 @@ const std::vector<count_field> kCountFields = {
     &engine_stats::vector_key_chains,
     &engine_stats::uniformisation_steps_saved,
     &engine_stats::trigger_set_hits, &engine_stats::trigger_set_misses,
+    &engine_stats::ftc_plan_hits, &engine_stats::ftc_plan_misses,
     &engine_stats::cache_hits, &engine_stats::cache_misses,
     &engine_stats::cache_evictions, &engine_stats::cache_entries,
     &engine_stats::struct_cache_hits, &engine_stats::struct_cache_misses,

@@ -88,11 +88,14 @@ TEST(Serve, AnalyzeOverridesAndWarmCache) {
       service, R"({"op":"analyze","model":"m","overrides":{"a":0.005}})");
   ASSERT_TRUE(warm.at("ok").as_bool());
   EXPECT_TRUE(warm.at("struct_cache_hit").as_bool());
-  // The warm request took every trigger set from the entry's memo.
+  // The warm request took every FT_C plan and trigger set from the
+  // entry's memos.
   const json::value metrics =
       handle(service, R"({"op":"stats"})").at("metrics");
   EXPECT_EQ(metrics.at("quant.trigger_set_misses").as_number(), 0.0);
   EXPECT_GT(metrics.at("quant.trigger_set_hits").as_number(), 0.0);
+  EXPECT_EQ(metrics.at("quant.ftc_plan_misses").as_number(), 0.0);
+  EXPECT_GT(metrics.at("quant.ftc_plan_hits").as_number(), 0.0);
 
   sd_fault_tree perturbed = example3_sd();
   perturbed.structure().set_probability(perturbed.structure().find("a"),

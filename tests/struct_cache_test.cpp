@@ -7,15 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "core/mcs_model.hpp"
 #include "engine/engine.hpp"
 #include "engine/quant_cache.hpp"
 #include "engine/struct_cache.hpp"
 #include "gen/bwr.hpp"
+#include "gen/industrial.hpp"
+#include "mcs/importance.hpp"
 #include "test_models.hpp"
 #include "util/lru.hpp"
 
@@ -282,11 +287,121 @@ TEST(StructureCache, WarmRunSolvesNoTriggerSets) {
   EXPECT_EQ(cutset_probabilities(warm), cutset_probabilities(fresh));
 }
 
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+/// FNV-1a over the "%a\n" forms of the cutset probabilities in list
+/// order: pins every probability and the order, in platform-independent
+/// text.
+std::uint64_t probability_digest(const analysis_result& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& q : result.cutsets) {
+    for (char c : hex(q.probability) + "\n") {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// serve_whatif's model: bench-size industrial model 1 with every
+/// fail-in-operation event dynamic (one Erlang phase), ranked by
+/// Fussell-Vesely importance on a static run at the paper's cutoff.
+sd_fault_tree serve_whatif_model() {
+  const industrial_model model =
+      generate_industrial(bench::model1_options(false));
+  analysis_options static_opts;
+  static_opts.cutoff = 1e-15;
+  static_opts.threads = 1;
+  const analysis_result static_run =
+      analysis_engine(static_opts).run(sd_fault_tree(model.ft));
+  std::vector<cutset> cutsets;
+  for (const cutset_result& c : static_run.cutsets) {
+    cutsets.push_back(c.events);
+  }
+  annotation_options an;
+  an.dynamic_fraction = 1.0;
+  an.trigger_fraction = 0.1;
+  an.repair_rate = 0.01;
+  an.phases = 1;
+  return annotate_dynamic(model, rank_by_fussell_vesely(model.ft, cutsets),
+                          an);
+}
+
+TEST(StructureCache, PinnedStage3ResultsAcrossFtcPlans) {
+  // Exact stage-3 results of the serve pattern, pinned as hexfloats. How
+  // FT_C is planned, keyed and materialised must not move a probability
+  // or a quantification-cache hit/miss count (equal counts mean equal
+  // cache keys).
+  struct pinned {
+    double horizon;
+    const char* probability;
+    std::size_t cutsets;
+    std::uint64_t digest;
+    std::size_t cache_hits;
+    std::size_t cache_misses;
+  };
+  const auto expect_pinned = [](const analysis_result& r, const pinned& p) {
+    EXPECT_EQ(hex(r.failure_probability), p.probability) << p.horizon;
+    EXPECT_EQ(r.cutsets.size(), p.cutsets) << p.horizon;
+    EXPECT_EQ(probability_digest(r), p.digest) << p.horizon;
+    EXPECT_EQ(r.stats.cache_hits, p.cache_hits) << p.horizon;
+    EXPECT_EQ(r.stats.cache_misses, p.cache_misses) << p.horizon;
+  };
+
+  // BWR: prime at 48 h, one run there, then warm runs at 30 h and 48 h
+  // with the overrides of WarmRunSolvesNoTriggerSets.
+  analysis_options envelope_opts;
+  envelope_opts.horizon = 48.0;
+  envelope_opts.cutoff = 1e-12;
+  envelope_opts.threads = 1;
+  const sd_fault_tree base = bwr_tree();
+  analysis_engine engine(envelope_opts);
+  engine.prime(base);
+  (void)engine.run(base);
+  sd_fault_tree lowered = base;
+  fault_tree& ft = lowered.structure();
+  ft.set_probability(ft.find("DG1_FTS"), 8e-4);
+  ft.set_probability(ft.find("CST"), 1e-7);
+  const std::vector<pinned> bwr_expected = {
+      {30, "0x1.93f49a9a7a50dp-22", 1544, 0x40eb9f711952cb1cULL, 1113, 26},
+      {48, "0x1.4ac3c4a40be2dp-21", 1862, 0x92b5f87895ea726dULL, 1457, 0},
+  };
+  for (const pinned& p : bwr_expected) {
+    analysis_options request = envelope_opts;
+    request.horizon = p.horizon;
+    const analysis_result r = engine.run(lowered, request);
+    expect_pinned(r, p);
+    // Warm: every plan and trigger set comes from the entry's memos.
+    EXPECT_EQ(r.stats.ftc_plan_misses, 0u) << p.horizon;
+    EXPECT_EQ(r.stats.trigger_set_misses, 0u) << p.horizon;
+  }
+
+  // serve_whatif's model through one engine, horizons in request order.
+  const sd_fault_tree serve = serve_whatif_model();
+  analysis_options serve_opts;
+  serve_opts.cutoff = 1e-15;
+  serve_opts.threads = 1;
+  analysis_engine service(serve_opts);
+  const std::vector<pinned> serve_expected = {
+      {12, "0x1.b9071881e48d7p-26", 2114, 0x74b0e1968f32196eULL, 1021, 127},
+      {30, "0x1.ef3469b5c9f2fp-26", 3881, 0x3cf084bf7c329c81ULL, 2510, 405},
+      {48, "0x1.13a0e07de43a4p-25", 6039, 0x148d0c9f24ce0441ULL, 4274, 799},
+  };
+  for (const pinned& p : serve_expected) {
+    analysis_options request = serve_opts;
+    request.horizon = p.horizon;
+    expect_pinned(service.run(serve, request), p);
+  }
+}
+
 /// `first` and `second` differ only in static probabilities and rates.
-/// One engine runs both at cutoff 0: the second run replays every trigger
-/// set from the first run's memo and still equals a fresh engine; and,
-/// model by model, FT_C of `second` built through a memo filled from
-/// `first` equals a fresh build.
+/// One engine runs both at cutoff 0: the second run replays every FT_C
+/// plan and trigger set from the first run's memos and still equals a
+/// fresh engine; and, cutset by cutset, the FT_C plan of `second` built
+/// through a trigger-set memo filled from `first` equals a fresh plan.
 void expect_trigger_sets_shared(const sd_fault_tree& first,
                                 const sd_fault_tree& second) {
   analysis_options opts;
@@ -303,6 +418,12 @@ void expect_trigger_sets_shared(const sd_fault_tree& first,
   EXPECT_EQ(b.stats.trigger_set_misses, 0u);
   EXPECT_EQ(b.stats.trigger_set_hits,
             a.stats.trigger_set_hits + a.stats.trigger_set_misses);
+  // Every FT_C plan of the first run serves the second, whose rates and
+  // static probabilities differ: plans hold no parameter.
+  EXPECT_EQ(a.stats.ftc_plan_misses, a.stats.dynamic_cutsets);
+  EXPECT_EQ(b.stats.ftc_plan_misses, 0u);
+  EXPECT_EQ(b.stats.ftc_plan_hits, b.stats.dynamic_cutsets);
+  EXPECT_GT(b.stats.dynamic_cutsets, 0u);
 
   analysis_engine cold(opts);
   const analysis_result fresh = cold.run(second);
@@ -311,18 +432,19 @@ void expect_trigger_sets_shared(const sd_fault_tree& first,
 
   trigger_set_memo memo;
   for (const auto& q : a.cutsets) {
-    if (q.dynamic) (void)build_mcs_model(first, q.events, opts.mode, &memo);
+    if (q.dynamic) (void)build_ftc_plan(first, q.events, opts.mode, &memo);
   }
   const std::size_t filled = memo.size();
   ASSERT_GT(filled, 0u);
   for (const auto& q : fresh.cutsets) {
     if (!q.dynamic) continue;
-    const mcs_model shared =
-        build_mcs_model(second, q.events, opts.mode, &memo);
-    EXPECT_EQ(shared.trigger_sets_solved, 0u);
-    EXPECT_EQ(mcs_model_signature(shared, opts.horizon, opts.epsilon),
-              mcs_model_signature(build_mcs_model(second, q.events, opts.mode),
-                                  opts.horizon, opts.epsilon));
+    std::size_t solved = 0;
+    const ftc_plan shared =
+        build_ftc_plan(second, q.events, opts.mode, &memo, &solved);
+    EXPECT_EQ(solved, 0u);
+    EXPECT_EQ(ftc_signature(shared, second, opts.horizon, opts.epsilon),
+              ftc_signature(build_ftc_plan(second, q.events, opts.mode),
+                            second, opts.horizon, opts.epsilon));
   }
   EXPECT_EQ(memo.size(), filled);
 }

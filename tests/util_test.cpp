@@ -13,6 +13,7 @@
 #include "util/fox_glynn.hpp"
 #include "util/rng.hpp"
 #include "util/sorted_set.hpp"
+#include "util/spin_mutex.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -310,7 +311,33 @@ TEST(ThreadPool, ChildJobsAreStolenFromBusyWorker) {
   EXPECT_GE(pool.counters().stolen, 2u);
 }
 
-TEST(TextTable, AlignsColumnsAndRejectsBadRows) {
+TEST(SpinMutex, ExcludesUnderContention) {
+  // Four threads hammer one short critical section, so most acquisitions
+  // meet a held lock and some outlast the spin and block. A lost update
+  // or two threads inside at once shows as a wrong count.
+  spin_mutex mutex;
+  long counter = 0;
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlapped{false};
+  constexpr int threads = 4;
+  constexpr int rounds = 20000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < rounds; ++i) {
+        std::lock_guard lock(mutex);
+        if (inside.fetch_add(1) != 0) overlapped.store(true);
+        ++counter;
+        inside.fetch_sub(1);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(counter, static_cast<long>(threads) * rounds);
+}
+
+TEST(TextTable,AlignsColumnsAndRejectsBadRows) {
   text_table t({"setting", "value"});
   t.add_row({"horizon", "24h"});
   const std::string s = t.str();

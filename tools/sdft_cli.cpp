@@ -485,6 +485,9 @@ void print_engine_stats(const engine_stats& s) {
   table.add_row({"trigger-set hits / misses",
                  std::to_string(s.trigger_set_hits) + " / " +
                      std::to_string(s.trigger_set_misses)});
+  table.add_row({"FT_C plan hits / misses",
+                 std::to_string(s.ftc_plan_hits) + " / " +
+                     std::to_string(s.ftc_plan_misses)});
   table.add_row({"pool threads", std::to_string(s.pool_threads)});
   char occupancy[32];
   std::snprintf(occupancy, sizeof occupancy, "%.1f%%",
