@@ -16,101 +16,11 @@
 #include <utility>
 
 #include "bench_common.hpp"
-#include "ctmc/triggered.hpp"
 #include "engine/engine.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
-
-/// Sorted copy of the per-cutset event lists — the stage-2 output a
-/// stage-3 change must not perturb.
-std::vector<sdft::cutset> cutset_lists(const sdft::analysis_result& r) {
-  std::vector<sdft::cutset> lists;
-  lists.reserve(r.cutsets.size());
-  for (const auto& q : r.cutsets) lists.push_back(q.events);
-  std::sort(lists.begin(), lists.end());
-  return lists;
-}
-
-/// Shared-trigger standby groups: each group is one primary whose failure
-/// switches on `trains` identical spare pumps; the group fails when the
-/// primary and every spare are down. MCS shape: one cutset per group with
-/// trains + 1 dynamic events — the worst case for stage 3 and the best
-/// case for symmetry lumping.
-sdft::sd_fault_tree make_sequential_trains_model(std::size_t groups,
-                                                 std::size_t trains) {
-  using namespace sdft;
-  sd_fault_tree tree;
-  std::vector<node_index> group_gates;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::string suffix = std::to_string(g);
-    const node_index primary = tree.add_dynamic_event(
-        "P" + suffix, make_repairable(0.01 + 0.001 * g, 0.05));
-    const node_index gp =
-        tree.add_gate("GP" + suffix, gate_type::or_gate, {primary});
-    std::vector<node_index> inputs{gp};
-    for (std::size_t i = 0; i < trains; ++i) {
-      triggered_ctmc pump;
-      pump.chain = ctmc(4);
-      pump.chain.set_initial(0, 1.0);
-      pump.chain.set_failed(3);
-      pump.chain.add_rate(2, 3, 0.002 + 0.0001 * g);
-      pump.chain.add_rate(3, 2, 0.05);
-      pump.chain.add_rate(1, 0, 0.05);
-      pump.on_state = {0, 0, 1, 1};
-      pump.to_on = {2, 3, 0, 0};
-      pump.to_off = {0, 0, 0, 1};
-      const node_index train = tree.add_dynamic_event(
-          "T" + suffix + "_" + std::to_string(i), pump);
-      tree.set_trigger(gp, train);
-      inputs.push_back(train);
-    }
-    group_gates.push_back(
-        tree.add_gate("GROUP" + suffix, gate_type::and_gate, inputs));
-  }
-  tree.set_top(tree.add_gate("top", gate_type::or_gate, group_gates));
-  tree.validate();
-  return tree;
-}
-
-/// Runs the full pipeline with the stage-3 fast paths on and off and
-/// reports the quantification-stage speedup. The cutset lists must be
-/// bit-identical — stage 3 never feeds back into stage 2.
-void run_stage3_ab(const sdft::sd_fault_tree& tree, const char* label,
-                   double horizon, sdft::text_table& table) {
-  using namespace sdft;
-  analysis_options fast;
-  fast.horizon = horizon;
-  fast.cutoff = bench::paper_cutoff;
-  fast.cache_quantifications = false;  // measure every solve
-  analysis_options slow = fast;
-  slow.lump_symmetry = false;
-  slow.packed_state_keys = false;
-  slow.transient_early_termination = false;
-
-  const analysis_result before = analyze(tree, slow);
-  const analysis_result after = analyze(tree, fast);
-  const bool identical = cutset_lists(before) == cutset_lists(after);
-  const double gap =
-      std::abs(before.failure_probability - after.failure_probability) /
-      std::max(before.failure_probability, 1e-300);
-
-  char t_before[32], t_after[32], speedup[32], drift[32];
-  std::snprintf(t_before, sizeof t_before, "%.3fs",
-                before.stats.quantify_seconds);
-  std::snprintf(t_after, sizeof t_after, "%.3fs",
-                after.stats.quantify_seconds);
-  std::snprintf(speedup, sizeof speedup, "%.2fx",
-                before.stats.quantify_seconds /
-                    std::max(after.stats.quantify_seconds, 1e-12));
-  std::snprintf(drift, sizeof drift, "%.1e", gap);
-  table.add_row({label, std::to_string(after.num_cutsets), t_before, t_after,
-                 speedup,
-                 std::to_string(after.stats.lumped_orbits) + " / " +
-                     std::to_string(after.stats.uniformisation_steps_saved),
-                 drift, identical ? "yes" : "NO (BUG)"});
-}
 
 void run_thread_sweep(const sdft::industrial_model& model) {
   using namespace sdft;
@@ -156,30 +66,6 @@ int main(int argc, char** argv) {
       bench::prepare(bench::model1_options(full));
 
   run_thread_sweep(p.model);
-
-  std::printf(
-      "=== Stage-3 fast path: before/after breakdown ===\n\n");
-  {
-    text_table ab({"configuration", "cutsets", "quantify (before)",
-                   "quantify (after)", "speedup", "orbits / steps saved",
-                   "rel drift", "cutsets identical"});
-    run_stage3_ab(make_sequential_trains_model(6, full ? 9 : 7),
-                  "sequential trains (shared trigger)", 96.0, ab);
-    {
-      annotation_options an;
-      an.dynamic_fraction = 1.0;
-      an.trigger_fraction = 0.3;
-      an.repair_rate = 0.01;
-      an.phases = 6;  // deep per-event chains: stage 3 dominates
-      const sd_fault_tree industrial =
-          annotate_dynamic(p.model, p.ranked, an);
-      run_stage3_ab(industrial, "industrial (model 1 annotation)", 96.0, ab);
-    }
-    std::printf("%s\n", ab.str().c_str());
-    std::printf(
-        "before = lumping/packing/early-termination off; after = defaults.\n"
-        "Stage 2 must hand both runs bit-identical cutset lists.\n\n");
-  }
 
   std::printf(
       "=== Figure 3: per-MCS analysis time vs #dyn events x phases ===\n\n");

@@ -114,8 +114,8 @@ void bm_quantify_mcs(benchmark::State& state) {
 BENCHMARK(bm_quantify_mcs)->Unit(benchmark::kMicrosecond);
 
 // --- Stage-3 fast-path kernels ------------------------------------------
-// The CI perf-smoke job runs exactly these via --benchmark_filter=stage3
-// and archives the JSON (no thresholds; trend data only).
+// Product-level A/B rows: the engine always runs the fast paths, the
+// baselines are the product_options / transient_controls references.
 
 triggered_ctmc standby_pump(double failure_rate, double repair_rate) {
   triggered_ctmc m;
@@ -184,8 +184,7 @@ void bm_stage3_transient_early_term(benchmark::State& state) {
   const product_ctmc product =
       build_product_ctmc(standby_trains_tree(8), popts);
   transient_controls controls;
-  controls.early_termination = state.range(0) != 0;
-  controls.steady_state_detection = state.range(0) != 0;
+  controls.early_exit = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         reach_failed_probability(product.chain, 200.0, 1e-10, controls));
@@ -203,8 +202,7 @@ void bm_stage3_quantify_trains(benchmark::State& state) {
   popts.lump_symmetry = fast;
   popts.packed_state_keys = fast;
   transient_controls controls;
-  controls.early_termination = fast;
-  controls.steady_state_detection = fast;
+  controls.early_exit = fast;
   for (auto _ : state) {
     const product_ctmc product = build_product_ctmc(tree, popts);
     benchmark::DoNotOptimize(
@@ -217,9 +215,6 @@ BENCHMARK(bm_stage3_quantify_trains)
     ->Unit(benchmark::kMicrosecond);
 
 // --- Prep rewrite-layer kernels -----------------------------------------
-// The CI perf-smoke job runs exactly these via --benchmark_filter=prep and
-// archives the JSON as BENCH_prep.json next to BENCH_stage3.json (no
-// thresholds; trend data only).
 
 const fault_tree& industrial_static() {
   static const fault_tree ft = generate_industrial({}).ft;
@@ -235,27 +230,6 @@ void bm_prep_normalise(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_prep_normalise)->Unit(benchmark::kMicrosecond);
-
-void bm_prep_rewrite(benchmark::State& state) {
-  // One rewrite family at a time over the industrial tree: 0 = folding +
-  // coalescing, 1 = duplicate merging, 2 = common-argument factoring,
-  // 3 = absorption. Isolates each pass's per-fixpoint cost.
-  prep_options opts;
-  opts.fold = opts.coalesce = state.range(0) == 0;
-  opts.merge_duplicates = state.range(0) == 1;
-  opts.merge_common_args = state.range(0) == 2;
-  opts.absorb = state.range(0) == 3;
-  opts.modularize = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(preprocess(industrial_static(), opts).tree.size());
-  }
-}
-BENCHMARK(bm_prep_rewrite)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMicrosecond);
 
 void bm_prep_full(benchmark::State& state) {
   for (auto _ : state) {
@@ -273,9 +247,7 @@ BENCHMARK(bm_prep_full)->Unit(benchmark::kMicrosecond);
 
 void bm_prep_find_modules(benchmark::State& state) {
   // The linear-time DFS-timestamp module detection on its own.
-  prep_options opts;
-  opts.modularize = false;
-  const prep_result p = preprocess(industrial_static(), opts);
+  const prep_result p = preprocess(industrial_static());
   for (auto _ : state) {
     benchmark::DoNotOptimize(find_modules(p.tree).size());
   }
@@ -323,9 +295,7 @@ BENCHMARK(bm_prep_engine_industrial)
     ->Unit(benchmark::kMillisecond);
 
 // --- Packed-bitset cutset kernels ---------------------------------------
-// The CI perf-smoke job runs exactly these via --benchmark_filter=bitset
-// and archives the JSON as BENCH_bitset.json (no thresholds; trend data
-// only). Arg(0) is the vector baseline, Arg(1) the packed kernel.
+// Arg(0) is the vector baseline, Arg(1) the packed kernel.
 
 /// A redundant cutset family derived from the industrial model's real
 /// minimal cutsets: the MCS list plus seeded pairwise unions (guaranteed

@@ -105,8 +105,7 @@ int main() {
     slow_opts.lump_symmetry = false;
     slow_opts.packed_state_keys = false;
     transient_controls slow_ctrl;
-    slow_ctrl.early_termination = false;
-    slow_ctrl.steady_state_detection = false;
+    slow_ctrl.early_exit = false;
     stopwatch slow_timer;
     const product_ctmc slow_product =
         build_product_ctmc(model.tree, slow_opts);

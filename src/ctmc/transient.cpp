@@ -71,7 +71,7 @@ std::vector<double> transient_impl(const ctmc& chain,
     if (k == window.right) break;
     const double tail = std::max(0.0, 1.0 - weight_done);
 
-    if (controls.early_termination) {
+    if (controls.early_exit) {
       // Mass on absorbing states grows monotonically, so freezing the
       // distribution under-counts each result entry by at most the live
       // mass that could still be absorbed, weighted by the Poisson tail.
@@ -110,7 +110,7 @@ std::vector<double> transient_impl(const ctmc& chain,
       }
     }
 
-    if (controls.steady_state_detection) {
+    if (controls.early_exit) {
       // P is stochastic, so iteration contracts in L1: once one step
       // moves the iterate by delta, m further steps move it by at most
       // m * delta. Freeze when the whole remaining run stays under the

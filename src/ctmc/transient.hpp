@@ -34,20 +34,21 @@ struct transient_stats {
   std::size_t steps_saved() const { return steps_planned - steps_taken; }
 };
 
-/// Optional knobs of the uniformisation loop. The cutoffs add at most
-/// epsilon/100 each to the truncation error, so results stay within the
-/// requested accuracy; they exist as toggles for A/B benchmarking and for
-/// pinning either behaviour in tests.
+/// Optional knobs of the uniformisation loop.
 struct transient_controls {
-  /// Terminate once the remaining Poisson tail times the live (not yet
-  /// absorbed) mass bounds the residual below epsilon/100. Absorbing
-  /// states are extrapolated with their current (monotone) mass.
-  bool early_termination = true;
-
-  /// Freeze the iterate once ||current - next||_1 times the remaining
-  /// step count drops below epsilon/100 (the L1 contraction of a
-  /// stochastic matrix bounds all further movement by that product).
-  bool steady_state_detection = true;
+  /// Leave the Fox–Glynn loop before its right edge when one of two
+  /// cutoffs fires, each adding at most epsilon/100 to the truncation
+  /// error:
+  ///  - early termination: the remaining Poisson tail times the live (not
+  ///    yet absorbed) mass bounds the residual below epsilon/100;
+  ///    absorbing states are extrapolated with their current (monotone)
+  ///    mass;
+  ///  - steady state: ||current - next||_1 times the remaining step count
+  ///    drops below epsilon/100 (the L1 contraction of a stochastic matrix
+  ///    bounds all further movement by that product).
+  /// Off runs the full window: the reference the cutoffs are tested
+  /// against.
+  bool early_exit = true;
 
   /// Collects loop counters when non-null.
   transient_stats* stats = nullptr;

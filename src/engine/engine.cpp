@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "obs/obs.hpp"
 #include "prep/prep.hpp"
 #include "sdft/translate.hpp"
+#include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -65,6 +67,16 @@ std::unordered_map<node_index, double> exact_static_overrides(
         b, translation.ft_bar.node(entry.prep_to_source[b]).probability);
   }
   return overrides;
+}
+
+/// Rejects numeric options no stage can honour; NaN fails every check.
+void validate_options(const analysis_options& opt) {
+  require_model(std::isfinite(opt.horizon) && opt.horizon >= 0.0,
+                "analysis horizon must be finite and >= 0");
+  require_model(std::isfinite(opt.cutoff) && opt.cutoff >= 0.0,
+                "analysis cutoff must be finite and >= 0");
+  require_model(opt.epsilon > 0.0 && opt.epsilon < 1.0,
+                "analysis epsilon must lie in (0, 1)");
 }
 
 /// parallel_for when a pool exists, a plain loop inline.
@@ -362,6 +374,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
 
 analysis_result analysis_engine::run(const sd_fault_tree& tree,
                                      const analysis_options& opt) {
+  validate_options(opt);
   if (opt.backend == cutset_backend::mc) return run_mc(tree, opt);
   const stopwatch total_timer;
   obs::span_scope run_span("engine.run");
@@ -411,9 +424,6 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     qopts.epsilon = opt.epsilon;
     qopts.max_product_states = opt.max_product_states;
     qopts.mode = opt.mode;
-    qopts.lump_symmetry = opt.lump_symmetry;
-    qopts.packed_state_keys = opt.packed_state_keys;
-    qopts.transient_early_termination = opt.transient_early_termination;
     const static_product_quantifier static_quantifier(tree);
     const product_chain_quantifier chain_quantifier(
         tree, acq.translation, qopts,
@@ -528,6 +538,7 @@ void analysis_engine::prime(const sd_fault_tree& tree) {
 
 void analysis_engine::prime(const sd_fault_tree& tree,
                             const analysis_options& options) {
+  validate_options(options);
   // The mc backend generates no cutsets: nothing to park in the
   // structure cache, so priming is a no-op.
   if (options.backend == cutset_backend::mc) return;

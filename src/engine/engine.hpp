@@ -85,14 +85,6 @@ struct analysis_options {
   /// solve and only multiply their static factors.
   bool cache_quantifications = true;
 
-  /// Stage-3 fast paths (on by default; disable to reproduce the baseline
-  /// behaviour bit-for-bit): lump exchangeable components of each product
-  /// chain, key exploration by packed 64-bit states, and terminate
-  /// uniformisation early once the residual is provably below epsilon.
-  bool lump_symmetry = true;
-  bool packed_state_keys = true;
-  bool transient_early_termination = true;
-
   /// Preprocessing of FT-bar between translation and cutset generation
   /// (src/prep): simplifying rewrites plus modularization of stage 2.
   /// prep.enabled=false keeps only the mandatory normalisation (voting

@@ -50,13 +50,12 @@ void put_dynamic_model(std::string& out, const dynamic_model& model) {
 }  // namespace
 
 std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
-                          double horizon, double epsilon, bool lump_symmetry) {
+                          double horizon, double epsilon) {
   using kind = ftc_plan::kind;
   std::string out;
   out.reserve(256);
   put_f64(out, horizon);
   put_f64(out, epsilon);
-  out.push_back(lump_symmetry ? 'L' : 'l');
   put_u32(out, static_cast<std::uint32_t>(plan.nodes.size()));
   put_u32(out, plan.top);
   // FT_C construction is deterministic, so serialising nodes in index

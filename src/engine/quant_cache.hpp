@@ -16,15 +16,13 @@ namespace sdft {
 /// structure (gate types and wiring), the numeric content of every basic
 /// event (static probability, or the complete CTMC / triggered-CTMC
 /// definition, read from `source`), the trigger edges, and the solver
-/// inputs (horizon, epsilon, and whether symmetry lumping is enabled —
-/// lumped and unlumped solves agree only up to roundoff, so they must not
-/// alias). Everything that determines the product-chain probability is
-/// encoded byte-exactly; names and the static factor are deliberately
-/// excluded, so cutsets that share dynamic sub-structure but differ in
-/// their static events map to the same key. FT_C is never built.
+/// inputs (horizon and epsilon). Everything that determines the
+/// product-chain probability is encoded byte-exactly; names and the
+/// static factor are deliberately excluded, so cutsets that share dynamic
+/// sub-structure but differ in their static events map to the same key.
+/// FT_C is never built.
 std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
-                          double horizon, double epsilon,
-                          bool lump_symmetry = true);
+                          double horizon, double epsilon);
 
 /// Thread-safe memoisation of product-chain transient solves, keyed by
 /// ftc_signature(). Stores the *chain* failure probability (before

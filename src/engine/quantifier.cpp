@@ -65,8 +65,7 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
 
     std::string key;
     if (cache_ != nullptr) {
-      key = ftc_signature(*plan, tree_, options_.horizon, options_.epsilon,
-                          options_.lump_symmetry);
+      key = ftc_signature(*plan, tree_, options_.horizon, options_.epsilon);
       if (const auto cached = cache_->find(key)) {
         out.cache_hit = true;
         out.chain_states = cached->chain_states;
@@ -83,8 +82,6 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
 
     product_options popts;
     popts.max_states = options_.max_product_states;
-    popts.packed_state_keys = options_.packed_state_keys;
-    popts.lump_symmetry = options_.lump_symmetry;
     const product_ctmc product =
         build_product_ctmc(materialise_ftc(*plan, tree_), popts);
     out.chain_states = product.num_states();
@@ -92,8 +89,6 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
     out.packed_keys = product.packed_keys;
     transient_stats tstats;
     transient_controls tctrl;
-    tctrl.early_termination = options_.transient_early_termination;
-    tctrl.steady_state_detection = options_.transient_early_termination;
     tctrl.stats = &tstats;
     const double chain_probability = reach_failed_probability(
         product.chain, options_.horizon, options_.epsilon, tctrl);

@@ -36,12 +36,6 @@ struct quantify_options {
   double epsilon = 1e-10;
   std::size_t max_product_states = 2'000'000;
   approx_mode mode = approx_mode::as_classified;
-
-  /// Stage-3 fast-path toggles (see product_options and
-  /// transient_controls); on by default, off reproduces the slow paths.
-  bool lump_symmetry = true;
-  bool packed_state_keys = true;
-  bool transient_early_termination = true;
 };
 
 /// Stage-3 interface of the engine: quantifies one minimal cutset (given

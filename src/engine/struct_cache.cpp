@@ -19,16 +19,9 @@ std::string structural_signature(const sd_fault_tree& tree,
   const fault_tree& ft = tree.structure();
   std::string out;
   out.reserve(16 * ft.size());
-  // Prep configuration: a different rewrite selection yields a different
-  // prep tree (and exact-static BDD), so it must not alias.
-  out.push_back(static_cast<char>((prep.enabled ? 1 : 0) |
-                                  (prep.fold ? 2 : 0) |
-                                  (prep.coalesce ? 4 : 0) |
-                                  (prep.merge_duplicates ? 8 : 0) |
-                                  (prep.merge_common_args ? 16 : 0) |
-                                  (prep.absorb ? 32 : 0) |
-                                  (prep.modularize ? 64 : 0)));
-  put_u32(out, prep.max_passes);
+  // Prep on and off yield different prep trees (and exact-static BDDs),
+  // so they must not alias.
+  out.push_back(prep.enabled ? 'P' : 'p');
   put_u32(out, static_cast<std::uint32_t>(ft.size()));
   put_u32(out, ft.top());
   for (node_index n = 0; n < ft.size(); ++n) {

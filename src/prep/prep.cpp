@@ -17,6 +17,9 @@ namespace {
 
 constexpr std::uint32_t wnpos = 0xffffffffU;
 
+/// Iteration cap of the rewrite fixpoint loop.
+constexpr std::size_t pass_cap = 8;
+
 /// A node of the mutable working graph. Nodes are never erased while
 /// rewriting; `workgraph::replace` redirects an id to its survivor and
 /// the final emit drops everything unreachable from the top.
@@ -348,7 +351,7 @@ bool pass_merge_duplicates(workgraph& g, prep_stats& stats) {
 /// Undistributes one argument shared by several single-parent children:
 /// OR(AND(x, A), AND(x, B), r) == OR(AND(x, OR(A, B)), r) and dually.
 /// One factoring per gate per pass; the fixpoint loop iterates.
-bool pass_merge_common_args(workgraph& g, prep_stats& stats) {
+bool pass_factor_common_args(workgraph& g, prep_stats& stats) {
   bool changed = false;
   const auto live = g.live_topo();
   for (std::uint32_t id : live) g.resolve(id);
@@ -440,18 +443,14 @@ prep_result preprocess(const fault_tree& src, const prep_options& opts) {
 
   if (opts.enabled) {
     bool changed = true;
-    while (changed && result.stats.passes < opts.max_passes) {
+    while (changed && result.stats.passes < pass_cap) {
       ++result.stats.passes;
       changed = false;
-      if (opts.fold) changed |= pass_fold(g, result.stats);
-      if (opts.coalesce) changed |= pass_coalesce(g, result.stats);
-      if (opts.absorb) changed |= pass_absorb(g, result.stats);
-      if (opts.merge_duplicates) {
-        changed |= pass_merge_duplicates(g, result.stats);
-      }
-      if (opts.merge_common_args) {
-        changed |= pass_merge_common_args(g, result.stats);
-      }
+      changed |= pass_fold(g, result.stats);
+      changed |= pass_coalesce(g, result.stats);
+      changed |= pass_absorb(g, result.stats);
+      changed |= pass_merge_duplicates(g, result.stats);
+      changed |= pass_factor_common_args(g, result.stats);
     }
   }
 
@@ -484,7 +483,7 @@ prep_result preprocess(const fault_tree& src, const prep_options& opts) {
   result.stats.nodes_after = result.tree.size();
   result.stats.gates_after = result.tree.num_gates();
 
-  if (opts.enabled && opts.modularize) {
+  if (opts.enabled) {
     const auto roots = find_modules(result.tree);
     const std::unordered_set<node_index> is_root(roots.begin(), roots.end());
     for (node_index n : result.tree.topo_order()) {

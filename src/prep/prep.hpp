@@ -1,29 +1,19 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "ft/fault_tree.hpp"
 
 namespace sdft {
 
-/// Toggles for the preprocessing rewrites. Normalisation (lowering of
+/// Options of the preprocessing rewrites. Normalisation (lowering of
 /// atleast gates to shared AND/OR networks) is NOT optional — both
-/// backends require an AND/OR tree — so it has no switch here; `enabled`
-/// and the per-rewrite flags only govern the optional simplifications and
-/// modularization.
+/// backends require an AND/OR tree — so it has no switch here.
 struct prep_options {
-  /// Master switch: false runs normalisation only (equivalent to every
-  /// per-rewrite flag being false).
+  /// Run the simplifying rewrites and modularization; false runs
+  /// normalisation only (`sdft analyze --no-prep`).
   bool enabled = true;
-  bool fold = true;              ///< constant / one-input gate folding
-  bool coalesce = true;          ///< inline single-parent same-type children
-  bool merge_duplicates = true;  ///< structural CSE of identical gates
-  bool merge_common_args = true; ///< factor args shared across sibling gates
-  bool absorb = true;            ///< depth-1 absorption: x + x.y = x
-  bool modularize = true;        ///< detect module roots for the engine
-  std::uint32_t max_passes = 8;  ///< fixpoint iteration cap
 };
 
 /// Counters describing what preprocess() did; mirrored into engine_stats
@@ -64,8 +54,7 @@ struct prep_result {
 
   /// Module roots of `tree` in topological order (nested modules before
   /// their enclosing module, the top gate last). Contains at least the
-  /// top gate. With modularize=false (or enabled=false) it is exactly
-  /// {top}.
+  /// top gate. With enabled=false it is exactly {top}.
   std::vector<node_index> module_roots;
 
   prep_stats stats;

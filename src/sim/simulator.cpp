@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/stream_rng.hpp"
-#include "sim/trajectory.hpp"
+#include "sim/mc.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace sdft {
 
@@ -14,31 +12,24 @@ simulation_result simulate_failure_probability(
     const sd_fault_tree& tree, double horizon,
     const simulation_options& options) {
   require_model(options.runs > 0, "simulator: need at least one run");
-  tree.validate();
-  sim::trajectory_model model(tree, options.max_update_sweeps);
 
-  // Each run draws from its own counter-based substream keyed by the
-  // global trajectory index. Earlier revisions shared one sequential rng
-  // across all runs, which made run i depend on every draw before it —
-  // batches could neither be reproduced in isolation nor concatenated.
-  std::size_t failures = 0;
-  sim::trajectory_state state;
-  for (std::size_t i = 0; i < options.runs; ++i) {
-    rng random =
-        sim::substream(options.seed, options.first_trajectory + i);
-    bool failed = model.init(state, random);
-    if (!failed) {
-      failed = model.advance(state, horizon, random) ==
-               sim::advance_outcome::failed;
-    }
-    if (failed) ++failures;
-  }
+  // The crude estimator samples run i from the substream keyed by
+  // (seed, first_trajectory + i), so the failure count is that of this
+  // campaign however the mc backend batches it.
+  sim::mc_options mc;
+  mc.method = sim::mc_method::crude;
+  mc.trajectories = options.runs;
+  mc.seed = options.seed;
+  mc.first_trajectory = options.first_trajectory;
+  mc.max_update_sweeps = options.max_update_sweeps;
+  const sim::mc_result crude =
+      sim::estimate_failure_probability_mc(tree, horizon, mc);
 
   simulation_result out;
   out.runs = options.runs;
-  out.failures = failures;
+  out.failures = crude.failures;
   const double n = static_cast<double>(options.runs);
-  const double p = static_cast<double>(failures) / n;
+  const double p = static_cast<double>(crude.failures) / n;
   out.estimate = p;
   out.std_error = std::sqrt(p * (1.0 - p) / n);
   // Wilson score interval: robust also for very small counts.

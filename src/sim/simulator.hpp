@@ -49,6 +49,10 @@ struct simulation_result {
 /// Unlike the exact product chain this never builds a global state space,
 /// so it validates the analysis pipeline on models far beyond product-CTMC
 /// reach (e.g. the fully dynamic BWR study).
+///
+/// The runs are the mc backend's crude campaign
+/// (sim::estimate_failure_probability_mc with mc_method::crude); this
+/// adapter replaces its normal interval by the binomial Wilson interval.
 simulation_result simulate_failure_probability(
     const sd_fault_tree& tree, double horizon,
     const simulation_options& options = {});

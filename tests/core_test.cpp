@@ -386,9 +386,8 @@ TEST(McsModel, TriggerSetMemoIsExact) {
 }
 
 /// For every cutset and approx_mode: the signature read off the plan
-/// equals the reference serialisation of the materialised FT_C, with and
-/// without lumping, and the materialised FT_C validates. Returns the
-/// number of plans checked.
+/// equals the reference serialisation of the materialised FT_C, and the
+/// materialised FT_C validates. Returns the number of plans checked.
 std::size_t expect_signature_matches_reference(
     const sd_fault_tree& tree, const std::vector<cutset>& cutsets,
     const std::string& label) {
@@ -400,12 +399,10 @@ std::size_t expect_signature_matches_reference(
       const ftc_plan plan = build_ftc_plan(tree, c, mode);
       const sd_fault_tree ftc = materialise_ftc(plan, tree);
       EXPECT_NO_THROW(ftc.validate());
-      for (bool lump : {true, false}) {
-        EXPECT_EQ(ftc_signature(plan, tree, 24.0, 1e-10, lump),
-                  testing::reference_ftc_signature(ftc, 24.0, 1e-10, lump))
-            << label << " mode " << static_cast<int>(mode) << " cutset of "
-            << c.size() << " lump " << lump;
-      }
+      EXPECT_EQ(ftc_signature(plan, tree, 24.0, 1e-10),
+                testing::reference_ftc_signature(ftc, 24.0, 1e-10))
+          << label << " mode " << static_cast<int>(mode) << " cutset of "
+          << c.size();
       ++checked;
     }
   }

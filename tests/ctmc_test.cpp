@@ -280,8 +280,7 @@ TEST(Transient, EarlyTerminationMatchesFullRunOnAbsorption) {
   const double fast = reach_failed_probability(chain, t, 1e-10, on);
 
   transient_controls off;
-  off.early_termination = false;
-  off.steady_state_detection = false;
+  off.early_exit = false;
   const double slow = reach_failed_probability(chain, t, 1e-10, off);
 
   EXPECT_NEAR(fast, slow, 1e-10);
@@ -304,8 +303,7 @@ TEST(Transient, SteadyStateDetectionOnRepairableChain) {
   const auto fast = transient_distribution(chain, t, 1e-10, on);
 
   transient_controls off;
-  off.early_termination = false;
-  off.steady_state_detection = false;
+  off.early_exit = false;
   const auto slow = transient_distribution(chain, t, 1e-10, off);
 
   ASSERT_EQ(fast.size(), slow.size());
@@ -318,12 +316,46 @@ TEST(Transient, SteadyStateDetectionOnRepairableChain) {
   EXPECT_GT(stats.steps_saved(), 0u);
 }
 
+TEST(Transient, LargeUniformisationProductMatchesEigenvalueClosedForm) {
+  // 0 <-> 1 at rate 50 each way; 1 -> 2 (failed, absorbing) at 1e-3. The
+  // survival function of the 2x2 sub-generator Q = [[-50, 50],
+  // [50, -50.001]] is c1 e^{l1 t} + c2 e^{l2 t} with S(0) = 1 and
+  // S'(0) = 0; the fast mode makes q*t large long before the slow mode
+  // has absorbed much mass.
+  ctmc chain(3);
+  chain.set_initial(0, 1.0);
+  chain.set_failed(2);
+  chain.add_rate(0, 1, 50.0);
+  chain.add_rate(1, 0, 50.0);
+  chain.add_rate(1, 2, 1e-3);
+
+  const double trace = -100.001;
+  const double det = 50.0 * 50.001 - 50.0 * 50.0;
+  const double l2 = (trace - std::sqrt(trace * trace - 4.0 * det)) / 2.0;
+  const double l1 = det / l2;  // the small root, without cancellation
+  const double c1 = l2 / (l2 - l1);
+  const double c2 = -l1 / (l2 - l1);
+  const double q = uniformised_dtmc(chain, {0, 0, 1}).q;
+
+  for (const double qt : {1e3, 1e4, 1e5}) {
+    const double t = qt / q;
+    const double expected =
+        -c1 * std::expm1(l1 * t) - c2 * std::expm1(l2 * t);
+    for (const bool early_exit : {true, false}) {
+      transient_controls controls;
+      controls.early_exit = early_exit;
+      EXPECT_NEAR(reach_failed_probability(chain, t, 1e-10, controls),
+                  expected, 1e-9)
+          << "q*t " << qt << (early_exit ? " early exit" : " full window");
+    }
+  }
+}
+
 TEST(Transient, ControlsOffReproducesPlannedStepCount) {
   const ctmc chain = make_repairable(0.5, 0.25);
   transient_stats stats;
   transient_controls off;
-  off.early_termination = false;
-  off.steady_state_detection = false;
+  off.early_exit = false;
   off.stats = &stats;
   (void)reach_failed_probability(chain, 8.0, 1e-10, off);
   EXPECT_EQ(stats.steps_taken, stats.steps_planned);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
@@ -293,6 +294,37 @@ TEST(Engine, AnalyzeWrapperMatchesEngineRun) {
   analysis_engine engine(opts);
   EXPECT_NEAR(engine.run(tree).failure_probability,
               analyze(tree, opts).failure_probability, 1e-15);
+}
+
+TEST(Engine, RejectsInvalidNumericOptions) {
+  // A static model needs no transient solve, so nothing downstream would
+  // notice a negative horizon: run() and prime() must reject it up front.
+  const sd_fault_tree tree(testing::example1_static());
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  std::vector<analysis_options> bad;
+  for (const double horizon : {-5.0, nan, inf}) {
+    bad.emplace_back().horizon = horizon;
+  }
+  for (const double cutoff : {-1.0, nan, inf}) {
+    bad.emplace_back().cutoff = cutoff;
+  }
+  for (const double epsilon : {0.0, 1.0, -1e-10, nan}) {
+    bad.emplace_back().epsilon = epsilon;
+  }
+  for (analysis_options& opts : bad) {
+    analysis_engine engine(opts);
+    EXPECT_THROW(engine.run(tree), model_error)
+        << opts.horizon << " " << opts.cutoff << " " << opts.epsilon;
+    EXPECT_THROW(engine.prime(tree), model_error);
+    opts.backend = cutset_backend::mc;
+    EXPECT_THROW(engine.run(tree, opts), model_error);
+  }
+
+  analysis_options edge;
+  edge.horizon = 0.0;
+  edge.cutoff = 0.0;
+  EXPECT_NO_THROW(analyze(tree, edge));
 }
 
 }  // namespace

@@ -63,14 +63,12 @@ inline void put_dynamic_model(std::string& out, const dynamic_model& model) {
 /// connective and inputs, dynamic events by chain and triggering gate,
 /// static events by probability.
 inline std::string reference_ftc_signature(const sd_fault_tree& ftc,
-                                           double horizon, double epsilon,
-                                           bool lump_symmetry = true) {
+                                           double horizon, double epsilon) {
   using namespace reference_detail;
   const fault_tree& ft = ftc.structure();
   std::string out;
   put_f64(out, horizon);
   put_f64(out, epsilon);
-  out.push_back(lump_symmetry ? 'L' : 'l');
   put_u32(out, static_cast<std::uint32_t>(ft.size()));
   put_u32(out, ft.top());
   for (node_index n = 0; n < ft.size(); ++n) {

@@ -192,9 +192,8 @@ TEST(Prep, ToSourceMapsBasicEventsFaithfully) {
   EXPECT_EQ(prep.module_roots.back(), prep.tree.top());
 }
 
-/// Engine-level agreement: with prep on, with prep off, and with
-/// modularization alone disabled, several thread counts must produce the
-/// bit-identical probability and cutset list.
+/// Engine-level agreement: with prep on and with prep off, several thread
+/// counts must produce the bit-identical probability and cutset list.
 void expect_engine_agreement(const sd_fault_tree& tree, double horizon,
                              double cutoff, const std::string& model) {
   analysis_options opts;
@@ -210,22 +209,16 @@ void expect_engine_agreement(const sd_fault_tree& tree, double horizon,
       testing::engine_cutsets(reference);
 
   for (const bool prep_enabled : {true, false}) {
-    for (const bool modularize : {true, false}) {
-      if (!prep_enabled && !modularize) continue;  // duplicate of (false, *)
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        opts.threads = threads;
-        opts.prep = prep_options{};
-        opts.prep.enabled = prep_enabled;
-        opts.prep.modularize = modularize;
-        const analysis_result r = analyze(tree, opts);
-        const std::string label = model +
-                                  ": threads=" + std::to_string(threads) +
-                                  (prep_enabled ? " prep" : " no-prep") +
-                                  (modularize ? "" : " no-modules");
-        EXPECT_EQ(testing::engine_cutsets(r), reference_list) << label;
-        EXPECT_EQ(r.failure_probability, reference.failure_probability)
-            << label;
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      opts.threads = threads;
+      opts.prep.enabled = prep_enabled;
+      const analysis_result r = analyze(tree, opts);
+      const std::string label = model +
+                                ": threads=" + std::to_string(threads) +
+                                (prep_enabled ? " prep" : " no-prep");
+      EXPECT_EQ(testing::engine_cutsets(r), reference_list) << label;
+      EXPECT_EQ(r.failure_probability, reference.failure_probability)
+          << label;
     }
   }
 }

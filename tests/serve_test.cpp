@@ -382,6 +382,16 @@ TEST(Serve, RejectsMalformedCountsAndRetiredBackend) {
   EXPECT_EQ(service.errors(), errors_before + 7);
 }
 
+TEST(Serve, RejectsNegativeCutoff) {
+  serve::analysis_service service = make_service();
+  service.load_text("m", example_text());
+  const json::value r =
+      handle(service, R"({"op":"analyze","model":"m","cutoff":-1})");
+  EXPECT_FALSE(r.at("ok").as_bool());
+  EXPECT_NE(r.at("error").as_string().find("cutoff"), std::string::npos)
+      << r.at("error").as_string();
+}
+
 TEST(Serve, StdioTransportRoundTrip) {
   serve::analysis_service service = make_service();
   service.load_text("m", example_text());
