@@ -43,6 +43,7 @@ cutset_generation mocus_source::generate(const fault_tree& ft, double cutoff,
   cutset_generation out;
   out.partials_processed = mcs.partials_processed;
   out.discarded = mcs.cutoff_discarded;
+  out.lookahead_pruned = mcs.lookahead_pruned;
   out.subset_tests = mcs.subset_tests;
   out.bitset_words = mcs.universe_words;
   out.cutsets = std::move(mcs.cutsets);

@@ -49,6 +49,7 @@ struct cutset_generation {
 
   std::size_t partials_processed = 0;  ///< MOCUS partials expanded
   std::size_t discarded = 0;           ///< cutoff-discarded partials
+  std::size_t lookahead_pruned = 0;    ///< of which look-ahead prunes
   std::size_t subset_tests = 0;        ///< packed subsumption tests
   std::size_t bitset_words = 0;  ///< widest subset mask, in 64-bit words
 };

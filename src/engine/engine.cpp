@@ -206,6 +206,7 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.num_cutsets = acq.generation.cutsets.size();
     stats.source_partials = acq.generation.partials_processed;
     stats.source_discarded = acq.generation.discarded;
+    stats.lookahead_pruned = acq.generation.lookahead_pruned;
     stats.subset_tests = acq.generation.subset_tests;
     stats.bitset_words = acq.generation.bitset_words;
     if (pool != nullptr) {

@@ -217,6 +217,7 @@ modular_generation generate_modular(const prep_result& prep,
   const auto finish = [&](std::size_t slot, cutset_generation generated) {
     out.generation.partials_processed += generated.partials_processed;
     out.generation.discarded += generated.discarded;
+    out.generation.lookahead_pruned += generated.lookahead_pruned;
     out.generation.subset_tests += generated.subset_tests;
     out.generation.bitset_words =
         std::max(out.generation.bitset_words, generated.bitset_words);

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mcs/cutset.hpp"
 #include "obs/obs.hpp"
 #include "sim/stream_rng.hpp"
 #include "util/error.hpp"
@@ -28,17 +29,6 @@ constexpr double two_pi = 6.283185307179586;
 /// Recombination guard: an extension whose pruned product grows past this
 /// many sets before it is minimised is rejected with a pointer at the cutoff.
 constexpr std::size_t max_recombined_cutsets = std::size_t{1} << 20;
-
-/// Relative slack of the product pricing filter. A disjoint pair's
-/// product p(base) * p(add) and the canonical cutset_probability() of its
-/// union are two roundings of the same product of at most a few thousand
-/// factors, so they differ by far less than this.
-constexpr double pricing_slack = 1e-9;
-
-/// Smallest cutoff the pricing filter applies at: above it, every product
-/// that could reach the cutoff is a normal number, so the rounding bound
-/// behind pricing_slack holds.
-constexpr double min_priced_cutoff = 0x1p-1000;
 
 std::vector<ccf_group> resolve_ccf_groups(
     const std::vector<ccf_group_description>& groups, const fault_tree& ft) {

@@ -14,6 +14,20 @@ using cutset = std::vector<node_index>;
 /// Product of the probabilities of the events in `c` (paper §IV-A, p(C)).
 double cutset_probability(const fault_tree& ft, const cutset& c);
 
+/// Relative slack of a filter that prices a set by another product than
+/// cutset_probability() — the scenario engine's pair product
+/// p(base) · p(add), MOCUS's look-ahead bound P(E) · b(g1) · b(g2) · … —
+/// and rejects it below `cutoff · (1 − pricing_slack)`. Both products are
+/// roundings of the same real product of at most a few thousand factors,
+/// so they differ by far less than this: the filter never rejects a set
+/// the canonical product keeps.
+inline constexpr double pricing_slack = 1e-9;
+
+/// Smallest cutoff such a filter applies at: above it, every product that
+/// could reach the cutoff is a normal number, so the rounding bound behind
+/// pricing_slack holds.
+inline constexpr double min_priced_cutoff = 0x1p-1000;
+
 /// Rare-event approximation: sum of cutset probabilities (paper §IV-A iii).
 double rare_event_probability(const fault_tree& ft,
                               const std::vector<cutset>& cutsets);

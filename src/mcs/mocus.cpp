@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -122,14 +123,65 @@ class visited_table {
 
 enum class event_mode : char { free_event, forced_failed, forced_working };
 
+/// Lower bound on the cutset order of a node that has no cutset at all.
+constexpr std::uint32_t no_cutset_order = std::uint32_t{1} << 30;
+
+/// A conservative fixed-width summary of a node's free leaves: each free
+/// basic event sets one of 512 bits, picked by mix64 of its index. Disjoint
+/// signatures prove disjoint leaf sets; meeting signatures only mean
+/// "maybe shared". 64 bytes per node, however large the tree.
+struct leaf_signature {
+  std::array<std::uint64_t, 8> words{};
+
+  void add(node_index event) {
+    const std::uint64_t bit = mix64(event) & 511;
+    words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  }
+  void merge(const leaf_signature& other) {
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] |= other.words[i];
+  }
+  bool meets(const leaf_signature& other) const {
+    std::uint64_t common = 0;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      common |= words[i] & other.words[i];
+    }
+    return common != 0;
+  }
+};
+
+/// Where the drivers count the partials that die. Every dropped partial is
+/// handed over with its event product P(E): each cutset it would have
+/// produced contains E, which is what a truncation bound on the dropped
+/// mass sums (ROADMAP).
+struct discard_tally {
+  std::size_t discarded = 0;         ///< cutoff, order and look-ahead deaths
+  std::size_t lookahead_pruned = 0;  ///< of which look-ahead prunes
+
+  void cutoff(double /*event_probability*/) { ++discarded; }
+  void lookahead(double /*event_probability*/) {
+    ++discarded;
+    ++lookahead_pruned;
+  }
+};
+
 /// The expansion core shared by the serial and the parallel driver: the
-/// forced-event modes, the cutoff/order pruning and the single-gate
-/// expansion step. Stateless apart from the read-only inputs, so the
-/// parallel driver calls it from every worker without synchronisation.
+/// forced-event modes, the cutoff/order pruning, the look-ahead bounds and
+/// the single-gate expansion step. Stateless apart from the read-only
+/// inputs, so the parallel driver calls it from every worker without
+/// synchronisation.
 struct expansion {
   const fault_tree& ft;
   const mocus_options& opt;
   std::vector<event_mode> mode;
+
+  // Look-ahead pricing (DESIGN.md §9), per node: `bound` is an upper bound
+  // on the event product of any cutset's share in the node's free leaves,
+  // `order` a lower bound on that share's size, `signature` a summary of
+  // the free leaves. Empty when neither the cutoff nor max_order can prune.
+  std::vector<double> bound;
+  std::vector<std::uint32_t> order;
+  std::vector<leaf_signature> signature;
+  double reject_below = 0.0;  // cutoff · (1 − pricing_slack), or 0
 
   expansion(const fault_tree& tree, const mocus_options& options)
       : ft(tree), opt(options), mode(tree.size(), event_mode::free_event) {
@@ -145,29 +197,144 @@ struct expansion {
                     "mocus: event both assumed failed and assumed working");
       mode[b] = event_mode::forced_working;
     }
+    if (opt.cutoff >= min_priced_cutoff) {
+      reject_below = opt.cutoff * (1.0 - pricing_slack);
+    }
+    if (reject_below > 0.0 ||
+        opt.max_order != std::numeric_limits<std::size_t>::max()) {
+      compute_bounds();
+    }
+  }
+
+  /// One bottom-up pass over the tree. A basic event bounds by its
+  /// probability (1 if assumed failed, 0 if assumed working); an OR takes
+  /// the best child; an AND multiplies (sums the orders) when its
+  /// children's signatures are disjoint, and otherwise takes the worst
+  /// child alone, which every cutset of the AND still contains.
+  void compute_bounds() {
+    bound.assign(ft.size(), 0.0);
+    order.assign(ft.size(), 0);
+    signature.assign(ft.size(), leaf_signature{});
+    for (node_index n : ft.topo_order()) {
+      const ft_node& node = ft.node(n);
+      if (ft.is_basic(n)) {
+        switch (mode[n]) {
+          case event_mode::free_event:
+            bound[n] = node.probability;
+            order[n] = 1;
+            signature[n].add(n);
+            break;
+          case event_mode::forced_failed:
+            bound[n] = 1.0;
+            break;
+          case event_mode::forced_working:
+            order[n] = no_cutset_order;
+            break;
+        }
+        continue;
+      }
+      leaf_signature& sig = signature[n];
+      if (node.type == gate_type::or_gate) {
+        std::uint32_t lo = no_cutset_order;
+        for (node_index c : node.inputs) {
+          bound[n] = std::max(bound[n], bound[c]);
+          lo = std::min(lo, order[c]);
+          sig.merge(signature[c]);
+        }
+        order[n] = lo;
+        continue;
+      }
+      bool disjoint = true;
+      double product = 1.0;
+      double worst = 1.0;
+      std::uint64_t sum = 0;
+      std::uint32_t most = 0;
+      for (node_index c : node.inputs) {
+        disjoint = disjoint && !sig.meets(signature[c]);
+        sig.merge(signature[c]);
+        product *= bound[c];
+        worst = std::min(worst, bound[c]);
+        sum += order[c];
+        most = std::max(most, order[c]);
+      }
+      bound[n] = disjoint ? product : worst;
+      order[n] = disjoint ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                                sum, no_cutset_order))
+                          : most;
+    }
+  }
+
+  bool looks_ahead() const { return !bound.empty(); }
+
+  /// The signature of `events`, the start of every dooms() walk.
+  static leaf_signature events_signature(const std::vector<node_index>& events) {
+    leaf_signature sig;
+    for (node_index e : events) sig.add(e);
+    return sig;
+  }
+
+  /// True when no cutset under p grown by `child` (a basic event, a gate,
+  /// or npos for p itself) can pass the cutoff or max_order. `used` is
+  /// events_signature(p.events) and `probability` the grown partial's
+  /// event product from admits(). Walks p's gates (and a new gate child)
+  /// in index order and uses each gate whose signature meets none used so
+  /// far: the cutsets' shares in those gates are disjoint from E and from
+  /// each other, so P(E) · ∏ b(g) bounds the product of every cutset and
+  /// |E| + Σ lo(g) its order. The decision depends only on the grown
+  /// partial's sets, never on the path that reached it.
+  bool dooms(const partial_cutset& p, leaf_signature used, node_index child,
+             double probability) const {
+    std::size_t size = p.events.size();
+    node_index new_gate = fault_tree::npos;
+    if (child != fault_tree::npos) {
+      if (ft.is_basic(child)) {
+        if (!sorted_set::contains(p.events, child)) {
+          used.add(child);
+          ++size;
+        }
+      } else if (!sorted_set::contains(p.gates, child)) {
+        new_gate = child;
+      }
+    }
+    double product = probability;
+    const auto take = [&](node_index g) {
+      if (used.meets(signature[g])) return false;
+      used.merge(signature[g]);
+      product *= bound[g];
+      size += order[g];
+      return product < reject_below || size > opt.max_order;
+    };
+    for (node_index g : p.gates) {
+      if (new_gate < g) {
+        if (take(new_gate)) return true;
+        new_gate = fault_tree::npos;
+      }
+      if (take(g)) return true;
+    }
+    return new_gate != fault_tree::npos && take(new_gate);
   }
 
   /// Adds `child` (a basic event) to the partial; returns false if the
   /// partial dies (forced-working child of an AND, cutoff, order).
   bool add_event(partial_cutset& p, node_index child,
-                 std::size_t& discarded) const {
+                 discard_tally& tally) const {
     if (mode[child] == event_mode::forced_failed) return true;  // for free
     double probability = 0.0;
-    if (!admits(p, child, probability, discarded)) return false;
+    if (!admits(p, child, probability, tally)) return false;
     sorted_set::insert(p.events, child);
     p.probability = probability;
     return true;
   }
 
   /// Decides whether p + `child` survives, without modifying or copying
-  /// `p`, and counts a cutoff/order death in `discarded`. `probability`
+  /// `p`, and counts a cutoff/order death in `tally`. `probability`
   /// receives the grown partial's event product, taken over the merged set
   /// in sorted-index order from scratch, so the value (and thus every
   /// cutoff decision) depends only on the set, never on the expansion path
   /// that assembled it — the keystone of the bit-identical serial/parallel
   /// guarantee. Forced-failed children are handled by the callers.
   bool admits(const partial_cutset& p, node_index child, double& probability,
-              std::size_t& discarded) const {
+              discard_tally& tally) const {
     probability = p.probability;
     if (!ft.is_basic(child)) return true;
     if (mode[child] == event_mode::forced_working) return false;
@@ -185,7 +352,7 @@ struct expansion {
     if (!placed) product *= child_p;
     if (p.events.size() + 1 > opt.max_order ||
         (opt.cutoff > 0.0 && product < opt.cutoff)) {
-      ++discarded;
+      tally.cutoff(product);
       return false;
     }
     probability = product;
@@ -193,9 +360,10 @@ struct expansion {
   }
 
   /// Expands one partial with a non-empty gate set by one gate, appending
-  /// the surviving children to `out`.
+  /// the surviving children to `out`. With look-ahead on, a child is
+  /// priced by dooms() before it is copied.
   void expand(partial_cutset&& p, std::vector<partial_cutset>& out,
-              std::size_t& discarded) const {
+              discard_tally& tally) const {
     // Expand an AND gate if available (it only constrains, never branches,
     // so the cutoff prunes earlier); otherwise the first OR gate.
     std::size_t pick = 0;
@@ -208,41 +376,52 @@ struct expansion {
     const node_index g = p.gates[pick];
     p.gates.erase(p.gates.begin() + static_cast<std::ptrdiff_t>(pick));
     const ft_node& gate = ft.node(g);
+    // Keeps p itself as a child unless the look-ahead dooms it.
+    const auto keep = [&] {
+      if (looks_ahead() && dooms(p, events_signature(p.events),
+                                 fault_tree::npos, p.probability)) {
+        tally.lookahead(p.probability);
+      } else {
+        out.push_back(std::move(p));
+      }
+    };
 
     if (gate.type == gate_type::and_gate) {
-      bool alive = true;
       for (node_index child : gate.inputs) {
         if (ft.is_basic(child)) {
-          if (!add_event(p, child, discarded)) {
-            alive = false;
-            break;
-          }
+          if (!add_event(p, child, tally)) return;
         } else {
           sorted_set::insert(p.gates, child);
         }
       }
-      if (alive) out.push_back(std::move(p));
-    } else {
-      // If any input is certainly failed the gate is satisfied outright;
-      // branching would only create subsumed supersets.
-      for (node_index child : gate.inputs) {
-        if (ft.is_basic(child) && mode[child] == event_mode::forced_failed) {
-          out.push_back(std::move(p));
-          return;
-        }
+      keep();
+      return;
+    }
+    // If any input is certainly failed the gate is satisfied outright;
+    // branching would only create subsumed supersets.
+    for (node_index child : gate.inputs) {
+      if (ft.is_basic(child) && mode[child] == event_mode::forced_failed) {
+        keep();
+        return;
       }
-      // Price each branch before copying p: most basic-event branches die
-      // at the cutoff, and only survivors are worth a copy.
-      for (node_index child : gate.inputs) {
-        double probability = 0.0;
-        if (!admits(p, child, probability, discarded)) continue;
-        partial_cutset& branch = out.emplace_back(p);
-        if (ft.is_basic(child)) {
-          sorted_set::insert(branch.events, child);
-          branch.probability = probability;
-        } else {
-          sorted_set::insert(branch.gates, child);
-        }
+    }
+    // Price each branch before copying p: most branches die at the cutoff
+    // or the look-ahead, and only survivors are worth a copy.
+    const leaf_signature used =
+        looks_ahead() ? events_signature(p.events) : leaf_signature{};
+    for (node_index child : gate.inputs) {
+      double probability = 0.0;
+      if (!admits(p, child, probability, tally)) continue;
+      if (looks_ahead() && dooms(p, used, child, probability)) {
+        tally.lookahead(probability);
+        continue;
+      }
+      partial_cutset& branch = out.emplace_back(p);
+      if (ft.is_basic(child)) {
+        sorted_set::insert(branch.events, child);
+        branch.probability = probability;
+      } else {
+        sorted_set::insert(branch.gates, child);
       }
     }
   }
@@ -280,6 +459,7 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
   visited_table visited;
   partial_key key;
   std::vector<cutset> raw_cutsets;
+  discard_tally tally;
 
   key.assign(seed);
   visited.insert(key);
@@ -299,7 +479,7 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
       continue;
     }
     children.clear();
-    ex.expand(std::move(p), children, result.cutoff_discarded);
+    ex.expand(std::move(p), children, tally);
     for (auto& c : children) {
       if (visited.size() >= ex.opt.dedup_limit) {
         // Clearing at the bound keeps memory flat, but a bare clear also
@@ -321,6 +501,8 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
     }
   }
 
+  result.cutoff_discarded = tally.discarded;
+  result.lookahead_pruned = tally.lookahead_pruned;
   span.arg("partials", static_cast<double>(result.partials_processed));
   span.arg("cutsets", static_cast<double>(raw_cutsets.size()));
   minimize_stats min_stats;
@@ -357,7 +539,8 @@ class parallel_mocus {
 
     std::vector<cutset> raw;
     for (local_buffers& local : locals_) {
-      result.cutoff_discarded += local.discarded;
+      result.cutoff_discarded += local.tally.discarded;
+      result.lookahead_pruned += local.tally.lookahead_pruned;
       raw.insert(raw.end(), std::make_move_iterator(local.raw.begin()),
                  std::make_move_iterator(local.raw.end()));
     }
@@ -384,7 +567,7 @@ class parallel_mocus {
 
   struct alignas(64) local_buffers {
     std::vector<cutset> raw;
-    std::size_t discarded = 0;
+    discard_tally tally;
     partial_key key;  // reused by mark_visited()
   };
 
@@ -425,7 +608,7 @@ class parallel_mocus {
         continue;
       }
       children.clear();
-      ex_.expand(std::move(cur), children, local.discarded);
+      ex_.expand(std::move(cur), children, local.tally);
       for (auto& c : children) {
         if (mark_visited(c, local.key)) todo.push_back(std::move(c));
       }
@@ -457,6 +640,8 @@ class parallel_mocus {
 mocus_result mocus_from(const fault_tree& ft, node_index root,
                         const mocus_options& opt) {
   require_model(root < ft.size(), "mocus: root index out of range");
+  require_model(std::isfinite(opt.cutoff) && opt.cutoff >= 0.0,
+                "mocus: cutoff must be finite and >= 0");
   for (node_index n = 0; n < ft.size(); ++n) {
     require_model(!ft.is_gate(n) ||
                       ft.node(n).type != gate_type::atleast_gate,

@@ -19,7 +19,10 @@ struct mocus_options {
   /// so the cutoff decision for a partial depends only on which events it
   /// contains — never on the expansion path that reached it. This keeps the
   /// generated cutset list identical between the serial and the parallel
-  /// driver (and across thread counts).
+  /// driver (and across thread counts). Must be finite and >= 0.
+  /// With a positive cutoff (or a bounded max_order) MOCUS also drops a
+  /// partial whose pending gates can no longer reach it — look-ahead
+  /// pricing (DESIGN.md §9) — which changes the counters, not the list.
   double cutoff = 0.0;
 
   /// Maximum number of basic events per cutset; larger partials are
@@ -66,7 +69,11 @@ struct mocus_result {
   std::vector<cutset> cutsets;
 
   std::size_t partials_processed = 0;  ///< partial cutsets expanded
-  std::size_t cutoff_discarded = 0;    ///< partials dropped by cutoff/order
+  /// Partials dropped by the cutoff, by max_order or by the look-ahead.
+  std::size_t cutoff_discarded = 0;
+  /// Of those, partials dropped by the look-ahead: their pending gates can
+  /// no longer reach the cutoff or stay within max_order.
+  std::size_t lookahead_pruned = 0;
   std::size_t threads_used = 1;        ///< workers of the driver that ran
   std::size_t subset_tests = 0;    ///< packed subsumption tests in minimize
   std::size_t universe_words = 0;  ///< 64-bit words per minimize subset mask

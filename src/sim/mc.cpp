@@ -318,6 +318,8 @@ mc_result estimate_failure_probability_mc(const sd_fault_tree& tree,
                                           thread_pool* pool) {
   require_model(options.trajectories > 0,
                 "mc: need at least one trajectory");
+  require_model(std::isfinite(horizon) && horizon >= 0.0,
+                "mc: horizon must be finite and >= 0");
   tree.validate();
   trajectory_model model(tree, options.max_update_sweeps);
 

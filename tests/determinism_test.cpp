@@ -178,6 +178,8 @@ TEST(Determinism, RawMocusParallelMatchesSerial) {
         << threads << " threads";
     EXPECT_EQ(parallel.cutoff_discarded, serial.cutoff_discarded)
         << threads << " threads";
+    EXPECT_EQ(parallel.lookahead_pruned, serial.lookahead_pruned)
+        << threads << " threads";
     EXPECT_EQ(parallel.threads_used, pool.size());
   }
 }

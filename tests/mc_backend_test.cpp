@@ -428,6 +428,21 @@ TEST(McBackend, RejectsZeroTrajectories) {
                model_error);
 }
 
+TEST(McBackend, RejectsNegativeOrNonFiniteHorizon) {
+  // Covers both callers: the engine's mc backend and the crude simulator
+  // behind `sdft simulate`, which has no horizon check of its own.
+  const sd_fault_tree tree = testing::example3_sd();
+  mc_options opts;
+  opts.trajectories = 16;
+  for (double horizon : {-5.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(sim::estimate_failure_probability_mc(tree, horizon, opts),
+                 model_error)
+        << horizon;
+  }
+  EXPECT_THROW(simulate_failure_probability(tree, -5.0, {}), model_error);
+  EXPECT_NO_THROW(sim::estimate_failure_probability_mc(tree, 0.0, opts));
+}
+
 TEST(McBackend, ParsesMethodNames) {
   mc_method m = mc_method::crude;
   EXPECT_TRUE(sim::parse_mc_method("forcing", m));

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
+#include <cmath>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "ft/fault_tree.hpp"
+#include "gen/bwr.hpp"
+#include "gen/industrial.hpp"
 #include "mcs/cutset.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
@@ -128,6 +134,19 @@ TEST(Mocus, FromBasicEventRoot) {
   const auto result = mocus_from(ft, ft.find("a"));
   ASSERT_EQ(result.cutsets.size(), 1u);
   EXPECT_EQ(result.cutsets[0], cutset{ft.find("a")});
+}
+
+TEST(Mocus, RejectsNegativeOrNonFiniteCutoff) {
+  const fault_tree ft = testing::example1_static();
+  for (double cutoff : {-1.0, -1e-300, std::nan(""), HUGE_VAL}) {
+    mocus_options opt;
+    opt.cutoff = cutoff;
+    EXPECT_THROW(mocus(ft, opt), model_error) << cutoff;
+    EXPECT_THROW(mocus_from(ft, ft.top(), opt), model_error) << cutoff;
+  }
+  mocus_options zero;
+  zero.cutoff = 0.0;
+  EXPECT_EQ(mocus(ft, zero).cutsets, mocus(ft).cutsets);
 }
 
 TEST(Mocus, PartialLimitThrows) {
@@ -268,20 +287,106 @@ TEST(Mocus, TinyDedupLimitOnRandomTrees) {
   }
 }
 
+/// The look-ahead bound rule of DESIGN.md §9, written independently of
+/// mocus.cpp for the reference below: per gate, an upper bound on the
+/// product and a lower bound on the size of any cutset's share in its
+/// leaves, plus a 512-bit leaf signature (mix64 of an event's index picks
+/// its bit). OR: best child. AND: product and sum when no child's
+/// signature meets an earlier child's, else the worst child alone.
+struct reference_bounds {
+  struct entry {
+    double bound = 0.0;
+    std::size_t order = 0;
+    std::bitset<512> leaves;
+  };
+
+  explicit reference_bounds(const fault_tree& ft) : ft(ft) {}
+
+  const entry& of(node_index n) {
+    if (const auto it = memo.find(n); it != memo.end()) return it->second;
+    entry e;
+    const ft_node& node = ft.node(n);
+    if (ft.is_basic(n)) {
+      e = {node.probability, 1, {}};
+      e.leaves.set(mix64(n) % 512);
+    } else if (node.type == gate_type::or_gate) {
+      e.order = no_cutset;
+      for (node_index c : node.inputs) {
+        const entry& child = of(c);
+        e.bound = std::max(e.bound, child.bound);
+        e.order = std::min(e.order, child.order);
+        e.leaves |= child.leaves;
+      }
+    } else {
+      bool disjoint = true;
+      double product = 1.0;
+      double worst = 1.0;
+      std::size_t sum = 0;
+      std::size_t most = 0;
+      for (node_index c : node.inputs) {
+        const entry& child = of(c);
+        disjoint = disjoint && (e.leaves & child.leaves).none();
+        e.leaves |= child.leaves;
+        product *= child.bound;
+        worst = std::min(worst, child.bound);
+        sum = std::min(sum + child.order, no_cutset);
+        most = std::max(most, child.order);
+      }
+      e.bound = disjoint ? product : worst;
+      e.order = disjoint ? sum : most;
+    }
+    return memo.emplace(n, e).first->second;
+  }
+
+  /// True when P(E) · ∏ b(g) < cutoff · (1 − 1e-9) or |E| + Σ lo(g) >
+  /// max_order, over the gates taken in index order whose signatures meet
+  /// neither E nor an earlier taken gate.
+  bool dooms(const std::vector<node_index>& events,
+             const std::vector<node_index>& gates, double cutoff,
+             std::size_t max_order) {
+    const double reject_below = cutoff * (1.0 - 1e-9);
+    std::bitset<512> used;
+    double product = 1.0;
+    for (node_index e : events) {
+      used.set(mix64(e) % 512);
+      product *= ft.node(e).probability;
+    }
+    std::size_t size = events.size();
+    for (node_index g : gates) {
+      const entry& e = of(g);
+      if ((used & e.leaves).any()) continue;
+      used |= e.leaves;
+      product *= e.bound;
+      size += e.order;
+      if (product < reject_below || size > max_order) return true;
+    }
+    return false;
+  }
+
+  static constexpr std::size_t no_cutset = std::size_t{1} << 30;
+  const fault_tree& ft;
+  std::map<node_index, entry> memo;
+};
+
 /// Reference MOCUS that prices an OR branch only after copying the partial
 /// and inserting the child (copy-then-check). Same expansion order (the
 /// first AND gate, else the first gate) and exact deduplication, so its
-/// counters are the ones the production drivers must reproduce.
+/// counters are the ones the production drivers must reproduce. With
+/// `lookahead` it also drops each new partial that reference_bounds dooms,
+/// as production does whenever the cutoff or max_order is active; without
+/// it, it is the unpruned cutset oracle.
 struct copy_then_check_run {
   std::vector<cutset> cutsets;
   std::size_t processed = 0;
   std::size_t discarded = 0;
+  std::size_t pruned = 0;
 };
 
 copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
-                                    std::size_t max_order) {
+                                    std::size_t max_order, bool lookahead) {
   using partial = std::pair<std::vector<node_index>, std::vector<node_index>>;
   copy_then_check_run run;
+  reference_bounds bounds(ft);
   // Inserts b; true if the grown partial dies by order or cutoff.
   const auto dies = [&](std::vector<node_index>& events, node_index b) {
     if (std::binary_search(events.begin(), events.end(), b)) return false;
@@ -293,6 +398,15 @@ copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
       return true;
     }
     return false;
+  };
+  // True if the look-ahead drops the new partial `c`.
+  const auto doomed = [&](const partial& c) {
+    if (!lookahead || !bounds.dooms(c.first, c.second, cutoff, max_order)) {
+      return false;
+    }
+    ++run.discarded;
+    ++run.pruned;
+    return true;
   };
   const auto add_gate = [](std::vector<node_index>& gates, node_index g) {
     const auto it = std::lower_bound(gates.begin(), gates.end(), g);
@@ -331,7 +445,7 @@ copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
           break;
         }
       }
-      if (alive) children.push_back(p);
+      if (alive && !doomed(p)) children.push_back(p);
     } else {
       for (node_index child : gate.inputs) {
         partial branch = p;
@@ -340,7 +454,7 @@ copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
         } else if (dies(branch.first, child)) {
           continue;
         }
-        children.push_back(std::move(branch));
+        if (!doomed(branch)) children.push_back(std::move(branch));
       }
     }
     for (partial& c : children) {
@@ -359,10 +473,16 @@ TEST(MocusAdmits, DiscardsMatchCopyThenCheck) {
       {1e-3, unlimited}, {1e-4, unlimited}, {0.0, 2}, {0.0, 3}, {1e-4, 3}};
   for (const auto& [cutoff, max_order] : limits) {
     std::size_t total_discarded = 0;
+    std::size_t total_pruned = 0;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
       const fault_tree ft = shared_or_tree(seed);
-      const copy_then_check_run ref = copy_then_check(ft, cutoff, max_order);
+      const copy_then_check_run ref =
+          copy_then_check(ft, cutoff, max_order, true);
+      const copy_then_check_run unpruned =
+          copy_then_check(ft, cutoff, max_order, false);
+      EXPECT_EQ(ref.cutsets, unpruned.cutsets);
       total_discarded += ref.discarded;
+      total_pruned += ref.pruned;
       for (thread_pool* pool :
            {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
         mocus_options opt;
@@ -374,14 +494,18 @@ TEST(MocusAdmits, DiscardsMatchCopyThenCheck) {
             "seed " + std::to_string(seed) + " cutoff " +
             std::to_string(cutoff) + " max_order " + std::to_string(max_order) +
             " threads " + std::to_string(pool == nullptr ? 1 : pool->size());
-        EXPECT_EQ(r.cutsets, ref.cutsets) << label;
+        EXPECT_EQ(r.cutsets, unpruned.cutsets) << label;
         EXPECT_EQ(r.cutoff_discarded, ref.discarded) << label;
+        EXPECT_EQ(r.lookahead_pruned, ref.pruned) << label;
         EXPECT_EQ(r.partials_processed, ref.processed) << label;
       }
     }
-    // The limits must actually bite, or the comparison proves nothing.
+    // The limits and the look-ahead must actually bite, or the comparison
+    // proves nothing.
     EXPECT_GT(total_discarded, 0u) << "cutoff " << cutoff << " max_order "
                                    << max_order;
+    EXPECT_GT(total_pruned, 0u) << "cutoff " << cutoff << " max_order "
+                                << max_order;
   }
 }
 
@@ -411,9 +535,141 @@ TEST(MocusAdmits, PricesBranchesInSortedOrder) {
   mocus_options opt;
   opt.cutoff = (pa * pb) * pc;
   const mocus_result r = mocus(ft, opt);
-  EXPECT_EQ(r.cutsets, copy_then_check(ft, opt.cutoff, opt.max_order).cutsets);
+  EXPECT_EQ(r.cutsets,
+            copy_then_check(ft, opt.cutoff, opt.max_order, false).cutsets);
   EXPECT_NE(std::find(r.cutsets.begin(), r.cutsets.end(), cutset{a, b, c}),
             r.cutsets.end());
+}
+
+/// The cutsets of `all` that a cutoff and an order bound keep. For `all`
+/// the unpruned list at a lower cutoff, this is the unpruned list at
+/// `cutoff`: a sorted-order product only falls as factors <= 1 join it, so
+/// every partial on the way to a kept minimal cutset passes the cutoff.
+std::vector<cutset> kept_cutsets(const fault_tree& ft,
+                                 const std::vector<cutset>& all, double cutoff,
+                                 std::size_t max_order) {
+  std::vector<cutset> out;
+  for (const cutset& c : all) {
+    if (c.size() <= max_order && cutset_probability(ft, c) >= cutoff) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+/// Up to `count` cutoffs placed exactly on probabilities of cutsets in
+/// `all` that are at least `floor`, spread from the likeliest down.
+std::vector<double> cutoffs_on_cutsets(const fault_tree& ft,
+                                       const std::vector<cutset>& all,
+                                       double floor, std::size_t count) {
+  std::vector<double> p;
+  for (const cutset& c : all) {
+    const double q = cutset_probability(ft, c);
+    if (q >= floor) p.push_back(q);
+  }
+  std::sort(p.begin(), p.end(), std::greater<>());
+  p.erase(std::unique(p.begin(), p.end()), p.end());
+  std::vector<double> out;
+  for (std::size_t i = 0; i < count && !p.empty(); ++i) {
+    out.push_back(p[i * (p.size() - 1) / std::max<std::size_t>(1, count - 1)]);
+  }
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(MocusLookahead, MatchesUnprunedOracle) {
+  // Look-ahead pricing drops partials, never cutsets: at cutoffs placed
+  // exactly on cutset probabilities (where a bound without the relative
+  // margin rounds below the cutoff) and under order bounds, the list must
+  // equal the unpruned one at every thread count. Unpruned lists come from
+  // runs the look-ahead skips (cutoff 0, no order bound) or, for the
+  // industrial model, from the copy-then-check reference without it.
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  const std::size_t unbounded = mocus_options{}.max_order;
+  std::size_t runs = 0;
+  std::size_t pruned = 0;
+  // Compares every (cutoff, max_order, threads) run of `base` against the
+  // cutsets `all` keep.
+  const auto check = [&](const std::string& name, const fault_tree& ft,
+                         const mocus_options& base,
+                         const std::vector<cutset>& all,
+                         const std::vector<double>& cutoffs) {
+    for (double cutoff : cutoffs) {
+      for (std::size_t max_order : {std::size_t{2}, std::size_t{3}, unbounded}) {
+        const std::vector<cutset> expected =
+            kept_cutsets(ft, all, cutoff, max_order);
+        for (thread_pool* pool :
+             {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
+          mocus_options opt = base;
+          opt.cutoff = cutoff;
+          opt.max_order = max_order;
+          opt.pool = pool;
+          const mocus_result r = mocus(ft, opt);
+          EXPECT_EQ(r.cutsets, expected)
+              << name << " cutoff " << cutoff << " max_order " << max_order
+              << " threads " << (pool == nullptr ? 1 : pool->size());
+          EXPECT_LE(r.lookahead_pruned, r.cutoff_discarded);
+          ++runs;
+          pruned += r.lookahead_pruned;
+        }
+      }
+    }
+  };
+  // Complete lists (the look-ahead is off at cutoff 0 without an order
+  // bound) with and without assumptions, on `ft`.
+  const auto complete = [](const fault_tree& ft, const mocus_options& base) {
+    mocus_result r = mocus(ft, base);
+    EXPECT_EQ(r.lookahead_pruned, 0u);
+    return std::move(r.cutsets);
+  };
+
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const fault_tree ft = shared_or_tree(seed);
+    const std::string name = "shared_or_tree " + std::to_string(seed);
+    mocus_options plain;
+    const std::vector<cutset> all = complete(ft, plain);
+    check(name, ft, plain, all, cutoffs_on_cutsets(ft, all, 0.0, 12));
+    mocus_options assumed;
+    assumed.assume_failed = {ft.find("e" + std::to_string(seed % 10))};
+    assumed.assume_working = {ft.find("e" + std::to_string((seed + 3) % 10))};
+    const std::vector<cutset> all_assumed = complete(ft, assumed);
+    check(name + " assumed", ft, assumed, all_assumed,
+          cutoffs_on_cutsets(ft, all_assumed, 0.0, 12));
+  }
+
+  const fault_tree bwr = make_bwr_model({}).structure();
+  {
+    mocus_options plain;
+    const std::vector<cutset> all = complete(bwr, plain);
+    check("bwr", bwr, plain, all, cutoffs_on_cutsets(bwr, all, 1e-9, 4));
+    mocus_options assumed;
+    const std::vector<node_index> events = bwr.basic_events();
+    assumed.assume_failed = {events[3]};
+    assumed.assume_working = {events[11], events[20]};
+    const std::vector<cutset> all_assumed = complete(bwr, assumed);
+    check("bwr assumed", bwr, assumed, all_assumed,
+          cutoffs_on_cutsets(bwr, all_assumed, 1e-9, 4));
+  }
+
+  // Bench-size industrial model 1 (bench/bench_common.hpp model1_options).
+  industrial_options model1;
+  model1.seed = 1;
+  model1.num_frontline_systems = 18;
+  model1.num_support_systems = 5;
+  model1.num_initiating_events = 10;
+  model1.sequences_per_ie = 6;
+  model1.components_per_train = 5;
+  const fault_tree industrial = generate_industrial(model1).ft;
+  const double floor = 1e-13;
+  const std::vector<cutset> all =
+      copy_then_check(industrial, floor, unbounded, false).cutsets;
+  std::vector<double> cutoffs = cutoffs_on_cutsets(industrial, all, floor, 5);
+  cutoffs.push_back(floor);
+  check("industrial", industrial, mocus_options{}, all, cutoffs);
+
+  EXPECT_GT(runs, 0u);
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(MinimizeCutsets, RemovesSupersetsAndDuplicates) {

@@ -272,6 +272,7 @@ const std::vector<count_field> kCountFields = {
     &engine_stats::prep_passes, &engine_stats::prep_modules,
     &engine_stats::prep_module_cutsets, &engine_stats::num_cutsets,
     &engine_stats::source_partials, &engine_stats::source_discarded,
+    &engine_stats::lookahead_pruned,
     &engine_stats::subset_tests, &engine_stats::bitset_words,
     &engine_stats::bdd_nodes, &engine_stats::bdd_sift_swaps,
     &engine_stats::static_cutsets, &engine_stats::dynamic_cutsets,

@@ -465,6 +465,7 @@ void print_engine_stats(const engine_stats& s) {
                  std::to_string(s.subset_tests) + " (" +
                      std::to_string(s.bitset_words) + "-word subset masks)"});
   table.add_row({"cutoff discarded", std::to_string(s.source_discarded)});
+  table.add_row({"look-ahead pruned", std::to_string(s.lookahead_pruned)});
   add_exact_static_rows();
   table.add_row(
       {"failed quantifications", std::to_string(s.failed_quantifications)});
