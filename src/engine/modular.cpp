@@ -12,9 +12,6 @@ namespace sdft {
 
 namespace {
 
-/// Jobs below this size are not worth fanning out.
-constexpr std::size_t parallel_grain = 2048;
-
 /// Module subproblems at least this large keep the whole pool to
 /// themselves instead of sharing a fan-out batch with their siblings.
 constexpr std::size_t big_module_nodes = 4096;
@@ -32,27 +29,15 @@ struct module_task {
 /// the FT-bar translation, then orders the list canonically.
 std::vector<cutset> map_to_sd(std::vector<cutset> prep_cutsets,
                               const prep_result& prep,
-                              const static_translation& translation,
-                              thread_pool* pool) {
+                              const static_translation& translation) {
   obs::span_scope span("cutsets.map_to_sd", "generate");
   span.arg("cutsets", static_cast<double>(prep_cutsets.size()));
-  std::vector<cutset> out(prep_cutsets.size());
-  const auto map_one = [&](std::size_t i) {
-    cutset mapped;
-    mapped.reserve(prep_cutsets[i].size());
-    for (node_index e : prep_cutsets[i]) {
-      mapped.push_back(translation.to_sd.at(prep.to_source[e]));
-    }
-    std::sort(mapped.begin(), mapped.end());
-    out[i] = std::move(mapped);
-  };
-  if (pool != nullptr && pool->size() > 1 && out.size() >= parallel_grain) {
-    parallel_for(*pool, out.size(), map_one);
-  } else {
-    for (std::size_t i = 0; i < out.size(); ++i) map_one(i);
+  for (cutset& c : prep_cutsets) {
+    for (node_index& e : c) e = translation.to_sd.at(prep.to_source[e]);
+    std::sort(c.begin(), c.end());
   }
-  sort_cutsets_canonically(out);
-  return out;
+  sort_cutsets_canonically(prep_cutsets);
+  return prep_cutsets;
 }
 
 /// Builds the local tree of module `m`: its region of the prep tree up to
@@ -105,54 +90,136 @@ module_task build_task(const prep_result& prep, node_index m,
   return task;
 }
 
-/// Substitutes nested modules' expanded cutset lists into one module's
-/// local cutsets (cartesian product per quotient cutset); returns the
-/// module's cutsets over prep basic events, canonically ordered.
-std::vector<cutset> substitute(const module_task& task,
-                               std::vector<cutset> local_cutsets,
-                               const std::unordered_map<node_index,
-                                                        std::size_t>& slot_of,
-                               const std::vector<std::vector<cutset>>&
-                                   expanded) {
-  std::vector<cutset> out;
-  out.reserve(local_cutsets.size());
-  for (const cutset& lc : local_cutsets) {
-    cutset base;
-    std::vector<std::size_t> nested;
-    for (node_index local_event : lc) {
-      const node_index e = task.to_prep[local_event];
-      const auto it = e != task.root ? slot_of.find(e) : slot_of.end();
-      if (it != slot_of.end()) {
-        nested.push_back(it->second);
-      } else {
-        base.push_back(e);
-      }
+/// One local cutset of a module: its prep basic events (sorted) and the
+/// slots of the nested modules whose pseudo events it holds.
+struct quotient {
+  cutset base;
+  std::vector<std::size_t> nested;
+};
+
+quotient split_quotient(const module_task& task, const cutset& lc,
+                        const std::unordered_map<node_index, std::size_t>&
+                            slot_of) {
+  quotient q;
+  for (node_index local_event : lc) {
+    const node_index e = task.to_prep[local_event];
+    const auto it = e != task.root ? slot_of.find(e) : slot_of.end();
+    if (it != slot_of.end()) {
+      q.nested.push_back(it->second);
+    } else {
+      q.base.push_back(e);
     }
-    std::sort(base.begin(), base.end());
-    if (nested.empty()) {
-      out.push_back(std::move(base));
-      continue;
-    }
-    std::vector<cutset> acc{std::move(base)};
-    for (std::size_t slot : nested) {
-      std::vector<cutset> next;
-      next.reserve(acc.size() * expanded[slot].size());
-      for (const cutset& a : acc) {
-        for (const cutset& mc : expanded[slot]) {
-          cutset merged;
-          merged.resize(a.size() + mc.size());
-          std::merge(a.begin(), a.end(), mc.begin(), mc.end(),
-                     merged.begin());
-          next.push_back(std::move(merged));
-        }
-      }
-      acc = std::move(next);
-    }
-    for (auto& c : acc) out.push_back(std::move(c));
   }
-  sort_cutsets_canonically(out);
-  return out;
+  std::sort(q.base.begin(), q.base.end());
+  return q;
 }
+
+/// Substitutes nested modules' expanded cutset lists into one module's
+/// quotient cutsets (the cartesian product per quotient cutset) and keeps
+/// the products whose canonical cutset_probability() reaches `cutoff`;
+/// cutoff 0 keeps them all. Each nested slot's list is walked likeliest
+/// first, depth-first over the slots of a quotient cutset. The price
+/// P(base) · Π P(chosen) · Π bound[later slots] bounds every product the
+/// walk can still complete, so once it falls below
+/// cutoff · (1 − pricing_slack) the rest of the current slot's list is
+/// skipped unbuilt. Below min_priced_cutoff nothing is skipped. `kept` is
+/// the substitute-then-filter list in no particular order, and
+/// `discarded` counts that filter's drops, skipped products included.
+class substitution {
+ public:
+  substitution(const fault_tree& tree,
+                      const std::vector<std::vector<cutset>>& expanded,
+                      double cutoff)
+      : tree_(tree),
+        expanded_(expanded),
+        cutoff_(cutoff),
+        reject_below_(cutoff >= min_priced_cutoff
+                          ? cutoff * (1.0 - pricing_slack)
+                          : 0.0),
+        sorted_(expanded.size()) {}
+
+  void add(quotient q) {
+    const std::size_t k = q.nested.size();
+    lists_.resize(k);
+    later_bound_.assign(k + 1, 1.0);
+    later_count_.assign(k + 1, 1);
+    for (std::size_t j = k; j-- > 0;) {
+      lists_[j] = &sorted(q.nested[j]);
+      const double bound = lists_[j]->empty() ? 0.0 : lists_[j]->front().first;
+      later_bound_[j] = later_bound_[j + 1] * bound;
+      later_count_[j] = later_count_[j + 1] * lists_[j]->size();
+    }
+    merged_.resize(k + 1);
+    const double price = cutset_probability(tree_, q.base);
+    merged_[0] = std::move(q.base);
+    walk(0, price);
+  }
+
+  std::vector<cutset> kept;
+  std::size_t discarded = 0;
+  std::size_t products = 0;    ///< products built and filtered exactly
+  std::size_t priced_out = 0;  ///< products skipped by price, never built
+
+ private:
+  /// One nested module's cutsets with their probabilities, likeliest first.
+  using priced_list = std::vector<std::pair<double, const cutset*>>;
+
+  const priced_list& sorted(std::size_t slot) {
+    priced_list& list = sorted_[slot];
+    if (list.empty() && !expanded_[slot].empty()) {
+      list.reserve(expanded_[slot].size());
+      for (const cutset& c : expanded_[slot]) {
+        list.emplace_back(cutset_probability(tree_, c), &c);
+      }
+      std::sort(list.begin(), list.end(),
+                [](const auto& a, const auto& b) { return a.first > b.first; });
+    }
+    return list;
+  }
+
+  void walk(std::size_t depth, double price) {
+    if (depth == lists_.size()) {
+      ++products;
+      if (cutset_probability(tree_, merged_[depth]) >= cutoff_) {
+        kept.push_back(merged_[depth]);
+      } else {
+        ++discarded;
+      }
+      return;
+    }
+    const priced_list& list = *lists_[depth];
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const double chosen = price * list[i].first;
+      if (chosen * later_bound_[depth + 1] < reject_below_) {
+        // The list is likeliest first: no later entry prices higher.
+        const std::size_t skipped =
+            (list.size() - i) * later_count_[depth + 1];
+        priced_out += skipped;
+        discarded += skipped;
+        return;
+      }
+      const cutset& a = merged_[depth];
+      const cutset& mc = *list[i].second;
+      cutset& next = merged_[depth + 1];
+      next.resize(a.size() + mc.size());
+      std::merge(a.begin(), a.end(), mc.begin(), mc.end(), next.begin());
+      walk(depth + 1, chosen);
+    }
+  }
+
+  const fault_tree& tree_;
+  const std::vector<std::vector<cutset>>& expanded_;
+  double cutoff_;
+  double reject_below_;
+  std::vector<priced_list> sorted_;  // per slot, filled on first use
+  // Per quotient cutset, by depth: the slot lists, the products of the
+  // bounds and of the list sizes of the slots from that depth on, and
+  // base ∪ the entries chosen above that depth.
+  std::vector<const priced_list*> lists_;
+  std::vector<double> later_bound_;
+  std::vector<std::size_t> later_count_;
+  std::vector<cutset> merged_;
+};
 
 }  // namespace
 
@@ -170,7 +237,7 @@ modular_generation generate_modular(const prep_result& prep,
   if (roots.size() == 1) {
     out.generation = source.generate(prep.tree, cutoff, pool);
     out.generation.cutsets =
-        map_to_sd(std::move(out.generation.cutsets), prep, translation, pool);
+        map_to_sd(std::move(out.generation.cutsets), prep, translation);
     return out;
   }
 
@@ -221,14 +288,28 @@ modular_generation generate_modular(const prep_result& prep,
     out.generation.subset_tests += generated.subset_tests;
     out.generation.bitset_words =
         std::max(out.generation.bitset_words, generated.bitset_words);
-    expanded[slot] = substitute(tasks[slot], std::move(generated.cutsets),
-                                slot_of, expanded);
+    // The top module's list ends in the exact cutoff filter: pseudo-event
+    // bounds only guaranteed conservative keeps; the true products decide.
+    // Nested lists stay unfiltered (cutoff 0): each sets its pseudo
+    // event's bound and is substituted whole into the enclosing module.
+    const bool top = roots[slot] == prep.tree.top();
+    substitution sub(prep.tree, expanded, top ? cutoff : 0.0);
+    for (const cutset& lc : generated.cutsets) {
+      sub.add(split_quotient(tasks[slot], lc, slot_of));
+    }
+    if (top) {
+      out.generation.discarded += sub.discarded;
+      span.arg("top_products", static_cast<double>(sub.products));
+      span.arg("top_priced_out", static_cast<double>(sub.priced_out));
+      out.generation.cutsets =
+          map_to_sd(std::move(sub.kept), prep, translation);
+      return;
+    }
+    expanded[slot] = std::move(sub.kept);
     for (const cutset& c : expanded[slot]) {
       bound[slot] = std::max(bound[slot], cutset_probability(prep.tree, c));
     }
-    if (roots[slot] != prep.tree.top()) {
-      out.module_cutsets += expanded[slot].size();
-    }
+    out.module_cutsets += expanded[slot].size();
   };
   for (std::size_t l = 1; l <= max_level; ++l) {
     std::vector<std::size_t> batch;  // small modules, fanned out together
@@ -259,22 +340,6 @@ modular_generation generate_modular(const prep_result& prep,
       finish(slot, source.generate(tasks[slot].local, cutoff, pool));
     }
   }
-
-  // Exact cutoff filter over the fully substituted list: pseudo-event
-  // bounds only guaranteed conservative keeps; the true products decide.
-  std::vector<cutset> final_cutsets = std::move(expanded.back());
-  if (cutoff > 0.0) {
-    const auto below = [&](const cutset& c) {
-      return cutset_probability(prep.tree, c) < cutoff;
-    };
-    const auto it =
-        std::remove_if(final_cutsets.begin(), final_cutsets.end(), below);
-    out.generation.discarded +=
-        static_cast<std::size_t>(final_cutsets.end() - it);
-    final_cutsets.erase(it, final_cutsets.end());
-  }
-  out.generation.cutsets =
-      map_to_sd(std::move(final_cutsets), prep, translation, pool);
   return out;
 }
 

@@ -34,10 +34,14 @@ struct modular_generation {
 ///    the minimal cutsets of a module for its pseudo event (cartesian
 ///    product per quotient cutset) preserves minimality and introduces no
 ///    duplicates.
-///  - A final exact cutoff filter over the fully substituted list removes
-///    the conservative keeps, leaving exactly the cutsets a non-modular
-///    run produces; the canonical (size, content) order in SD index space
-///    then makes the sequence — and the downstream sum — bit-identical.
+///  - A final exact cutoff filter over the top module's substituted list
+///    removes the conservative keeps, leaving exactly the cutsets a
+///    non-modular run produces; the canonical (size, content) order in SD
+///    index space then makes the sequence — and the downstream sum —
+///    bit-identical. The filter runs inside the top module's product
+///    loop: for cutoffs >= min_priced_cutoff, products whose price (the
+///    chosen factors times the later slots' bounds) cannot reach the
+///    cutoff are counted as discarded and never built.
 ///
 /// Independent modules of the same nesting depth fan out over `pool`
 /// (each generating serially); modules too large for that run one at a

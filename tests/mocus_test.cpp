@@ -198,45 +198,6 @@ TEST(Mocus, TinyDedupLimitStaysCorrectAndBounded) {
   EXPECT_EQ(parallel.cutsets, baseline.cutsets);
 }
 
-/// DAG-heavy random tree: OR gates over a small event pool, then a layer of
-/// AND/OR gates drawing their inputs from those shared ORs, under an AND
-/// top. Shared ORs over overlapping events make many expansion paths meet
-/// at the same partial, so the visited table sees real duplicates.
-fault_tree shared_or_tree(std::uint64_t seed) {
-  rng random(seed);
-  fault_tree ft;
-  // `count` distinct members of `from`, or 2-3 of them when count is 0.
-  const auto pick = [&](const std::vector<node_index>& from, int count) {
-    if (count == 0) count = static_cast<int>(random.between(2, 3));
-    std::vector<node_index> chosen;
-    while (static_cast<int>(chosen.size()) < count) {
-      const node_index n = from[random.below(from.size())];
-      if (std::find(chosen.begin(), chosen.end(), n) == chosen.end()) {
-        chosen.push_back(n);
-      }
-    }
-    return chosen;
-  };
-  std::vector<node_index> events;
-  for (int i = 0; i < 10; ++i) {
-    events.push_back(ft.add_basic_event("e" + std::to_string(i),
-                                        random.uniform(0.01, 0.3)));
-  }
-  std::vector<node_index> ors;
-  for (int g = 0; g < 6; ++g) {
-    ors.push_back(ft.add_gate("or" + std::to_string(g), gate_type::or_gate,
-                              pick(events, 0)));
-  }
-  std::vector<node_index> mids;
-  for (int g = 0; g < 4; ++g) {
-    const auto type = g % 2 == 0 ? gate_type::and_gate : gate_type::or_gate;
-    mids.push_back(
-        ft.add_gate("mid" + std::to_string(g), type, pick(ors, 0)));
-  }
-  ft.set_top(ft.add_gate("top", gate_type::and_gate, pick(mids, 3)));
-  return ft;
-}
-
 TEST(Mocus, TinyDedupLimitOnRandomTrees) {
   // Random static trees plus DAG-heavy shared-OR trees, whose expansion
   // paths meet at the same partials, so the visited tables see real
@@ -253,7 +214,7 @@ TEST(Mocus, TinyDedupLimitOnRandomTrees) {
         {testing::make_random_static_tree(seed, 9, 5).structure(), false});
   }
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    inputs.push_back({shared_or_tree(seed), true});
+    inputs.push_back({testing::shared_or_tree(seed), true});
   }
   thread_pool pool2(2);
   thread_pool pool8(8);
@@ -475,7 +436,7 @@ TEST(MocusAdmits, DiscardsMatchCopyThenCheck) {
     std::size_t total_discarded = 0;
     std::size_t total_pruned = 0;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const fault_tree ft = shared_or_tree(seed);
+      const fault_tree ft = testing::shared_or_tree(seed);
       const copy_then_check_run ref =
           copy_then_check(ft, cutoff, max_order, true);
       const copy_then_check_run unpruned =
@@ -625,7 +586,7 @@ TEST(MocusLookahead, MatchesUnprunedOracle) {
   };
 
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const fault_tree ft = shared_or_tree(seed);
+    const fault_tree ft = testing::shared_or_tree(seed);
     const std::string name = "shared_or_tree " + std::to_string(seed);
     mocus_options plain;
     const std::vector<cutset> all = complete(ft, plain);

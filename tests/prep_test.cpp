@@ -3,22 +3,36 @@
 // common-argument factoring, absorption) must leave the monotone structure
 // function over the source basic events untouched — checked by exhaustive
 // scenario enumeration, by minimal-cutset-list agreement and by running
-// the full engine with prep on vs off across backends and thread counts.
+// the full engine with prep on vs off across backends and thread counts —
+// and the module-orchestrated stage 2 built on it must match its unpriced
+// reference (modular_reference.hpp) exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdd/ft_bdd.hpp"
+#include "engine/cutset_source.hpp"
 #include "engine/engine.hpp"
+#include "engine/modular.hpp"
 #include "ft/fault_tree.hpp"
+#include "gen/bwr.hpp"
+#include "gen/industrial.hpp"
 #include "mcs/cutset.hpp"
+#include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
+#include "modular_reference.hpp"
+#include "obs/obs.hpp"
 #include "prep/prep.hpp"
+#include "sdft/translate.hpp"
 #include "test_models.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdft {
 namespace {
@@ -234,6 +248,223 @@ TEST(Prep, EngineAgreementRandomSdTrees) {
     expect_engine_agreement(r.tree, 12.0, 0.0,
                             "random seed " + std::to_string(seed));
   }
+}
+
+// --- Priced top-module recombination ----------------------------------------
+
+/// One model of the recombination test: its FT-bar translation and prep.
+struct modular_case {
+  std::string name;
+  static_translation translation;
+  prep_result prep;
+  double floor;  // cutoffs are placed on values at least this large
+  bool complete;  // small enough to run at cutoff 0
+};
+
+modular_case make_modular_case(std::string name, const sd_fault_tree& tree,
+                               double floor, bool complete) {
+  modular_case c{std::move(name), translate_to_static(tree, 24.0), {}, floor,
+                 complete};
+  c.prep = preprocess(c.translation.ft_bar);
+  return c;
+}
+
+/// Up to `count` distinct values of `values` that are at least `floor`,
+/// spread from the largest down.
+std::vector<double> spread_values(std::vector<double> values, double floor,
+                                  std::size_t count) {
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [&](double v) { return v < floor || v <= 0.0; }),
+               values.end());
+  std::sort(values.begin(), values.end(), std::greater<>());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  std::vector<double> out;
+  for (std::size_t i = 0; i < count && !values.empty(); ++i) {
+    out.push_back(values[i * (values.size() - 1) / (count - 1)]);
+  }
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Value of `key` among the args of `span`, or -1 when absent.
+double span_arg(const obs::span_record& span, const char* key) {
+  for (std::size_t i = 0; i < span.args.count; ++i) {
+    if (std::strcmp(span.args.keys[i], key) == 0) return span.args.values[i];
+  }
+  return -1.0;
+}
+
+/// Bench-size industrial model 1 (bench/bench_common.hpp model1_options).
+industrial_model bench_model1() {
+  industrial_options model1;
+  model1.seed = 1;
+  model1.num_frontline_systems = 18;
+  model1.num_support_systems = 5;
+  model1.num_initiating_events = 10;
+  model1.sequences_per_ie = 6;
+  model1.components_per_train = 5;
+  return generate_industrial(model1);
+}
+
+TEST(ModularRecombination, PricedTopMatchesUnpricedReference) {
+  // generate_modular() prices the top module's products and never builds
+  // those that cannot reach the cutoff. Its list, discards, look-ahead
+  // prunes and module cutsets must equal the reference that builds every
+  // product and filters afterwards: at cutoffs placed exactly on final
+  // cutset probabilities (where a price without the relative slack rounds
+  // below the cutoff), exactly on pseudo-event bounds, at 1e-15 and, on
+  // the smaller models, at 0 and below min_priced_cutoff, on one and three
+  // threads.
+  std::vector<modular_case> cases;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    cases.push_back(make_modular_case(
+        "shared_or_tree " + std::to_string(seed),
+        sd_fault_tree(testing::shared_or_tree(seed)), 0.0, true));
+  }
+  cases.push_back(make_modular_case("bwr", make_bwr_model({}), 1e-15, true));
+  // Bench-size industrial model 1, unannotated and with the paper's §VI-B
+  // annotation.
+  const industrial_model model = bench_model1();
+  cases.push_back(
+      make_modular_case("industrial", sd_fault_tree(model.ft), 1e-13, false));
+  mocus_options ranking;
+  ranking.cutoff = 1e-15;
+  annotation_options an;
+  an.dynamic_fraction = 0.3;
+  an.trigger_fraction = 0.1;
+  an.repair_rate = 0.01;
+  cases.push_back(make_modular_case(
+      "industrial annotated",
+      annotate_dynamic(model,
+                       rank_by_fussell_vesely(
+                           model.ft, mocus(model.ft, ranking).cutsets),
+                       an),
+      1e-13, false));
+
+  const mocus_source source;
+  thread_pool pool3(3);
+  obs::set_enabled(true);
+  std::size_t modular_runs = 0;
+  std::size_t priced_out = 0;
+  for (const modular_case& c : cases) {
+    const testing::modular_reference low = testing::reference_generate_modular(
+        c.prep, c.translation, source, c.floor);
+    std::vector<double> cutoffs = spread_values(low.probabilities, c.floor, 5);
+    // Bounds above every final cutset would leave the top module nothing
+    // to build.
+    const double likeliest = cutoffs.empty() ? 0.0 : cutoffs.front();
+    std::vector<double> bounds;
+    for (double b : low.bounds) {
+      if (b <= likeliest) bounds.push_back(b);
+    }
+    for (double b : spread_values(bounds, c.floor, 3)) cutoffs.push_back(b);
+    cutoffs.push_back(1e-15);
+    if (c.complete) {
+      // No cutoff, and one below min_priced_cutoff: nothing is priced out.
+      cutoffs.push_back(0.0);
+      cutoffs.push_back(0x1p-1010);
+    }
+    for (double cutoff : cutoffs) {
+      const testing::modular_reference ref =
+          testing::reference_generate_modular(c.prep, c.translation, source,
+                                              cutoff);
+      const modular_generation& want = ref.result;
+      for (thread_pool* pool : {static_cast<thread_pool*>(nullptr), &pool3}) {
+        const std::string label =
+            c.name + " cutoff " + std::to_string(cutoff) + " threads " +
+            std::to_string(pool == nullptr ? 1 : pool->size());
+        obs::trace_recorder::instance().clear();
+        const modular_generation got =
+            generate_modular(c.prep, c.translation, source, cutoff, pool);
+        EXPECT_EQ(got.generation.cutsets, want.generation.cutsets) << label;
+        EXPECT_EQ(got.generation.discarded, want.generation.discarded)
+            << label;
+        EXPECT_EQ(got.generation.lookahead_pruned,
+                  want.generation.lookahead_pruned)
+            << label;
+        EXPECT_EQ(got.generation.partials_processed,
+                  want.generation.partials_processed)
+            << label;
+        EXPECT_EQ(got.module_cutsets, want.module_cutsets) << label;
+        EXPECT_EQ(got.modules_analyzed, want.modules_analyzed) << label;
+        if (got.modules_analyzed < 2) continue;
+        // The span accounts for every product of the top module: built,
+        // or skipped by price.
+        const std::vector<obs::span_record> spans =
+            obs::trace_recorder::instance().snapshot();
+        const auto span = std::find_if(
+            spans.begin(), spans.end(), [](const obs::span_record& s) {
+              return std::strcmp(s.name, "cutsets.modules") == 0;
+            });
+        ASSERT_NE(span, spans.end()) << label;
+        EXPECT_EQ(span_arg(*span, "top_products") +
+                      span_arg(*span, "top_priced_out"),
+                  static_cast<double>(ref.top_products))
+            << label;
+        ++modular_runs;
+        priced_out += static_cast<std::size_t>(span_arg(*span, "top_priced_out"));
+      }
+    }
+  }
+  obs::set_enabled(false);
+  EXPECT_GT(modular_runs, 0u);
+  EXPECT_GT(priced_out, 0u);
+}
+
+TEST(ModularRecombination, CutoffAboveEveryCutsetLeavesNothing) {
+  // A cutoff just above the likeliest cutset keeps nothing, with prep (the
+  // modular path, top module priced) and without it: no cutsets and a
+  // failure probability of exactly 0. Each run discards what the unpriced
+  // reference discards on the same prep; the two counts differ, since with
+  // prep every module's MOCUS prices its own partials.
+  const mocus_source source;
+  const std::vector<std::pair<std::string, sd_fault_tree>> models{
+      {"bwr", make_bwr_model({})},
+      {"industrial", sd_fault_tree(bench_model1().ft)}};
+  for (const auto& [name, tree] : models) {
+    analysis_options opts;
+    opts.horizon = 24.0;
+    opts.cutoff = 1e-15;
+    opts.threads = 2;
+    double likeliest = 0.0;
+    for (const cutset_result& c : analyze(tree, opts).cutsets) {
+      likeliest = std::max(likeliest, c.probability);
+    }
+    ASSERT_GT(likeliest, 0.0) << name;
+    opts.cutoff = likeliest * (1.0 + 1e-12);
+    const static_translation translation =
+        translate_to_static(tree, opts.horizon);
+    for (bool prep_on : {true, false}) {
+      const std::string label = name + (prep_on ? " prep" : " no prep");
+      opts.prep.enabled = prep_on;
+      const analysis_result r = analyze(tree, opts);
+      EXPECT_TRUE(r.cutsets.empty()) << label;
+      EXPECT_EQ(r.num_cutsets, 0u) << label;
+      EXPECT_EQ(r.failure_probability, 0.0) << label;
+      const prep_result prep = preprocess(translation.ft_bar, opts.prep);
+      EXPECT_EQ(prep.module_roots.size() > 1, prep_on) << label;
+      const testing::modular_reference ref =
+          testing::reference_generate_modular(prep, translation, source,
+                                              opts.cutoff);
+      EXPECT_TRUE(ref.result.generation.cutsets.empty()) << label;
+      EXPECT_EQ(r.stats.source_discarded, ref.result.generation.discarded)
+          << label;
+      EXPECT_GT(r.stats.source_discarded, 0u) << label;
+    }
+  }
+
+  // Below min_priced_cutoff nothing is priced; on BWR, whose cutsets all
+  // lie far above it, the list is the cutoff-0 one.
+  const sd_fault_tree bwr = make_bwr_model({});
+  analysis_options opts;
+  opts.horizon = 24.0;
+  opts.threads = 2;
+  const analysis_result all = analyze(bwr, opts);
+  opts.cutoff = 0x1p-1010;
+  const analysis_result tiny = analyze(bwr, opts);
+  ASSERT_GT(all.cutsets.size(), 0u);
+  EXPECT_EQ(testing::engine_cutsets(tiny), testing::engine_cutsets(all));
+  EXPECT_EQ(tiny.failure_probability, all.failure_probability);
 }
 
 }  // namespace

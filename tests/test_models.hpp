@@ -350,4 +350,43 @@ inline event_tree make_random_event_tree(std::uint64_t seed, fault_tree& ft) {
   return et;
 }
 
+/// DAG-heavy random tree: OR gates over a small event pool, then a layer of
+/// AND/OR gates drawing their inputs from those shared ORs, under an AND
+/// top. Shared ORs over overlapping events make many expansion paths meet
+/// at the same partial, so the visited table sees real duplicates.
+inline fault_tree shared_or_tree(std::uint64_t seed) {
+  rng random(seed);
+  fault_tree ft;
+  // `count` distinct members of `from`, or 2-3 of them when count is 0.
+  const auto pick = [&](const std::vector<node_index>& from, int count) {
+    if (count == 0) count = static_cast<int>(random.between(2, 3));
+    std::vector<node_index> chosen;
+    while (static_cast<int>(chosen.size()) < count) {
+      const node_index n = from[random.below(from.size())];
+      if (std::find(chosen.begin(), chosen.end(), n) == chosen.end()) {
+        chosen.push_back(n);
+      }
+    }
+    return chosen;
+  };
+  std::vector<node_index> events;
+  for (int i = 0; i < 10; ++i) {
+    events.push_back(ft.add_basic_event("e" + std::to_string(i),
+                                        random.uniform(0.01, 0.3)));
+  }
+  std::vector<node_index> ors;
+  for (int g = 0; g < 6; ++g) {
+    ors.push_back(ft.add_gate("or" + std::to_string(g), gate_type::or_gate,
+                              pick(events, 0)));
+  }
+  std::vector<node_index> mids;
+  for (int g = 0; g < 4; ++g) {
+    const auto type = g % 2 == 0 ? gate_type::and_gate : gate_type::or_gate;
+    mids.push_back(
+        ft.add_gate("mid" + std::to_string(g), type, pick(ors, 0)));
+  }
+  ft.set_top(ft.add_gate("top", gate_type::and_gate, pick(mids, 3)));
+  return ft;
+}
+
 }  // namespace sdft::testing
