@@ -14,7 +14,6 @@
 #include "bench_common.hpp"
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
-#include "mcs/mocus.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -24,9 +23,7 @@ int main() {
 
   const sd_fault_tree static_model = make_bwr_model({});
   const auto& ft = static_model.structure();
-  mocus_options mopts;
-  mopts.cutoff = bench::paper_cutoff;
-  const mocus_result static_mcs = mocus(ft, mopts);
+  const bench::static_cutsets static_mcs = bench::static_engine_cutsets(ft);
   const double static_freq =
       rare_event_probability(ft, static_mcs.cutsets);
   std::printf(

@@ -8,9 +8,9 @@
 #include <cstring>
 #include <string>
 
+#include "engine/engine.hpp"
 #include "gen/industrial.hpp"
 #include "mcs/importance.hpp"
-#include "mcs/mocus.hpp"
 
 namespace sdft::bench {
 
@@ -79,20 +79,38 @@ inline industrial_options model2_options(bool full) {
   return o;
 }
 
+/// The engine's relevant minimal cutsets of a static tree at the paper's
+/// cutoff (prep, modular MOCUS; canonical order over the tree's indices),
+/// with the run's stage counters.
+struct static_cutsets {
+  std::vector<cutset> cutsets;
+  engine_stats stats;
+};
+
+inline static_cutsets static_engine_cutsets(const fault_tree& ft) {
+  analysis_options opts;
+  opts.cutoff = paper_cutoff;
+  opts.publish_metrics = false;
+  analysis_result r = analysis_engine(opts).run(sd_fault_tree(ft));
+  static_cutsets out;
+  out.cutsets.reserve(r.cutsets.size());
+  for (cutset_result& c : r.cutsets) out.cutsets.push_back(std::move(c.events));
+  out.stats = r.stats;
+  return out;
+}
+
 /// A generated model together with its static MCS list and FV ranking —
 /// the inputs every dynamic-annotation experiment starts from.
 struct prepared_model {
   industrial_model model;
-  mocus_result mcs;
+  static_cutsets mcs;
   std::vector<node_index> ranked;
 };
 
 inline prepared_model prepare(const industrial_options& options) {
   prepared_model p;
   p.model = generate_industrial(options);
-  mocus_options mopts;
-  mopts.cutoff = paper_cutoff;
-  p.mcs = mocus(p.model.ft, mopts);
+  p.mcs = static_engine_cutsets(p.model.ft);
   p.ranked = rank_by_fussell_vesely(p.model.ft, p.mcs.cutsets);
   return p;
 }

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
                    std::to_string(p.model.ft.num_basic_events()),
                    std::to_string(p.model.ft.num_gates()),
                    std::to_string(p.mcs.cutsets.size()),
-                   duration_str(p.mcs.seconds),
-                   std::to_string(p.mcs.partials_processed)});
+                   duration_str(p.mcs.stats.generate_seconds),
+                   std::to_string(p.mcs.stats.source_partials)});
 
     // Annotate with dynamic chains and quantify through the engine.
     annotation_options aopts;

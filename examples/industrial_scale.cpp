@@ -9,7 +9,6 @@
 #include "engine/engine.hpp"
 #include "gen/industrial.hpp"
 #include "mcs/importance.hpp"
-#include "mcs/mocus.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -35,16 +34,22 @@ int main(int argc, char** argv) {
               model.ft.num_basic_events(), model.ft.num_gates(),
               timer.seconds());
 
-  timer.reset();
-  mocus_options mopts;
-  mopts.cutoff = 1e-15;
-  const mocus_result mcs = mocus(model.ft, mopts);
+  // The static study through the analysis pipeline: its relevant minimal
+  // cutsets rank the events by Fussell-Vesely importance.
+  analysis_options static_opts;
+  static_opts.cutoff = 1e-15;
+  const analysis_result static_run =
+      analyze(sd_fault_tree(model.ft), static_opts);
   std::printf("minimal cutsets above 1e-15: %zu (%.1fs, %zu partials)\n",
-              mcs.cutsets.size(), mcs.seconds, mcs.partials_processed);
+              static_run.num_cutsets, static_run.stats.total_seconds,
+              static_run.stats.source_partials);
   std::printf("static frequency: %s\n\n",
-              sci(rare_event_probability(model.ft, mcs.cutsets)).c_str());
+              sci(static_run.failure_probability).c_str());
 
-  const auto ranked = rank_by_fussell_vesely(model.ft, mcs.cutsets);
+  std::vector<cutset> cutsets;
+  cutsets.reserve(static_run.cutsets.size());
+  for (const cutset_result& c : static_run.cutsets) cutsets.push_back(c.events);
+  const auto ranked = rank_by_fussell_vesely(model.ft, cutsets);
 
   // One engine across all runs: its quantification cache is keyed by the
   // structural signature of each per-MCS model, so later (larger) dynamic

@@ -79,6 +79,36 @@ void validate_options(const analysis_options& opt) {
                 "analysis epsilon must lie in (0, 1)");
 }
 
+/// Stage 1: FT-bar with worst-case probabilities (paper §V-B). Always
+/// fresh — it carries the run's parameter point.
+static_translation translate_stage(const sd_fault_tree& tree,
+                                   const analysis_options& opt,
+                                   engine_stats& stats) {
+  const stopwatch timer;
+  obs::span_scope span("engine.translate");
+  span.arg("events", static_cast<double>(tree.structure().size()));
+  static_translation translation = translate_to_static(
+      tree, opt.horizon, opt.epsilon, opt.reference_cutoff);
+  stats.translate_seconds = timer.seconds();
+  return translation;
+}
+
+/// Stage 1b: preprocessing — normalise, simplify and modularise FT-bar
+/// before any cutset is generated (every rewrite preserves the structure
+/// function, so the cutset list and probability are unchanged).
+prep_result prep_stage(const fault_tree& ft_bar, const analysis_options& opt,
+                       engine_stats& stats) {
+  const stopwatch timer;
+  obs::span_scope span("engine.prep");
+  prep_result prep = preprocess(ft_bar, opt.prep);
+  span.arg("nodes_before", static_cast<double>(prep.stats.nodes_before));
+  span.arg("nodes_after", static_cast<double>(prep.stats.nodes_after));
+  span.arg("modules", static_cast<double>(prep.stats.modules_found));
+  stats.prep_seconds = timer.seconds();
+  fill_prep_stats(stats, prep.stats);
+  return prep;
+}
+
 /// parallel_for when a pool exists, a plain loop inline.
 void for_each_index(thread_pool* pool, std::size_t n,
                     const std::function<void(std::size_t)>& fn) {
@@ -96,11 +126,10 @@ struct analysis_engine::acquired_structure {
 
   /// Stage-2 output filtered for this run (SD space, canonical order).
   cutset_generation generation;
-  std::size_t module_cutsets = 0;
 
   /// The structure-level artifacts (prep tree, source maps, lazily
   /// compiled exact-static BDDs). From the cache on a hit, freshly built
-  /// otherwise; only stored back when the structure cache is enabled.
+  /// and stored otherwise.
   std::shared_ptr<const structure_entry> entry;
   bool from_cache = false;
 };
@@ -117,81 +146,55 @@ analysis_engine::acquired_structure analysis_engine::acquire(
   stats.backend = to_string(opt.backend);
   stats.bdd_ordering = to_string(opt.bdd_ordering);
 
-  // Stage 1: FT-bar with worst-case probabilities (paper §V-B). Always
-  // fresh — it carries the run's parameter point.
-  stopwatch stage_timer;
-  acq.translation = [&] {
-    obs::span_scope span("engine.translate");
-    span.arg("events", static_cast<double>(tree.structure().size()));
-    return translate_to_static(tree, opt.horizon, opt.epsilon,
-                               opt.reference_cutoff);
-  }();
-  stats.translate_seconds = stage_timer.seconds();
+  acq.translation = translate_stage(tree, opt, stats);
 
-  std::string key;
-  std::vector<double> point;
-  if (opt.use_structure_cache) {
-    key = structural_signature(tree, opt.prep);
-    point = ft_bar_point(tree, acq.translation);
-    std::shared_ptr<const structure_entry> entry = struct_cache_.probe(key);
-    if (entry != nullptr && envelope_dominates(*entry, point, opt.cutoff)) {
-      // Hit: stages 1b–2 replay from the cache. Re-filtering the stored
-      // list by this run's own probabilities yields exactly the list a
-      // fresh generation would (see struct_cache.hpp); prep counters are
-      // replayed, generation counters stay honestly zero.
-      struct_cache_.record_hit();
-      stats.struct_cache_hits = 1;
-      stage_timer.reset();
-      obs::span_scope span("engine.reuse");
-      fill_prep_stats(stats, entry->pstats);
-      const fault_tree& bar = acq.translation.ft_bar;
-      auto& kept = acq.generation.cutsets;
-      kept.reserve(entry->cutsets.size());
-      for (std::size_t i = 0; i < entry->cutsets.size(); ++i) {
-        if (opt.cutoff > 0.0) {
-          double p = 1.0;
-          for (node_index e : entry->prep_cutsets[i]) {
-            p *= bar.node(entry->prep_to_source[e]).probability;
-          }
-          if (p < opt.cutoff) {
-            ++acq.generation.discarded;
-            continue;
-          }
+  const std::string key = structural_signature(tree, opt.prep);
+  std::vector<double> point = ft_bar_point(tree, acq.translation);
+  std::shared_ptr<const structure_entry> cached = struct_cache_.probe(key);
+  if (cached != nullptr && envelope_dominates(*cached, point, opt.cutoff)) {
+    // Hit: stages 1b–2 replay from the cache. Re-filtering the stored
+    // list by this run's own probabilities yields exactly the list a
+    // fresh generation would (see struct_cache.hpp); prep counters are
+    // replayed, generation counters stay honestly zero.
+    struct_cache_.record_hit();
+    stats.struct_cache_hits = 1;
+    const stopwatch reuse_timer;
+    obs::span_scope span("engine.reuse");
+    fill_prep_stats(stats, cached->pstats);
+    const fault_tree& bar = acq.translation.ft_bar;
+    auto& kept = acq.generation.cutsets;
+    kept.reserve(cached->cutsets.size());
+    for (std::size_t i = 0; i < cached->cutsets.size(); ++i) {
+      if (opt.cutoff > 0.0) {
+        double p = 1.0;
+        for (node_index e : cached->prep_cutsets[i]) {
+          p *= bar.node(cached->prep_to_source[e]).probability;
         }
-        kept.push_back(entry->cutsets[i]);
+        if (p < opt.cutoff) {
+          ++acq.generation.discarded;
+          continue;
+        }
       }
-      stats.generate_seconds = stage_timer.seconds();
-      stats.num_cutsets = kept.size();
-      stats.source_discarded = acq.generation.discarded;
-      span.arg("cached", static_cast<double>(entry->cutsets.size()));
-      span.arg("cutsets", static_cast<double>(kept.size()));
-      acq.entry = std::move(entry);
-      acq.from_cache = true;
-      return acq;
+      kept.push_back(cached->cutsets[i]);
     }
-    struct_cache_.record_miss();
-    stats.struct_cache_misses = 1;
+    stats.generate_seconds = reuse_timer.seconds();
+    stats.num_cutsets = kept.size();
+    stats.source_discarded = acq.generation.discarded;
+    span.arg("cached", static_cast<double>(cached->cutsets.size()));
+    span.arg("cutsets", static_cast<double>(kept.size()));
+    acq.entry = std::move(cached);
+    acq.from_cache = true;
+    return acq;
   }
+  struct_cache_.record_miss();
+  stats.struct_cache_misses = 1;
 
-  // Stage 1b: preprocessing — normalise, simplify and modularise FT-bar
-  // before any cutset is generated (every rewrite preserves the structure
-  // function, so the cutset list and probability are unchanged).
-  stage_timer.reset();
-  prep_result prep = [&] {
-    obs::span_scope span("engine.prep");
-    prep_result p = preprocess(acq.translation.ft_bar, opt.prep);
-    span.arg("nodes_before", static_cast<double>(p.stats.nodes_before));
-    span.arg("nodes_after", static_cast<double>(p.stats.nodes_after));
-    span.arg("modules", static_cast<double>(p.stats.modules_found));
-    return p;
-  }();
-  stats.prep_seconds = stage_timer.seconds();
-  fill_prep_stats(stats, prep.stats);
+  prep_result prep = prep_stage(acq.translation.ft_bar, opt, stats);
 
   // Stage 2: relevant minimal cutsets through the selected source, one
   // subproblem per prep module, recombined to the exact full list.
-  stage_timer.reset();
   {
+    const stopwatch generate_timer;
     obs::span_scope gen_span("engine.generate");
     obs::ambient_parent_scope ambient(gen_span.id());
     const mocus_source source;
@@ -200,9 +203,8 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     modular_generation modular =
         generate_modular(prep, acq.translation, source, opt.cutoff, pool);
     acq.generation = std::move(modular.generation);
-    acq.module_cutsets = modular.module_cutsets;
     stats.prep_module_cutsets = modular.module_cutsets;
-    stats.generate_seconds = stage_timer.seconds();
+    stats.generate_seconds = generate_timer.seconds();
     stats.num_cutsets = acq.generation.cutsets.size();
     stats.source_partials = acq.generation.partials_processed;
     stats.source_discarded = acq.generation.discarded;
@@ -235,31 +237,27 @@ analysis_engine::acquired_structure analysis_engine::acquire(
   entry->prep_to_source = std::move(prep.to_source);
   entry->prep_tree =
       std::make_shared<const fault_tree>(std::move(prep.tree));
-  if (opt.use_structure_cache) {
-    entry->envelope = std::move(point);
-    // Prep-space mirror of the cutsets, through the inverse of
-    // to_source ∘ to_bar (every kept event survives prep, so the inverse
-    // is total on them).
-    std::unordered_map<node_index, node_index> bar_to_prep;
-    const fault_tree& prep_tree = *entry->prep_tree;
-    bar_to_prep.reserve(prep_tree.num_basic_events());
-    for (node_index b = 0; b < prep_tree.size(); ++b) {
-      if (prep_tree.is_basic(b)) {
-        bar_to_prep.emplace(entry->prep_to_source[b], b);
-      }
-    }
-    entry->prep_cutsets.reserve(entry->cutsets.size());
-    for (const cutset& c : entry->cutsets) {
-      cutset mapped;
-      mapped.reserve(c.size());
-      for (node_index e : c) {
-        mapped.push_back(bar_to_prep.at(acq.translation.to_bar.at(e)));
-      }
-      std::sort(mapped.begin(), mapped.end());
-      entry->prep_cutsets.push_back(std::move(mapped));
-    }
-    struct_cache_.store(key, entry);
+  entry->envelope = std::move(point);
+  // Prep-space mirror of the cutsets, through the inverse of
+  // to_source ∘ to_bar (every kept event survives prep, so the inverse is
+  // total on them).
+  std::unordered_map<node_index, node_index> bar_to_prep;
+  const fault_tree& prep_tree = *entry->prep_tree;
+  bar_to_prep.reserve(prep_tree.num_basic_events());
+  for (node_index b = 0; b < prep_tree.size(); ++b) {
+    if (prep_tree.is_basic(b)) bar_to_prep.emplace(entry->prep_to_source[b], b);
   }
+  entry->prep_cutsets.reserve(entry->cutsets.size());
+  for (const cutset& c : entry->cutsets) {
+    cutset mapped;
+    mapped.reserve(c.size());
+    for (node_index e : c) {
+      mapped.push_back(bar_to_prep.at(acq.translation.to_bar.at(e)));
+    }
+    std::sort(mapped.begin(), mapped.end());
+    entry->prep_cutsets.push_back(std::move(mapped));
+  }
+  struct_cache_.store(key, entry);
   acq.entry = std::move(entry);
   return acq;
 }
@@ -290,21 +288,8 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   const bool derive_levels =
       mc.method == sim::mc_method::splitting && mc.levels == 0;
   if (derive_levels || opt.exact_static) {
-    stopwatch stage_timer;
-    const static_translation translation = [&] {
-      obs::span_scope span("engine.translate");
-      span.arg("events", static_cast<double>(tree.structure().size()));
-      return translate_to_static(tree, opt.horizon, opt.epsilon,
-                                 opt.reference_cutoff);
-    }();
-    stats.translate_seconds = stage_timer.seconds();
-    stage_timer.reset();
-    prep_result prep = [&] {
-      obs::span_scope span("engine.prep");
-      return preprocess(translation.ft_bar, opt.prep);
-    }();
-    stats.prep_seconds = stage_timer.seconds();
-    fill_prep_stats(stats, prep.stats);
+    const static_translation translation = translate_stage(tree, opt, stats);
+    prep_result prep = prep_stage(translation.ft_bar, opt, stats);
 
     if (derive_levels) {
       // Depth-to-top of the prep workgraph: the longest leaf-to-top path
@@ -326,7 +311,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
     }
 
     if (opt.exact_static) {
-      stage_timer.reset();
+      const stopwatch exact_timer;
       obs::span_scope exact_span("engine.exact_static");
       structure_entry entry;
       entry.prep_to_source = std::move(prep.to_source);
@@ -335,7 +320,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
       result.exact_static_probability = entry.exact_static_probability(
           opt.bdd_ordering, exact_static_overrides(entry, translation),
           &stats.bdd_nodes, &stats.bdd_sift_swaps);
-      stats.exact_static_seconds = stage_timer.seconds();
+      stats.exact_static_seconds = exact_timer.seconds();
       exact_span.arg("nodes", static_cast<double>(stats.bdd_nodes));
       exact_span.arg("probability", result.exact_static_probability);
     }
@@ -427,9 +412,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     qopts.mode = opt.mode;
     const static_product_quantifier static_quantifier(tree);
     const product_chain_quantifier chain_quantifier(
-        tree, acq.translation, qopts,
-        opt.cache_quantifications ? &cache_ : nullptr,
-        &acq.entry->trigger_sets, &acq.entry->ftc_plans);
+        tree, acq.translation, qopts, &cache_, &acq.entry->trigger_sets,
+        &acq.entry->ftc_plans);
     result.cutsets.resize(generated.cutsets.size());
     std::vector<cutset_result>& quantified = result.cutsets;
     stats.pool_threads = pool_ptr != nullptr ? pool_ptr->size() : 1;
@@ -544,13 +528,11 @@ void analysis_engine::prime(const sd_fault_tree& tree,
   // structure cache, so priming is a no-op.
   if (options.backend == cutset_backend::mc) return;
   obs::span_scope span("engine.prime");
-  analysis_options opt = options;
-  opt.use_structure_cache = true;  // priming without the cache is a no-op
   engine_stats stats;
   std::optional<thread_pool> pool;
-  if (!opt.inline_execution) pool.emplace(opt.threads);
+  if (!options.inline_execution) pool.emplace(options.threads);
   const acquired_structure acq =
-      acquire(tree, opt, pool ? &*pool : nullptr, stats);
+      acquire(tree, options, pool ? &*pool : nullptr, stats);
   span.arg("cutsets", static_cast<double>(acq.generation.cutsets.size()));
   span.arg("cached", acq.from_cache ? 1.0 : 0.0);
 }

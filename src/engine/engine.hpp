@@ -80,11 +80,6 @@ struct analysis_options {
   /// unaffected. Surfaced as `sdft analyze --exact-static`.
   bool exact_static = false;
 
-  /// Memoise per-cutset transient solves under the structural signature of
-  /// their mcs_model, so cutsets sharing dynamic sub-structure reuse the
-  /// solve and only multiply their static factors.
-  bool cache_quantifications = true;
-
   /// Preprocessing of FT-bar between translation and cutset generation
   /// (src/prep): simplifying rewrites plus modularization of stage 2.
   /// prep.enabled=false keeps only the mandatory normalisation (voting
@@ -92,16 +87,12 @@ struct analysis_options {
   /// function, so results are bit-identical either way.
   prep_options prep;
 
-  /// Reuse stages 1b–2 across run() calls on the same engine through the
-  /// structure cache: analyses whose tree differs only in parameters
-  /// (probabilities, rates, horizon) skip prep and cutset generation and
-  /// re-filter the cached list — exactly (see struct_cache.hpp). One-shot
-  /// analyze() calls see a single miss and behave as before.
-  bool use_structure_cache = true;
-
   /// Entry bounds of the engine-owned caches, applied at engine
   /// construction (per-call option overrides ignore them; resize live
-  /// engines through the cache accessors). 0 = unbounded.
+  /// engines through the cache accessors). 0 = unbounded. The engine
+  /// always memoises: per-cutset transient solves in the quantification
+  /// cache, stages 1b–2 in the structure cache (see struct_cache.hpp).
+  /// Both are exact, so a hit returns bit-identical results.
   std::size_t structure_cache_entries = structure_cache::default_capacity;
   std::size_t quant_cache_entries = quantification_cache::default_capacity;
 

@@ -243,7 +243,7 @@ sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
   // bound every point's).
   // (The mc backend generates no cutsets, so there is no structure to
   // prime — every point is an independent trajectory campaign.)
-  if (base_opts.use_structure_cache && base_opts.backend != cutset_backend::mc) {
+  if (base_opts.backend != cutset_backend::mc) {
     const stopwatch prime_timer;
     sd_fault_tree envelope = base;
     double max_horizon = base_opts.horizon;

@@ -10,7 +10,6 @@
 #include "engine/quant_cache.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
-#include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
 #include "product/product_ctmc.hpp"
 #include "sdft/translate.hpp"
@@ -340,23 +339,11 @@ TEST(McsModel, TriggerSetMemoIsExact) {
       expect_memo_exact(bwr_tree, dynamic_cutsets(bwr_tree, 1e-12), "bwr"),
       0u);
 
-  industrial_options gopts;
-  gopts.seed = 7;
-  gopts.num_frontline_systems = 6;
-  gopts.num_support_systems = 2;
-  gopts.num_initiating_events = 4;
-  gopts.sequences_per_ie = 3;
-  gopts.components_per_train = 3;
-  const industrial_model model = generate_industrial(gopts);
-  // The downsized model's cutsets sit mostly below 1e-15.
-  mocus_options mopts;
-  mopts.cutoff = 1e-18;
   annotation_options aopts;
   aopts.dynamic_fraction = 1.0;
   aopts.trigger_fraction = 0.1;
-  const sd_fault_tree industrial = annotate_dynamic(
-      model, rank_by_fussell_vesely(model.ft, mocus(model.ft, mopts).cutsets),
-      aopts);
+  const sd_fault_tree industrial = testing::annotated_study(
+      testing::small_industrial_model(7), 1e-18, aopts);
   EXPECT_GT(expect_memo_exact(industrial, dynamic_cutsets(industrial, 1e-20),
                               "industrial"),
             0u);

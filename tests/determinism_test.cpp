@@ -1,22 +1,24 @@
 // Determinism regression tests for the parallel cutset-generation stage:
 // the engine must produce the identical sorted cutset list and the
-// bit-identical failure probability for every thread count, with or
-// without the quantification cache, and with the prep rewrite/
-// modularization layer on or off — 12 configurations against the serial
-// no-prep reference. Exercised on the BWR example study, random SD trees
-// and a small industrial model. (That the list equals the BDD's, under
-// every variable ordering, is bdd_ordering_test's and engine_test's job.)
+// bit-identical failure probability for every thread count, with the prep
+// rewrite/modularization layer on or off — 6 configurations against the
+// serial no-prep reference. Exercised on the BWR example study, random SD
+// trees and a small industrial model. (That the list equals the BDD's,
+// under every variable ordering, is bdd_ordering_test's and engine_test's
+// job.) The engine always memoises; its cached probabilities are checked
+// cutset by cutset against the quantifiers built without any cache.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "engine/engine.hpp"
+#include "engine/quantifier.hpp"
 #include "gen/bwr.hpp"
-#include "gen/industrial.hpp"
-#include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
+#include "sdft/translate.hpp"
 #include "test_models.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,21 +28,18 @@ namespace {
 /// One analysis configuration of the determinism matrix.
 struct config {
   std::size_t threads;
-  bool cache;
   bool prep;
 
   std::string label() const {
     return "threads=" + std::to_string(threads) +
-           (cache ? " cache" : " no-cache") + (prep ? " prep" : " no-prep");
+           (prep ? " prep" : " no-prep");
   }
 };
 
 std::vector<config> matrix() {
   std::vector<config> out;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (bool prep : {false, true}) {
-      for (bool cache : {false, true}) out.push_back({threads, cache, prep});
-    }
+    for (bool prep : {false, true}) out.push_back({threads, prep});
   }
   return out;
 }
@@ -56,7 +55,6 @@ void expect_deterministic(const sd_fault_tree& tree, double horizon,
   opts.keep_cutset_details = true;
   opts.threads = 1;
   opts.backend = cutset_backend::mocus;
-  opts.cache_quantifications = false;
   opts.prep.enabled = false;
   const analysis_result reference = analyze(tree, opts);
   ASSERT_GT(reference.num_cutsets, 0u) << model;
@@ -65,7 +63,6 @@ void expect_deterministic(const sd_fault_tree& tree, double horizon,
 
   for (const config& c : matrix()) {
     opts.threads = c.threads;
-    opts.cache_quantifications = c.cache;
     opts.prep.enabled = c.prep;
     const analysis_result r = analyze(tree, opts);
     EXPECT_EQ(testing::engine_cutsets(r), reference_list)
@@ -75,12 +72,79 @@ void expect_deterministic(const sd_fault_tree& tree, double horizon,
   }
 }
 
+/// Runs one engine twice on `tree` (cold, then fully warm: every structure
+/// and transient solve from the caches) and requires every cutset's
+/// probability to equal, bit for bit, a fresh quantification of the same
+/// cutset by the static product or the product-chain quantifier built
+/// without any cache or memo — and the failure probability to be their
+/// rare-event sum in list order.
+void expect_cached_matches_uncached(const sd_fault_tree& tree, double horizon,
+                                    double cutoff, const std::string& model) {
+  analysis_options opts;
+  opts.horizon = horizon;
+  opts.cutoff = cutoff;
+  opts.threads = 3;
+  analysis_engine engine(opts);
+  const analysis_result cold = engine.run(tree);
+  const analysis_result warm = engine.run(tree);
+  ASSERT_GT(cold.num_dynamic_cutsets, 0u) << model;
+  EXPECT_GT(cold.stats.cache_hits, 0u) << model;
+  EXPECT_EQ(warm.stats.struct_cache_hits, 1u) << model;
+  EXPECT_EQ(warm.stats.cache_misses, 0u) << model;
+
+  const static_translation translation =
+      translate_to_static(tree, opts.horizon, opts.epsilon);
+  quantify_options qopts;
+  qopts.horizon = opts.horizon;
+  qopts.epsilon = opts.epsilon;
+  qopts.max_product_states = opts.max_product_states;
+  qopts.mode = opts.mode;
+  const static_product_quantifier static_quantifier(tree);
+  const product_chain_quantifier chain_quantifier(tree, translation, qopts,
+                                                  nullptr);
+  for (const analysis_result* run : {&cold, &warm}) {
+    const std::string label = model + (run == &cold ? " cold" : " warm");
+    ASSERT_EQ(run->cutsets.size(), cold.num_cutsets) << label;
+    double sum = 0.0;
+    for (const cutset_result& c : run->cutsets) {
+      const quantifier& q =
+          static_quantifier.handles(c.events)
+              ? static_cast<const quantifier&>(static_quantifier)
+              : chain_quantifier;
+      const cutset_result reference = q.quantify(c.events);
+      ASSERT_EQ(c.probability, reference.probability) << label;
+      ASSERT_EQ(c.dynamic, reference.dynamic) << label;
+      if (reference.probability > cutoff) sum += reference.probability;
+    }
+    EXPECT_EQ(run->failure_probability, sum) << label;
+  }
+}
+
 TEST(Determinism, BwrDynamicStudy) {
   bwr_options opt;
   opt.dynamic_events = true;
   opt.repair_rate = 0.1;
   const sd_fault_tree tree = make_bwr_model(with_bwr_triggers(opt, 2));
   expect_deterministic(tree, 24.0, 1e-12, "bwr");
+}
+
+TEST(Determinism, CachedMatchesUncachedQuantifiers) {
+  bwr_options bwr;
+  bwr.dynamic_events = true;
+  bwr.repair_rate = 0.01;
+  expect_cached_matches_uncached(
+      make_bwr_model(with_bwr_triggers(bwr, bwr_num_triggers)), 24.0, 1e-15,
+      "bwr");
+
+  // Bench-size industrial model 1 with the paper's §VI-B annotation.
+  annotation_options an;
+  an.dynamic_fraction = 0.3;
+  an.trigger_fraction = 0.1;
+  an.repair_rate = 0.01;
+  expect_cached_matches_uncached(
+      testing::annotated_study(
+          generate_industrial(bench::model1_options(false)), 1e-15, an),
+      24.0, 1e-15, "industrial model 1");
 }
 
 TEST(Determinism, RandomSdTrees) {
@@ -93,26 +157,14 @@ TEST(Determinism, RandomSdTrees) {
 }
 
 TEST(Determinism, IndustrialAnnotatedModel) {
-  industrial_options gopt;
-  gopt.seed = 5;
-  gopt.num_frontline_systems = 6;
-  gopt.num_support_systems = 2;
-  gopt.num_initiating_events = 4;
-  gopt.sequences_per_ie = 3;
-  gopt.components_per_train = 3;
-  const industrial_model model = generate_industrial(gopt);
   // This downsized study multiplies enough small probabilities that its
   // cutsets sit below the paper's 1e-15 cutoff; 1e-20 keeps ~2000 of them.
-  mocus_options mopts;
-  mopts.cutoff = 1e-18;
-  const mocus_result mcs = mocus(model.ft, mopts);
-  ASSERT_GT(mcs.cutsets.size(), 0u);
   annotation_options an;
   an.dynamic_fraction = 0.3;
   an.trigger_fraction = 0.1;
   an.repair_rate = 0.01;
-  const sd_fault_tree tree = annotate_dynamic(
-      model, rank_by_fussell_vesely(model.ft, mcs.cutsets), an);
+  const sd_fault_tree tree = testing::annotated_study(
+      testing::small_industrial_model(5), 1e-18, an);
   expect_deterministic(tree, 24.0, 1e-20, "industrial");
 }
 

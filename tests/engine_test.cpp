@@ -13,8 +13,6 @@
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
-#include "mcs/importance.hpp"
-#include "mcs/mocus.hpp"
 #include "sdft/translate.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
@@ -101,22 +99,11 @@ TEST(CutsetSource, MatchesBddOracleOnBwrModels) {
 }
 
 TEST(CutsetSource, MatchesBddOracleOnIndustrialModel) {
-  industrial_options gopts;
-  gopts.seed = 7;
-  gopts.num_frontline_systems = 6;
-  gopts.num_support_systems = 2;
-  gopts.num_initiating_events = 4;
-  gopts.sequences_per_ie = 3;
-  gopts.components_per_train = 3;
-  const industrial_model model = generate_industrial(gopts);
-  mocus_options mopts;
-  mopts.cutoff = 1e-15;
-  const mocus_result mcs = mocus(model.ft, mopts);
-  const auto ranked = rank_by_fussell_vesely(model.ft, mcs.cutsets);
   annotation_options aopts;
   aopts.dynamic_fraction = 0.3;
   aopts.trigger_fraction = 0.1;
-  const sd_fault_tree tree = annotate_dynamic(model, ranked, aopts);
+  const sd_fault_tree tree = testing::annotated_study(
+      testing::small_industrial_model(7), 1e-15, aopts);
 
   analysis_options opts;
   opts.horizon = 24.0;
@@ -161,13 +148,14 @@ TEST(QuantificationCache, SharedDynamicStructureHitsWithinOneRun) {
   EXPECT_EQ(result.stats.cache_hits, 1u);
   EXPECT_EQ(engine.cache().size(), 1u);
 
-  // The memoised path reproduces the uncached probabilities exactly.
-  analysis_options uncached;
-  uncached.cache_quantifications = false;
-  const analysis_result reference = analyze(fx.tree, uncached);
-  EXPECT_EQ(reference.stats.cache_hits + reference.stats.cache_misses, 0u);
-  EXPECT_NEAR(result.failure_probability, reference.failure_probability,
-              1e-15);
+  // The memoised path reproduces the uncached quantifier exactly.
+  const static_translation translation =
+      translate_to_static(fx.tree, serial.horizon, serial.epsilon);
+  const product_chain_quantifier uncached(fx.tree, translation,
+                                          quantify_options{}, nullptr);
+  for (const cutset_result& c : result.cutsets) {
+    EXPECT_EQ(c.probability, uncached.quantify(c.events).probability);
+  }
 
   // Per-cutset: p = p(s) * Pr[d fails within t], same chain term in both.
   ASSERT_EQ(result.cutsets.size(), 2u);
@@ -189,16 +177,6 @@ TEST(QuantificationCache, PersistsAcrossRunsOfOneEngine) {
   EXPECT_EQ(second.stats.cache_misses, 0u);
   EXPECT_EQ(second.stats.cache_hits, first.stats.cache_misses);
   EXPECT_NEAR(first.failure_probability, second.failure_probability, 1e-15);
-}
-
-TEST(QuantificationCache, DisabledMeansNoLookups) {
-  analysis_options opts;
-  opts.cache_quantifications = false;
-  analysis_engine engine(opts);
-  const analysis_result result = engine.run(testing::example3_sd());
-  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses, 0u);
-  EXPECT_EQ(engine.cache().size(), 0u);
-  for (const auto& q : result.cutsets) EXPECT_FALSE(q.cache_hit);
 }
 
 TEST(QuantificationCache, SignatureSeparatesHorizons) {

@@ -233,7 +233,6 @@ TEST(Lumping, EngineAggregatesCountersAndAgreesWithUnlumped) {
   analysis_options opts;
   opts.horizon = t;
   opts.epsilon = eps;
-  opts.cache_quantifications = false;
   const analysis_result lumped = analyze(tree, opts);
 
   product_options off;

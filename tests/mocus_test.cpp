@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "../bench/bench_common.hpp"
 #include "ft/fault_tree.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
@@ -613,15 +614,9 @@ TEST(MocusLookahead, MatchesUnprunedOracle) {
           cutoffs_on_cutsets(bwr, all_assumed, 1e-9, 4));
   }
 
-  // Bench-size industrial model 1 (bench/bench_common.hpp model1_options).
-  industrial_options model1;
-  model1.seed = 1;
-  model1.num_frontline_systems = 18;
-  model1.num_support_systems = 5;
-  model1.num_initiating_events = 10;
-  model1.sequences_per_ie = 6;
-  model1.components_per_train = 5;
-  const fault_tree industrial = generate_industrial(model1).ft;
+  // Bench-size industrial model 1.
+  const fault_tree industrial =
+      generate_industrial(bench::model1_options(false)).ft;
   const double floor = 1e-13;
   const std::vector<cutset> all =
       copy_then_check(industrial, floor, unbounded, false).cutsets;

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "bdd/ft_bdd.hpp"
 #include "engine/cutset_source.hpp"
 #include "engine/engine.hpp"
@@ -25,7 +26,6 @@
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
 #include "mcs/cutset.hpp"
-#include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
 #include "modular_reference.hpp"
 #include "obs/obs.hpp"
@@ -294,16 +294,9 @@ double span_arg(const obs::span_record& span, const char* key) {
   return -1.0;
 }
 
-/// Bench-size industrial model 1 (bench/bench_common.hpp model1_options).
+/// Bench-size industrial model 1.
 industrial_model bench_model1() {
-  industrial_options model1;
-  model1.seed = 1;
-  model1.num_frontline_systems = 18;
-  model1.num_support_systems = 5;
-  model1.num_initiating_events = 10;
-  model1.sequences_per_ie = 6;
-  model1.components_per_train = 5;
-  return generate_industrial(model1);
+  return generate_industrial(bench::model1_options(false));
 }
 
 TEST(ModularRecombination, PricedTopMatchesUnpricedReference) {
@@ -327,18 +320,12 @@ TEST(ModularRecombination, PricedTopMatchesUnpricedReference) {
   const industrial_model model = bench_model1();
   cases.push_back(
       make_modular_case("industrial", sd_fault_tree(model.ft), 1e-13, false));
-  mocus_options ranking;
-  ranking.cutoff = 1e-15;
   annotation_options an;
   an.dynamic_fraction = 0.3;
   an.trigger_fraction = 0.1;
   an.repair_rate = 0.01;
   cases.push_back(make_modular_case(
-      "industrial annotated",
-      annotate_dynamic(model,
-                       rank_by_fussell_vesely(
-                           model.ft, mocus(model.ft, ranking).cutsets),
-                       an),
+      "industrial annotated", testing::annotated_study(model, 1e-15, an),
       1e-13, false));
 
   const mocus_source source;

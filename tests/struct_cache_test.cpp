@@ -20,7 +20,6 @@
 #include "engine/struct_cache.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
-#include "mcs/importance.hpp"
 #include "test_models.hpp"
 #include "util/lru.hpp"
 
@@ -310,24 +309,13 @@ std::uint64_t probability_digest(const analysis_result& result) {
 /// fail-in-operation event dynamic (one Erlang phase), ranked by
 /// Fussell-Vesely importance on a static run at the paper's cutoff.
 sd_fault_tree serve_whatif_model() {
-  const industrial_model model =
-      generate_industrial(bench::model1_options(false));
-  analysis_options static_opts;
-  static_opts.cutoff = 1e-15;
-  static_opts.threads = 1;
-  const analysis_result static_run =
-      analysis_engine(static_opts).run(sd_fault_tree(model.ft));
-  std::vector<cutset> cutsets;
-  for (const cutset_result& c : static_run.cutsets) {
-    cutsets.push_back(c.events);
-  }
   annotation_options an;
   an.dynamic_fraction = 1.0;
   an.trigger_fraction = 0.1;
   an.repair_rate = 0.01;
   an.phases = 1;
-  return annotate_dynamic(model, rank_by_fussell_vesely(model.ft, cutsets),
-                          an);
+  return testing::annotated_study(
+      generate_industrial(bench::model1_options(false)), 1e-15, an);
 }
 
 TEST(StructureCache, PinnedStage3ResultsAcrossFtcPlans) {
@@ -487,18 +475,6 @@ TEST(StructureCache, ExactStaticOnHitMatchesFreshEngine) {
   const analysis_result fresh = cold.run(perturbed);
   EXPECT_EQ(hit.exact_static_probability, fresh.exact_static_probability);
   EXPECT_EQ(hit.failure_probability, fresh.failure_probability);
-}
-
-TEST(StructureCache, DisabledOptionBypassesCache) {
-  analysis_options opts;
-  opts.use_structure_cache = false;
-  const sd_fault_tree tree = example3_sd();
-  analysis_engine engine(opts);
-  (void)engine.run(tree);
-  (void)engine.run(tree);
-  EXPECT_EQ(engine.structures().size(), 0u);
-  EXPECT_EQ(engine.structures().hits(), 0u);
-  EXPECT_EQ(engine.structures().misses(), 0u);
 }
 
 TEST(StructureCache, LruEvictionBound) {

@@ -14,8 +14,6 @@
 #include "engine/sweep.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
-#include "mcs/importance.hpp"
-#include "mcs/mocus.hpp"
 #include "test_models.hpp"
 
 namespace sdft {
@@ -39,23 +37,12 @@ sd_fault_tree bwr_tree() {
 
 /// The downsized industrial study of the determinism suite.
 sd_fault_tree industrial_tree() {
-  industrial_options gopt;
-  gopt.seed = 5;
-  gopt.num_frontline_systems = 6;
-  gopt.num_support_systems = 2;
-  gopt.num_initiating_events = 4;
-  gopt.sequences_per_ie = 3;
-  gopt.components_per_train = 3;
-  const industrial_model model = generate_industrial(gopt);
-  mocus_options mopts;
-  mopts.cutoff = 1e-18;
-  const mocus_result mcs = mocus(model.ft, mopts);
   annotation_options an;
   an.dynamic_fraction = 0.3;
   an.trigger_fraction = 0.1;
   an.repair_rate = 0.01;
-  return annotate_dynamic(model,
-                          rank_by_fussell_vesely(model.ft, mcs.cutsets), an);
+  return testing::annotated_study(testing::small_industrial_model(5), 1e-18,
+                                  an);
 }
 
 /// First static basic event of `tree` (SD index), for building sweeps on
@@ -184,24 +171,19 @@ TEST(SweepResolve, GridExpansionAndErrors) {
   EXPECT_THROW(resolve_sweep(sweep_description{}, tree), model_error);
 }
 
-TEST(SweepDeterminism, BwrAcrossThreadsAndCache) {
+TEST(SweepDeterminism, BwrAcrossThreads) {
   const sd_fault_tree tree = bwr_tree();
   const sweep_spec spec = resolve_sweep(
       parse_sweep_ranges({"DG1_FTS=0.001:0.05:3:log", "CST=1e-7:1e-5:2:log"}),
       tree);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool struct_cache : {true, false}) {
-      analysis_options opts;
-      opts.horizon = 24.0;
-      opts.cutoff = 1e-12;
-      opts.threads = threads;
-      opts.use_structure_cache = struct_cache;
-      expect_sweep_matches_oneshots(
-          tree, spec, opts,
-          "bwr threads=" + std::to_string(threads) +
-              (struct_cache ? " cache" : " no-cache"));
-    }
+    analysis_options opts;
+    opts.horizon = 24.0;
+    opts.cutoff = 1e-12;
+    opts.threads = threads;
+    expect_sweep_matches_oneshots(tree, spec, opts,
+                                  "bwr threads=" + std::to_string(threads));
   }
 }
 

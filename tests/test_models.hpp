@@ -3,8 +3,8 @@
 // Shared model builders for the test suite: the paper's running example
 // (Examples 1-7), small structures exercising the trigger classes of
 // Figure 1 / Example 9, seeded random fault- and event-tree generators for
-// property, determinism and differential tests, and the BDD oracle for
-// stage-2 cutset lists.
+// property, determinism and differential tests, downsized §VI-B industrial
+// studies, and the BDD oracle for stage-2 cutset lists.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,7 +18,9 @@
 #include "engine/engine.hpp"
 #include "etree/event_tree.hpp"
 #include "ft/fault_tree.hpp"
+#include "gen/industrial.hpp"
 #include "mcs/cutset.hpp"
+#include "mcs/importance.hpp"
 #include "sdft/sd_fault_tree.hpp"
 #include "sdft/translate.hpp"
 #include "util/rng.hpp"
@@ -308,6 +310,33 @@ inline std::vector<cutset> engine_cutsets(const analysis_result& result) {
   out.reserve(result.cutsets.size());
   for (const cutset_result& q : result.cutsets) out.push_back(q.events);
   return out;
+}
+
+/// A downsized industrial study: 6 frontline and 2 support systems, 4
+/// initiating events of 3 sequences each, 3 components per train. Its
+/// cutsets sit mostly below the paper's 1e-15 cutoff.
+inline industrial_model small_industrial_model(std::uint64_t seed) {
+  industrial_options gopt;
+  gopt.seed = seed;
+  gopt.num_frontline_systems = 6;
+  gopt.num_support_systems = 2;
+  gopt.num_initiating_events = 4;
+  gopt.sequences_per_ie = 3;
+  gopt.components_per_train = 3;
+  return generate_industrial(gopt);
+}
+
+/// The §VI-B recipe: rank `model`'s basic events by Fussell-Vesely
+/// importance over the engine's static cutsets at `cutoff`, then annotate
+/// the top slice as `an` says.
+inline sd_fault_tree annotated_study(const industrial_model& model,
+                                     double cutoff,
+                                     const annotation_options& an) {
+  analysis_options opts;
+  opts.cutoff = cutoff;
+  const analysis_result static_run = analyze(sd_fault_tree(model.ft), opts);
+  return annotate_dynamic(
+      model, rank_by_fussell_vesely(model.ft, engine_cutsets(static_run)), an);
 }
 
 /// A random event tree over `ft`, a make_random_static_tree(seed, 10, 6)

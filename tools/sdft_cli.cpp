@@ -28,11 +28,9 @@
 //          --mc-batch N, --mc-levels N, --mc-replications N, --seed S),
 //          --exact-static (exact static FT-bar probability via one BDD),
 //          --bdd-ordering dfs|natural|weight|sift (its variable order),
-//          --no-cache,
 //          --no-prep (mandatory normalisation only),
 //          --stats (engine instrumentation: stage times, backend
 //          counters, quantification-cache hits/misses, pool occupancy),
-//          --no-struct-cache (regenerate cutsets per analysis),
 //          --struct-cache-entries N / --quant-cache-entries N (LRU bounds),
 //          --sweep-param NAME=lo:hi:N[:log|:linear] (repeatable; the grid
 //          is the cartesian product), --sweep-spec FILE (JSON spec),
@@ -69,9 +67,7 @@
 #include "core/risk_measures.hpp"
 #include "ft/modules.hpp"
 #include "mcs/importance.hpp"
-#include "mcs/mocus.hpp"
 #include "obs/obs.hpp"
-#include "prep/prep.hpp"
 #include "product/product_ctmc.hpp"
 #include "sdft/classify.hpp"
 #include "sdft/parser.hpp"
@@ -80,7 +76,6 @@
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -99,7 +94,6 @@ struct cli_options {
   cutset_backend backend = cutset_backend::mocus;
   sdft::bdd_ordering bdd_ordering = sdft::bdd_ordering::dfs;
   bool exact_static = false;
-  bool cache = true;
   prep_options prep;
   std::size_t runs = 100'000;
   std::uint64_t seed = 1;
@@ -110,8 +104,7 @@ struct cli_options {
   std::string trace_json;    ///< Chrome trace_event output path (empty: off)
   std::string metrics_json;  ///< metric registry dump path (empty: off)
 
-  // Structure cache (stages 1b-2 reuse) and cache bounds.
-  bool struct_cache = true;
+  // Entry bounds of the structure and quantification caches.
   std::size_t struct_cache_entries = structure_cache::default_capacity;
   std::size_t quant_cache_entries = quantification_cache::default_capacity;
 
@@ -136,14 +129,13 @@ struct cli_options {
       "<file>\n"
       "            [--horizon H] [--cutoff C] [--threads N]\n"
       "            [--mode exact|under|over] [--top K] [--details]\n"
-      "            [--backend mocus|mc] [--no-cache] [--stats]\n"
+      "            [--backend mocus|mc] [--stats]\n"
       "            [--mc-method crude|forcing|splitting] "
       "[--mc-trajectories N]\n"
       "            [--mc-batch N] [--mc-levels N] [--mc-replications N]\n"
       "            [--bdd-ordering dfs|natural|weight|sift] [--exact-static]\n"
-      "            [--no-prep] [--no-struct-cache] "
-      "[--struct-cache-entries N]\n"
-      "            [--quant-cache-entries N]\n"
+      "            [--no-prep] [--struct-cache-entries N] "
+      "[--quant-cache-entries N]\n"
       "            [--sweep-param NAME=lo:hi:N[:log|:linear]] "
       "[--sweep-spec FILE]\n"
       "            [--uq-samples N]\n"
@@ -204,8 +196,6 @@ cli_options parse_args(int argc, char** argv) {
       opt.details = true;
     } else if (arg == "--stats") {
       opt.stats = true;
-    } else if (arg == "--no-cache") {
-      opt.cache = false;
     } else if (arg == "--no-prep") {
       opt.prep.enabled = false;
     } else if (arg == "--backend") {
@@ -237,8 +227,6 @@ cli_options parse_args(int argc, char** argv) {
       opt.trace_json = next();
     } else if (arg == "--metrics-json") {
       opt.metrics_json = next();
-    } else if (arg == "--no-struct-cache") {
-      opt.struct_cache = false;
     } else if (arg == "--struct-cache-entries") {
       opt.struct_cache_entries = parse_count(arg, next());
     } else if (arg == "--quant-cache-entries") {
@@ -318,16 +306,17 @@ sd_fault_tree load(const std::string& path) {
   return parse_sd_fault_tree(in);
 }
 
-/// Translates cutsets generated on a preprocessed tree back into source
-/// indices (prep guarantees basic events always map).
-std::vector<cutset> cutsets_to_source(const prep_result& prep,
-                                      const std::vector<cutset>& sets) {
-  std::vector<cutset> out = sets;
-  for (cutset& c : out) {
-    for (node_index& e : c) e = prep.to_source[e];
-    std::sort(c.begin(), c.end());
-  }
-  return out;
+/// The engine run behind `static` and `mcs`: relevant minimal cutsets of a
+/// static tree (prep, modular MOCUS under the cutoff, canonical order over
+/// the tree's own indices) with their probabilities — the stage 2 that
+/// `analyze` runs too.
+analysis_result static_analysis(const sd_fault_tree& tree,
+                                const cli_options& opt) {
+  analysis_options aopts;
+  aopts.cutoff = opt.cutoff;
+  aopts.threads = opt.threads;
+  aopts.prep = opt.prep;
+  return analyze(tree, aopts);
 }
 
 std::string cutset_names(const fault_tree& ft, const cutset& c) {
@@ -344,18 +333,14 @@ int cmd_static(const cli_options& opt) {
                 "static analysis requires a purely static model; use "
                 "'analyze' for SD models");
   const fault_tree& ft = tree.structure();
-  thread_pool pool(opt.threads);
-  // MOCUS requires an AND/OR tree; prep lowers voting gates (and, with the
-  // default options, simplifies) while preserving the exact cutset list.
-  const prep_result prep = preprocess(ft, opt.prep);
-  mocus_options mopts;
-  mopts.cutoff = opt.cutoff;
-  mopts.pool = &pool;
-  const mocus_result mcs = mocus(prep.tree, mopts);
-  const std::vector<cutset> cutsets = cutsets_to_source(prep, mcs.cutsets);
+  analysis_result result = static_analysis(tree, opt);
+  std::vector<cutset> cutsets;
+  for (cutset_result& c : result.cutsets) {
+    cutsets.push_back(std::move(c.events));
+  }
   std::printf("basic events:     %zu\n", ft.num_basic_events());
   std::printf("gates:            %zu\n", ft.num_gates());
-  std::printf("modules:          %zu\n", prep.module_roots.size());
+  std::printf("modules:          %zu\n", result.stats.prep_modules);
   std::printf("minimal cutsets:  %zu (cutoff %s)\n", cutsets.size(),
               sci(opt.cutoff).c_str());
   std::printf("rare-event:       %s\n",
@@ -373,25 +358,19 @@ int cmd_mcs(const cli_options& opt) {
   const sd_fault_tree tree = load(opt.file);
   const static_translation tr =
       translate_to_static(tree, opt.horizon, 1e-10);
-  thread_pool pool(opt.threads);
-  const prep_result prep = preprocess(tr.ft_bar, opt.prep);
-  mocus_options mopts;
-  mopts.cutoff = opt.cutoff;
-  mopts.pool = &pool;
-  const mocus_result mcs = mocus(prep.tree, mopts);
-  const std::vector<cutset> cutsets = cutsets_to_source(prep, mcs.cutsets);
+  analysis_result result = static_analysis(sd_fault_tree(tr.ft_bar), opt);
+  std::vector<cutset_result>& ranked = result.cutsets;
   std::printf("# %zu minimal cutsets (top %zu by probability)\n",
-              cutsets.size(), opt.top);
-  std::vector<std::pair<double, const cutset*>> ranked;
-  for (const auto& c : cutsets) {
-    ranked.emplace_back(cutset_probability(tr.ft_bar, c), &c);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+              ranked.size(), opt.top);
+  // By FT-bar probability; equal probabilities keep the canonical order.
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const cutset_result& a, const cutset_result& b) {
+                     return a.probability > b.probability;
+                   });
   text_table table({"p (FT-bar)", "cutset"});
   for (std::size_t i = 0; i < ranked.size() && i < opt.top; ++i) {
-    table.add_row({sci(ranked[i].first),
-                   cutset_names(tr.ft_bar, *ranked[i].second)});
+    table.add_row({sci(ranked[i].probability),
+                   cutset_names(tr.ft_bar, ranked[i].events)});
   }
   std::printf("%s", table.str().c_str());
   return 0;
@@ -512,9 +491,7 @@ analysis_options make_analysis_options(const cli_options& opt) {
   aopts.backend = opt.backend;
   aopts.bdd_ordering = opt.bdd_ordering;
   aopts.exact_static = opt.exact_static;
-  aopts.cache_quantifications = opt.cache;
   aopts.prep = opt.prep;
-  aopts.use_structure_cache = opt.struct_cache;
   aopts.structure_cache_entries = opt.struct_cache_entries;
   aopts.quant_cache_entries = opt.quant_cache_entries;
   aopts.mc = opt.mc;
@@ -694,30 +671,27 @@ int cmd_import(const cli_options& opt) {
   return 0;
 }
 
-int cmd_sweep(const cli_options& opt) {
-  const sd_fault_tree tree = load(opt.file);
-
-  // Parse (pure syntax -> usage errors, exit 2), then resolve against the
-  // model (unknown/non-static events -> model errors, exit 1).
-  sweep_description description;
+/// The --sweep-spec file or the --sweep-param axes. Pure syntax errors are
+/// usage errors (exit 2); model errors pass through (exit 1).
+sweep_description read_sweep_description(const cli_options& opt) {
   try {
-    if (!opt.sweep_spec.empty()) {
-      std::ifstream in(opt.sweep_spec);
-      if (!in) {
-        usage_error("cannot open sweep spec '" + opt.sweep_spec + "'");
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      description = parse_sweep_json(text.str());
-    } else {
-      description = parse_sweep_ranges(opt.sweep_params);
-    }
+    if (opt.sweep_spec.empty()) return parse_sweep_ranges(opt.sweep_params);
+    std::ifstream in(opt.sweep_spec);
+    if (!in) usage_error("cannot open sweep spec '" + opt.sweep_spec + "'");
+    std::ostringstream text;
+    text << in.rdbuf();
+    return parse_sweep_json(text.str());
   } catch (const model_error&) {
     throw;
   } catch (const error& e) {
     usage_error(e.what());
   }
-  const sweep_spec spec = resolve_sweep(description, tree);
+}
+
+int cmd_sweep(const cli_options& opt) {
+  const sd_fault_tree tree = load(opt.file);
+  // Resolving against the model rejects unknown or non-static events.
+  const sweep_spec spec = resolve_sweep(read_sweep_description(opt), tree);
 
   analysis_engine engine(make_analysis_options(opt));
   const sweep_result result = run_sweep(engine, tree, spec);
@@ -877,25 +851,7 @@ int cmd_etree(const cli_options& opt) {
   // Parameter points: re-evaluated off the compiled scenario, one row per
   // point with the exact end-state probabilities.
   if (!opt.sweep_params.empty() || !opt.sweep_spec.empty()) {
-    sweep_description description;
-    try {
-      if (!opt.sweep_spec.empty()) {
-        std::ifstream spec_in(opt.sweep_spec);
-        if (!spec_in) {
-          usage_error("cannot open sweep spec '" + opt.sweep_spec + "'");
-        }
-        std::ostringstream text;
-        text << spec_in.rdbuf();
-        description = parse_sweep_json(text.str());
-      } else {
-        description = parse_sweep_ranges(opt.sweep_params);
-      }
-    } catch (const model_error&) {
-      throw;
-    } catch (const error& e) {
-      usage_error(e.what());
-    }
-    const auto points = engine.evaluate_points(description);
+    const auto points = engine.evaluate_points(read_sweep_description(opt));
     std::vector<std::string> header{"point"};
     for (const auto& es : engine.end_state_names()) header.push_back(es);
     text_table point_table(header);
