@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
     // Thread-identity: the same pass serialized must not move a bit.
     scenario_options serial_opts = a_opts;
     serial_opts.analysis.threads = 1;
-    serial_opts.analysis.inline_execution = true;
     const scenario_result a1 =
         run_scenario({sd_fault_tree(ft), sc}, serial_opts);
     const bool thread_identical = a_probs == sequence_probabilities(a1);

@@ -30,11 +30,10 @@ void run_thread_sweep(const sdft::industrial_model& model) {
 
   const sd_fault_tree tree(model.ft);
   // A fresh engine per run: a warm structure cache would skip stage 2.
-  const auto run = [&](std::size_t threads, bool inline_execution) {
+  const auto run = [&](std::size_t threads) {
     analysis_options opts;
     opts.cutoff = bench::paper_cutoff;
-    opts.threads = threads;
-    opts.inline_execution = inline_execution;
+    opts.threads = threads;  // 1: no pool, every stage inline
     opts.publish_metrics = false;
     return analysis_engine(opts).run(tree);
   };
@@ -46,12 +45,12 @@ void run_thread_sweep(const sdft::industrial_model& model) {
                         return x.events == y.events;
                       });
   };
-  const analysis_result serial = run(1, true);
+  const analysis_result serial = run(1);
 
   text_table table({"threads", "time", "speedup", "tasks", "steals",
                     "occupancy", "identical"});
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const analysis_result r = run(threads, false);
+    const analysis_result r = run(threads);
     const engine_stats& st = r.stats;
     char t[32], s[32], occ[32];
     std::snprintf(t, sizeof t, "%.3fs", st.generate_seconds);

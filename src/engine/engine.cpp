@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -109,14 +107,8 @@ prep_result prep_stage(const fault_tree& ft_bar, const analysis_options& opt,
   return prep;
 }
 
-/// parallel_for when a pool exists, a plain loop inline.
-void for_each_index(thread_pool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    parallel_for(*pool, n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
+pool_counters counters_of(const thread_pool* pool) {
+  return pool != nullptr ? pool->counters() : pool_counters{};
 }
 
 }  // namespace
@@ -137,7 +129,10 @@ struct analysis_engine::acquired_structure {
 analysis_engine::analysis_engine(analysis_options options)
     : options_(std::move(options)),
       cache_(options_.quant_cache_entries),
-      struct_cache_(options_.structure_cache_entries) {}
+      struct_cache_(options_.structure_cache_entries),
+      pool_(options_.inline_execution || options_.threads == 1
+                ? nullptr
+                : std::make_unique<thread_pool>(options_.threads)) {}
 
 analysis_engine::acquired_structure analysis_engine::acquire(
     const sd_fault_tree& tree, const analysis_options& opt, thread_pool* pool,
@@ -198,8 +193,7 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     obs::span_scope gen_span("engine.generate");
     obs::ambient_parent_scope ambient(gen_span.id());
     const mocus_source source;
-    const pool_counters before_generate =
-        pool != nullptr ? pool->counters() : pool_counters{};
+    const pool_counters before_generate = counters_of(pool);
     modular_generation modular =
         generate_modular(prep, acq.translation, source, opt.cutoff, pool);
     acq.generation = std::move(modular.generation);
@@ -211,15 +205,11 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.lookahead_pruned = acq.generation.lookahead_pruned;
     stats.subset_tests = acq.generation.subset_tests;
     stats.bitset_words = acq.generation.bitset_words;
-    if (pool != nullptr) {
-      const pool_counters after_generate = pool->counters();
-      stats.mocus_threads = pool->size();
-      stats.mocus_tasks = after_generate.submitted - before_generate.submitted;
-      stats.mocus_steals = after_generate.stolen - before_generate.stolen;
-      stats.mocus_occupancy = after_generate.occupancy_since(before_generate);
-    } else {
-      stats.mocus_threads = 1;
-    }
+    const pool_counters after_generate = counters_of(pool);
+    stats.mocus_threads = pool != nullptr ? pool->size() : 1;
+    stats.mocus_tasks = after_generate.submitted - before_generate.submitted;
+    stats.mocus_steals = after_generate.stolen - before_generate.stolen;
+    stats.mocus_occupancy = after_generate.occupancy_since(before_generate);
     gen_span.arg("cutsets", static_cast<double>(stats.num_cutsets));
     gen_span.arg("partials", static_cast<double>(stats.source_partials));
     gen_span.arg("tasks", static_cast<double>(stats.mocus_tasks));
@@ -275,10 +265,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   stats.backend = to_string(cutset_backend::mc);
   stats.bdd_ordering = to_string(opt.bdd_ordering);
 
-  std::optional<thread_pool> pool;
-  if (!opt.inline_execution) pool.emplace(opt.threads);
-  thread_pool* pool_ptr = pool ? &*pool : nullptr;
-
+  thread_pool* const pool = this->pool(opt);
   sim::mc_options mc = opt.mc;
 
   // The splitting level count and the optional exact-static certificate
@@ -332,7 +319,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   {
     obs::span_scope mc_span("engine.mc");
     result.mc =
-        sim::estimate_failure_probability_mc(tree, opt.horizon, mc, pool_ptr);
+        sim::estimate_failure_probability_mc(tree, opt.horizon, mc, pool);
     mc_span.arg("trajectories", static_cast<double>(result.mc.trajectories));
     mc_span.arg("estimate", result.mc.estimate);
     mc_span.arg("relative_error", result.mc.relative_error);
@@ -347,7 +334,7 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   stats.mc_std_error = result.mc.std_error;
   stats.mc_ci_half_width = result.mc.ci_half_width;
   stats.mc_relative_error = result.mc.relative_error;
-  stats.pool_threads = pool_ptr != nullptr ? pool_ptr->size() : 1;
+  stats.pool_threads = pool != nullptr ? pool->size() : 1;
 
   result.failure_probability = result.mc.estimate;
   stats.total_seconds = total_timer.seconds();
@@ -371,16 +358,14 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
   const std::size_t cache_evictions_before = cache_.evictions();
   const std::size_t struct_evictions_before = struct_cache_.evictions();
 
-  // One pool serves stage 2 (cutset generation) and stage 3
+  // The engine pool serves stage 2 (cutset generation) and stage 3
   // (quantification) — unless the caller already runs us on a pool of its
   // own (inline_execution), in which case every stage stays serial.
-  std::optional<thread_pool> pool;
-  if (!opt.inline_execution) pool.emplace(opt.threads);
-  thread_pool* pool_ptr = pool ? &*pool : nullptr;
+  thread_pool* const pool = this->pool(opt);
 
   // Stages 1–2 (translate, prep, generate), structure-cache aware.
   stopwatch stage_timer;
-  acquired_structure acq = acquire(tree, opt, pool_ptr, stats);
+  acquired_structure acq = acquire(tree, opt, pool, stats);
   cutset_generation& generated = acq.generation;
 
   // Optional exact-static stage: one BDD over the whole preprocessed
@@ -416,10 +401,9 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
         &acq.entry->ftc_plans);
     result.cutsets.resize(generated.cutsets.size());
     std::vector<cutset_result>& quantified = result.cutsets;
-    stats.pool_threads = pool_ptr != nullptr ? pool_ptr->size() : 1;
-    const pool_counters before_quantify =
-        pool_ptr != nullptr ? pool_ptr->counters() : pool_counters{};
-    for_each_index(pool_ptr, generated.cutsets.size(), [&](std::size_t i) {
+    stats.pool_threads = pool != nullptr ? pool->size() : 1;
+    const pool_counters before_quantify = counters_of(pool);
+    parallel_for(pool, generated.cutsets.size(), [&](std::size_t i) {
       cutset c = std::move(generated.cutsets[i]);
       const quantifier& q =
           static_quantifier.handles(c)
@@ -428,15 +412,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
       quantified[i] = q.quantify(std::move(c));
     });
     stats.quantify_seconds = stage_timer.seconds();
-    if (pool_ptr != nullptr) {
-      const pool_counters after_quantify = pool_ptr->counters();
-      stats.quantify_tasks =
-          after_quantify.submitted - before_quantify.submitted;
-      stats.quantify_steals = after_quantify.stolen - before_quantify.stolen;
-      stats.quantify_occupancy =
-          after_quantify.occupancy_since(before_quantify);
-    }
-    quant_span.arg("tasks", static_cast<double>(stats.quantify_tasks));
+    stats.quantify_occupancy =
+        counters_of(pool).occupancy_since(before_quantify);
     quant_span.arg("occupancy", stats.quantify_occupancy);
   }
 
@@ -529,10 +506,7 @@ void analysis_engine::prime(const sd_fault_tree& tree,
   if (options.backend == cutset_backend::mc) return;
   obs::span_scope span("engine.prime");
   engine_stats stats;
-  std::optional<thread_pool> pool;
-  if (!options.inline_execution) pool.emplace(options.threads);
-  const acquired_structure acq =
-      acquire(tree, options, pool ? &*pool : nullptr, stats);
+  const acquired_structure acq = acquire(tree, options, pool(options), stats);
   span.arg("cutsets", static_cast<double>(acq.generation.cutsets.size()));
   span.arg("cached", acq.from_cache ? 1.0 : 0.0);
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "bdd/ordering.hpp"
@@ -14,10 +15,7 @@
 #include "prep/prep.hpp"
 #include "sdft/sd_fault_tree.hpp"
 #include "sim/mc.hpp"
-
-namespace sdft {
-class thread_pool;
-}
+#include "util/thread_pool.hpp"
 
 namespace sdft {
 
@@ -34,8 +32,8 @@ struct analysis_options {
   /// Numerical accuracy of the transient analyses.
   double epsilon = 1e-10;
 
-  /// Worker threads for per-cutset quantification; 0 = hardware threads.
-  /// Cutset quantifications are independent (paper §VI concluding remark).
+  /// Workers of the engine pool (0 = hardware threads, 1 = none), read only
+  /// at construction; cutset quantifications are independent (paper §VI).
   std::size_t threads = 0;
 
   /// Trigger modelling mode (exact per classification, or the paper's
@@ -96,8 +94,8 @@ struct analysis_options {
   std::size_t structure_cache_entries = structure_cache::default_capacity;
   std::size_t quant_cache_entries = quantification_cache::default_capacity;
 
-  /// Run every stage on the calling thread without creating a worker
-  /// pool. For callers that already parallelise *across* analyses (the
+  /// Run every stage on the calling thread (at construction: build no
+  /// pool). For callers that already parallelise *across* analyses (the
   /// sweep runner, the serve request handlers) — per-analysis results are
   /// thread-count independent, so this changes nothing but scheduling.
   bool inline_execution = false;
@@ -155,7 +153,7 @@ struct analysis_result {
 /// calls: repeated analyses of models sharing dynamic sub-structure (e.g.
 /// a growing fleet of similar trains) reuse each other's transient solves.
 /// Keys encode horizon and accuracy, so runs with different options never
-/// alias.
+/// alias. Its one worker pool is shared by every stage of concurrent calls.
 class analysis_engine {
  public:
   explicit analysis_engine(analysis_options options = {});
@@ -170,8 +168,8 @@ class analysis_engine {
   /// Runs the full pipeline with per-call options over the engine's
   /// shared caches — how the sweep runner and the serve layer give every
   /// point/request its own horizon and cutoff while still sharing every
-  /// cached structure and transient solve. The cache-capacity fields of
-  /// `options` are ignored (set at construction).
+  /// cached structure and transient solve. The `threads` and cache-capacity
+  /// fields of `options` are ignored (set at construction).
   analysis_result run(const sd_fault_tree& tree,
                       const analysis_options& options);
 
@@ -190,6 +188,12 @@ class analysis_engine {
   structure_cache& structures() { return struct_cache_; }
   const structure_cache& structures() const { return struct_cache_; }
 
+  /// The pool a call with options `opt` runs on: null under inline_execution
+  /// (of `opt` or at construction) or when built with one thread.
+  thread_pool* pool(const analysis_options& opt) const {
+    return opt.inline_execution ? nullptr : pool_.get();
+  }
+
  private:
   /// Stage 1–2 bundle shared by run() and prime().
   struct acquired_structure;
@@ -207,6 +211,7 @@ class analysis_engine {
   analysis_options options_;
   quantification_cache cache_;
   structure_cache struct_cache_;
+  std::unique_ptr<thread_pool> pool_;
 };
 
 /// Compatibility wrapper over analysis_engine: runs the full pipeline of

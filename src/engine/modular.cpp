@@ -320,21 +320,18 @@ modular_generation generate_modular(const prep_result& prep,
       (tasks[slot].local.size() >= big_module_nodes ? big : batch)
           .push_back(slot);
     }
-    if (pool != nullptr && pool->size() > 1 && batch.size() > 1) {
-      // Serial generation inside each worker; assignment is structural,
-      // so the per-slot outputs are thread-count independent.
-      std::vector<cutset_generation> results(batch.size());
-      parallel_for(*pool, batch.size(), [&](std::size_t i) {
-        results[i] =
-            source.generate(tasks[batch[i]].local, cutoff, nullptr);
-      });
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        finish(batch[i], std::move(results[i]));
-      }
-    } else {
-      for (std::size_t slot : batch) {
-        finish(slot, source.generate(tasks[slot].local, cutoff, pool));
-      }
+    if (batch.size() == 1) {  // a lone small module keeps the pool
+      big.push_back(batch.front());
+      batch.clear();
+    }
+    // Serial generation inside each worker; assignment is structural, so
+    // the per-slot outputs are thread-count independent.
+    std::vector<cutset_generation> results(batch.size());
+    parallel_for(pool, batch.size(), [&](std::size_t i) {
+      results[i] = source.generate(tasks[batch[i]].local, cutoff, nullptr);
+    });
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      finish(batch[i], std::move(results[i]));
     }
     for (std::size_t slot : big) {
       finish(slot, source.generate(tasks[slot].local, cutoff, pool));

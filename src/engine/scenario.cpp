@@ -105,8 +105,8 @@ class recombination_walk {
         split_depth_(pool != nullptr
                          ? std::min<std::size_t>(et.num_functional_events(), 4)
                          : 0),
-        pool_(pool),
         out_(out) {
+    if (pool != nullptr) jobs_.emplace(*pool);
     const std::size_t num_fe = et.num_functional_events();
     gate_lists_.resize(num_fe);
     for (std::size_t i = 0; i < num_fe; ++i) {
@@ -134,11 +134,11 @@ class recombination_walk {
     if (all.empty()) return;
     auto root = std::make_shared<const priced_cutsets>(
         price(et_.ft(), {cutset{et_.initiating_event()}}));
-    if (pool_ != nullptr) {
-      pool_->submit([this, root = std::move(root), all = std::move(all)] {
+    if (jobs_) {
+      jobs_->submit([this, root = std::move(root), all = std::move(all)] {
         walk(0, root, all);
       });
-      pool_->wait_idle();
+      jobs_->wait();
     } else {
       walk(0, std::move(root), std::move(all));
     }
@@ -174,7 +174,7 @@ class recombination_walk {
     const auto descend = [&](list_ref child, std::vector<std::size_t> group) {
       if (group.empty()) return;
       if (depth < split_depth_) {
-        pool_->submit([this, depth, child = std::move(child),
+        jobs_->submit([this, depth, child = std::move(child),
                        group = std::move(group)]() mutable {
           walk(depth + 1, std::move(child), std::move(group));
         });
@@ -243,25 +243,22 @@ class recombination_walk {
   const bool priced_;
   const double reject_below_;
   const std::size_t split_depth_;
-  thread_pool* const pool_;
   sequence_cutsets& out_;
   std::unordered_map<node_index, priced_cutsets> priced_gates_;
   std::vector<const priced_cutsets*> gate_lists_;  ///< per functional event
   std::atomic<std::size_t> prefixes_{0};
   std::atomic<std::size_t> candidates_{0};
   std::atomic<std::size_t> tripped_{none};  ///< lowest tripping sequence
+  std::optional<thread_pool::batch> jobs_;  ///< subtrees above split_depth_
 };
 
 }  // namespace
 
 sequence_cutsets recombine_sequence_cutsets(const event_tree& et,
                                             const gate_cutset_lists& gates,
-                                            double cutoff,
-                                            std::size_t threads) {
+                                            double cutoff, thread_pool* pool) {
   sequence_cutsets out;
-  std::optional<thread_pool> pool;
-  if (threads != 1) pool.emplace(threads);
-  recombination_walk(et, gates, cutoff, pool ? &*pool : nullptr, out).run();
+  recombination_walk(et, gates, cutoff, pool, out).run();
   return out;
 }
 
@@ -358,16 +355,6 @@ std::vector<double> scenario_engine::expanded_probs(
                    : clamp_probability(t.scale * original[t.source]);
   }
   return probs;
-}
-
-void scenario_engine::for_each_index(
-    std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  if (options_.analysis.inline_execution || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  thread_pool pool(options_.analysis.threads);
-  parallel_for(pool, n, fn);
 }
 
 scenario_result scenario_engine::run() {
@@ -471,9 +458,9 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
     gate_cutsets.emplace(gate, std::move(list));
   }
 
-  const sequence_cutsets recombined = recombine_sequence_cutsets(
-      *et_, gate_cutsets, options_.analysis.cutoff,
-      options_.analysis.inline_execution ? 1 : options_.analysis.threads);
+  const sequence_cutsets recombined =
+      recombine_sequence_cutsets(*et_, gate_cutsets, options_.analysis.cutoff,
+                                 engine_.pool(options_.analysis));
   const std::vector<std::vector<cutset>>& seq_cutsets = recombined.lists;
   stats.scenario_cutset_prefixes = recombined.prefixes;
   stats.scenario_cutset_candidates = recombined.candidates;
@@ -513,7 +500,8 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
   // scheduling, so the matrix (and every band below) is bit-identical at
   // any thread count.
   std::vector<double> matrix(samples * num_roots);
-  for_each_index(samples, [&](std::size_t k) {
+  parallel_for(engine_.pool(options_.analysis), samples,
+               [&](std::size_t k) {
     std::vector<double> drawn = base;
     for (std::size_t p = 0; p < dists_.size(); ++p) {
       const auto& [node, dist] = dists_[p];
@@ -579,7 +567,8 @@ std::vector<scenario_point_result> scenario_engine::evaluate_points(
   const std::vector<double> base = original_probs();
   const auto num_seq = static_cast<std::ptrdiff_t>(et_->num_sequences());
   std::vector<scenario_point_result> out(spec.points.size());
-  for_each_index(spec.points.size(), [&](std::size_t i) {
+  parallel_for(engine_.pool(options_.analysis), spec.points.size(),
+               [&](std::size_t i) {
     const sweep_point& point = spec.points[i];
     std::vector<double> drawn = base;
     for (const auto& [node, p] : point.overrides) drawn[node] = p;

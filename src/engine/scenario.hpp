@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -21,9 +20,9 @@ namespace sdft {
 /// Options of a scenario (event-tree) quantification run.
 struct scenario_options {
   /// Shared pipeline options: backend and prep flags for the per-gate
-  /// cutset lists, threads for the batched UQ samples, sweep points and
-  /// per-sequence recombinations, cutoff for cutset recombination,
-  /// publish_metrics / inline_execution with their usual meanings.
+  /// cutset lists, threads for the engine pool that also runs the UQ
+  /// samples, sweep points and recombination, cutoff for cutset
+  /// recombination, publish_metrics / inline_execution as usual.
   /// `exact_static` is accepted but redundant: the scenario engine's
   /// primary path is already BDD-exact.
   analysis_options analysis;
@@ -100,7 +99,7 @@ struct scenario_point_result {
 /// evaluation plan and the compiler (manager, tables, memos) is dropped.
 /// Each probability vector — run()'s base point, every UQ sample, every
 /// evaluate_points() point — is one forward sweep of that plan; samples
-/// and points batch on the work-stealing pool with index-ordered writes.
+/// and points batch on the inner engine's pool with index-ordered writes.
 /// Results are bit-identical at any thread count, and bit-identical to
 /// per-sequence one-shot compilations (BDD operations are canonical).
 ///
@@ -153,11 +152,6 @@ class scenario_engine {
   /// expanded tree (scale * Q(source), clamped to [0, 1]).
   std::vector<double> expanded_probs(const std::vector<double>& original) const;
 
-  /// Runs fn(i) for i in [0, n): serial under inline_execution, else on a
-  /// pool sized by options_.analysis.threads.
-  void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& fn) const;
-
   scenario_model model_;
   scenario_options options_;
   ccf_expansion expanded_;
@@ -175,7 +169,7 @@ class scenario_engine {
   /// Distributions resolved to original-tree node indices.
   std::vector<std::pair<node_index, parameter_distribution>> dists_;
 
-  analysis_engine engine_;  ///< per-gate cutset lists (structure-cached)
+  analysis_engine engine_;  ///< per-gate cutset lists; its pool runs batches
   double compile_seconds_ = 0;
 };
 
@@ -202,14 +196,13 @@ struct sequence_cutsets {
 /// disjoint pair is rejected on its probability product before it is
 /// built. `gates` must hold a list for every gate some sequence fails.
 ///
-/// Subtrees near the root run on a pool of `threads` workers (0 = hardware
-/// threads, 1 = serially on the caller); the lists do not depend on it.
-/// Throws model_error when one extension builds more than 2^20 pruned sets
-/// before minimising, naming the lowest-index sequence under that prefix.
+/// Subtrees near the root run as one batch of jobs on `pool` (null =
+/// serially on the caller); the lists do not depend on it. Throws
+/// model_error when one extension builds more than 2^20 pruned sets before
+/// minimising, naming the lowest-index sequence under that prefix.
 sequence_cutsets recombine_sequence_cutsets(const event_tree& et,
                                             const gate_cutset_lists& gates,
-                                            double cutoff,
-                                            std::size_t threads);
+                                            double cutoff, thread_pool* pool);
 
 /// One-shot convenience wrapper: compile + run.
 scenario_result run_scenario(scenario_model model,

@@ -220,14 +220,13 @@ sweep_spec resolve_sweep(const sweep_description& description,
 }
 
 sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
-                       const sweep_spec& spec, thread_pool* pool) {
-  return run_sweep(engine, base, spec, engine.options(), pool);
+                       const sweep_spec& spec) {
+  return run_sweep(engine, base, spec, engine.options());
 }
 
 sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
                        const sweep_spec& spec,
-                       const analysis_options& base_options,
-                       thread_pool* pool) {
+                       const analysis_options& base_options) {
   require_model(!spec.points.empty(), "sweep: empty point list");
   const stopwatch total_timer;
   obs::span_scope span("engine.sweep");
@@ -260,17 +259,13 @@ sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
     out.prime_seconds = prime_timer.seconds();
   }
 
-  // Fan the points out over the pool; each analysis runs inline on its
-  // worker, sharing the engine's structure and quantification caches.
-  std::optional<thread_pool> own_pool;
-  if (pool == nullptr) {
-    own_pool.emplace(base_opts.threads);
-    pool = &*own_pool;
-  }
-  out.threads = pool->size();
+  // Fan the points out over the engine pool; each analysis runs inline on
+  // its worker, sharing the engine's structure and quantification caches.
+  thread_pool* const pool = engine.pool(base_opts);
+  out.threads = pool != nullptr ? pool->size() : 1;
   out.points.resize(spec.points.size());
   std::atomic<std::size_t> struct_hits{0};
-  parallel_for(*pool, spec.points.size(), [&](std::size_t i) {
+  parallel_for(pool, spec.points.size(), [&](std::size_t i) {
     const sweep_point& pt = spec.points[i];
     sd_fault_tree point_tree = base;
     for (const auto& [e, prob] : pt.overrides) {

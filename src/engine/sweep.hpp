@@ -11,8 +11,6 @@
 
 namespace sdft {
 
-class thread_pool;
-
 /// One parameter point of a sweep: static basic-event probability
 /// overrides (SD node index -> probability) plus an optional per-point
 /// horizon. Dynamic events cannot be overridden (their parameters live in
@@ -100,23 +98,23 @@ struct sweep_result {
 /// structure: primes the engine's structure cache with the *envelope*
 /// tree (per-event maximum probability over base and all points, maximum
 /// horizon — which dominates every point, see struct_cache.hpp), then
-/// runs all points concurrently on `pool` (an internal pool sized by the
-/// engine options when null), each point inline on its worker with the
-/// engine's shared caches.
+/// runs all points concurrently on the engine's pool, each point inline on
+/// the worker that claims it, with the engine's shared caches. Without a
+/// pool (engine::pool(base_options) is null) they run in order inline.
 ///
 /// Per-point results are bit-identical to independent one-shot analyses:
 /// the structure-cache hit path re-filters exactly, quantification-cache
 /// hits replay bit-identical solves, and per-analysis results are
 /// thread-count independent by the determinism contract.
 sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
-                       const sweep_spec& spec, thread_pool* pool = nullptr);
+                       const sweep_spec& spec);
 
 /// Same, with explicit base options instead of the engine's (how the serve
-/// layer gives a sweep request its own horizon and cutoff). The cache
-/// capacity fields of `base_options` are ignored, as in engine::run().
+/// layer gives a sweep request its own horizon and cutoff). The `threads`
+/// and cache-capacity fields of `base_options` are ignored, as in
+/// engine::run().
 sweep_result run_sweep(analysis_engine& engine, const sd_fault_tree& base,
                        const sweep_spec& spec,
-                       const analysis_options& base_options,
-                       thread_pool* pool = nullptr);
+                       const analysis_options& base_options);
 
 }  // namespace sdft

@@ -517,7 +517,7 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
 /// breadth-side partials back to the pool for thieves; duplicates are
 /// filtered through 64 mutex-guarded visited tables, a partial's shard
 /// picked by the top bits of its key hash; results and discard counters
-/// accumulate in per-worker buffers merged after wait_idle(). The raw
+/// accumulate in per-worker buffers merged after the batch drains. The raw
 /// cutset *set* is identical to the serial driver's (dedup and scheduling
 /// only affect which duplicates get re-expanded), and minimize_cutsets()
 /// canonicalises the final order, so the output is bit-identical to the
@@ -528,14 +528,15 @@ class parallel_mocus {
       : ex_(ex),
         pool_(pool),
         shard_limit_(std::max<std::size_t>(1, ex.opt.dedup_limit / num_shards)),
-        locals_(pool.size()) {}
+        locals_(pool.size()),
+        tasks_(pool) {}
 
   mocus_result run(partial_cutset seed) {
     mocus_result result;
     partial_key key;
     mark_visited(seed, key);
-    pool_.submit([this, p = std::move(seed)]() mutable { run_task(std::move(p)); });
-    pool_.wait_idle();  // rethrows the numeric_error of a tripped valve
+    tasks_.submit([this, p = std::move(seed)]() mutable { run_task(std::move(p)); });
+    tasks_.wait();  // rethrows the numeric_error of a tripped valve
 
     std::vector<cutset> raw;
     for (local_buffers& local : locals_) {
@@ -615,7 +616,7 @@ class parallel_mocus {
       // Keep the depth-side tail local; hand the breadth side (the oldest,
       // largest unexplored partials) to the pool for other workers.
       while (todo.size() > spill_threshold) {
-        pool_.submit([this, sp = std::move(todo.front())]() mutable {
+        tasks_.submit([this, sp = std::move(todo.front())]() mutable {
           run_task(std::move(sp));
         });
         todo.pop_front();
@@ -633,6 +634,7 @@ class parallel_mocus {
   std::vector<local_buffers> locals_;
   std::atomic<std::size_t> processed_{0};
   std::atomic<bool> aborted_{false};
+  thread_pool::batch tasks_;  ///< last: drains before what its jobs use dies
 };
 
 }  // namespace
@@ -660,7 +662,7 @@ mocus_result mocus_from(const fault_tree& ft, node_index root,
   }
 
   // The parallel driver needs a pool with at least two workers and must not
-  // be entered from a job already running on that pool (its wait_idle()
+  // be entered from a job already running on that pool (its batch wait
   // would stall the worker the caller occupies).
   thread_pool* pool = opt.pool;
   const bool parallel =

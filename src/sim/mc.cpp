@@ -15,17 +15,6 @@ namespace {
 
 constexpr double kZ95 = 1.959963984540054;
 
-/// Runs `fn(i)` for i in [0, n), on the pool when given. Results must be
-/// stored by index; the caller reduces them in index order afterwards.
-void for_each_index(thread_pool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->size() > 1) {
-    parallel_for(*pool, n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
 /// Fills a normal 95% CI from a sample mean and the standard error of the
 /// mean, clamped to [0, 1] (probabilities).
 void fill_interval(mc_result& out, double mean, double se) {
@@ -94,7 +83,7 @@ mc_result run_weighted(const trajectory_model& model, double horizon,
   };
   std::vector<partial> partials(num_batches);
 
-  for_each_index(pool, num_batches, [&](std::size_t b) {
+  parallel_for(pool, num_batches, [&](std::size_t b) {
     const std::size_t begin = b * batch;
     const std::size_t end = std::min(n, begin + batch);
     partial acc;
@@ -217,7 +206,7 @@ mc_result run_splitting(const trajectory_model& model, double horizon,
   };
   std::vector<rep_result> reps_out(reps);
 
-  for_each_index(pool, reps, [&](std::size_t r) {
+  parallel_for(pool, reps, [&](std::size_t r) {
     entrance_pool current(model);
     entrance_pool next(model);
     trajectory_state s;

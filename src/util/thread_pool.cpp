@@ -70,37 +70,7 @@ pool_counters thread_pool::counters() const {
   return out;
 }
 
-void thread_pool::submit(std::function<void()> job) {
-  const std::size_t me = worker_index();
-  const std::size_t target =
-      me != npos
-          ? me
-          : next_deque_.fetch_add(1, std::memory_order_relaxed) % deques_.size();
-  // pending_ and queued_ go up before the push so neither can be observed
-  // below the number of live jobs (queued_ may transiently exceed it, which
-  // only makes a scanner re-check a deque).
-  pending_.fetch_add(1);
-  queued_.fetch_add(1);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  work_deque& dq = *deques_[target];
-  {
-    std::lock_guard lock(dq.mutex);
-    dq.jobs.push_back(std::move(job));
-    dq.approx_size.store(dq.jobs.size(), std::memory_order_relaxed);
-  }
-  // Wake a sleeper if there might be one. The seq_cst ordering between the
-  // queued_ increment above and this sleepers_ read pairs with the reverse
-  // order in worker_loop (sleepers_ increment, then queued_ check under
-  // mutex_), so a worker about to sleep either sees the new job or is
-  // notified under the lock.
-  if (sleepers_.load() > 0) {
-    std::lock_guard lock(mutex_);
-    work_available_.notify_one();
-  }
-}
-
-bool thread_pool::try_pop(work_deque& dq, bool steal,
-                          std::function<void()>& out) {
+bool thread_pool::try_pop(work_deque& dq, bool steal, job& out) {
   if (dq.approx_size.load(std::memory_order_relaxed) == 0) return false;
   std::lock_guard lock(dq.mutex);
   if (dq.jobs.empty()) return false;
@@ -116,17 +86,17 @@ bool thread_pool::try_pop(work_deque& dq, bool steal,
   return true;
 }
 
-std::function<void()> thread_pool::take(std::size_t me) {
-  std::function<void()> job;
-  if (try_pop(*deques_[me], /*steal=*/false, job)) return job;
+thread_pool::job thread_pool::take(std::size_t me) {
+  job j;
+  if (try_pop(*deques_[me], /*steal=*/false, j)) return j;
   const std::size_t n = deques_.size();
   for (std::size_t i = 1; i < n; ++i) {
-    if (try_pop(*deques_[(me + i) % n], /*steal=*/true, job)) {
+    if (try_pop(*deques_[(me + i) % n], /*steal=*/true, j)) {
       stolen_.fetch_add(1, std::memory_order_relaxed);
-      return job;
+      return j;
     }
   }
-  return job;  // empty: nothing to run anywhere
+  return j;  // empty: nothing to run anywhere
 }
 
 void thread_pool::worker_loop(std::size_t me) {
@@ -134,8 +104,8 @@ void thread_pool::worker_loop(std::size_t me) {
   tls_index = me;
   obs::set_thread_label("pool-worker-" + std::to_string(me));
   for (;;) {
-    std::function<void()> job = take(me);
-    if (!job) {
+    job j = take(me);
+    if (!j.fn) {
       std::unique_lock lock(mutex_);
       if (stopping_ && queued_.load() == 0) return;
       sleepers_.fetch_add(1);
@@ -145,26 +115,73 @@ void thread_pool::worker_loop(std::size_t me) {
       if (stopping_ && queued_.load() == 0) return;
       continue;
     }
+    std::exception_ptr error;
     try {
-      job();
+      j.fn();
     } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!first_exception_) first_exception_ = std::current_exception();
+      error = std::current_exception();
     }
+    j.fn = nullptr;  // captures go before the batch can be seen drained
     deques_[me]->executed.fetch_add(1, std::memory_order_relaxed);
-    if (pending_.fetch_sub(1) == 1) {
-      std::lock_guard lock(mutex_);
-      all_idle_.notify_all();
-    }
+    j.owner->finish(std::move(error));
   }
 }
 
-void thread_pool::wait_idle() {
+thread_pool::batch::~batch() {
+  try { wait(); } catch (...) {}  // an unclaimed exception is dropped
+}
+
+void thread_pool::batch::submit(std::function<void()> fn) {
+  pending_.fetch_add(1);
+  const std::size_t me = pool_.worker_index();
+  const std::size_t target =
+      me != npos
+          ? me
+          : pool_.next_deque_.fetch_add(1, std::memory_order_relaxed) %
+                pool_.deques_.size();
+  // queued_ goes up before the push; it may transiently exceed the deques'
+  // contents, which only makes a scanner re-check a deque.
+  pool_.queued_.fetch_add(1);
+  pool_.submitted_.fetch_add(1, std::memory_order_relaxed);
+  work_deque& dq = *pool_.deques_[target];
+  {
+    std::lock_guard lock(dq.mutex);
+    dq.jobs.push_back(job{std::move(fn), this});
+    dq.approx_size.store(dq.jobs.size(), std::memory_order_relaxed);
+  }
+  // Wake a sleeper if there might be one. The seq_cst ordering between the
+  // queued_ increment above and this sleepers_ read pairs with the reverse
+  // order in worker_loop (sleepers_ increment, then queued_ check under
+  // mutex_), so a worker about to sleep either sees the new job or is
+  // notified under the lock.
+  if (pool_.sleepers_.load() > 0) {
+    std::lock_guard lock(pool_.mutex_);
+    pool_.work_available_.notify_one();
+  }
+}
+
+void thread_pool::batch::finish(std::exception_ptr error) {
+  if (error) {
+    std::lock_guard lock(mutex_);
+    if (!first_exception_) first_exception_ = std::move(error);
+  }
+  // Only the job taking the last count (the waiter gave up its own) touches
+  // the batch after its decrement, under mutex_, which the waiter needs.
+  if (pending_.fetch_sub(1) == 1) {
+    std::lock_guard lock(mutex_);
+    drained_flag_ = true;
+    drained_.notify_all();
+  }
+}
+
+void thread_pool::batch::wait() {
   std::unique_lock lock(mutex_);
-  all_idle_.wait(lock, [this] { return pending_.load() == 0; });
-  if (first_exception_) {
-    std::exception_ptr e = nullptr;
-    std::swap(e, first_exception_);
+  if (pending_.fetch_sub(1) != 1) {
+    drained_.wait(lock, [this] { return drained_flag_; });
+  }
+  drained_flag_ = false;
+  pending_.store(1);  // the waiter's count again, for reuse
+  if (std::exception_ptr e = std::exchange(first_exception_, nullptr)) {
     lock.unlock();
     std::rethrow_exception(e);
   }
@@ -172,14 +189,37 @@ void thread_pool::wait_idle() {
 
 void parallel_for(thread_pool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // One job per index; quantification jobs are heavy enough that chunking
-  // would only complicate load balancing across very uneven MCS sizes, and
-  // the work-stealing deques keep per-job overhead off the shared path.
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&fn, i] { fn(i); });
+  std::atomic<std::size_t> next{0};
+  // Each job claims indices until none are left, then rethrows the first
+  // exception it caught. The caller only waits: its own allocations stay
+  // independent of scheduling, as with per-index jobs.
+  const auto job = [&] {
+    std::exception_ptr error;
+    std::size_t ran = 0;
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;
+         ++ran) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    pool.deques_[pool.worker_index()]->executed.fetch_add(
+        ran, std::memory_order_relaxed);
+    if (error) std::rethrow_exception(error);
+  };
+  thread_pool::batch jobs(pool);
+  for (std::size_t k = std::min(n, pool.size()); k > 0; --k) jobs.submit(job);
+  jobs.wait();
+}
+
+void parallel_for(thread_pool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->size() > 1 &&
+      pool->worker_index() == thread_pool::npos) {
+    return parallel_for(*pool, n, fn);
   }
-  pool.wait_idle();
+  for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace sdft

@@ -17,55 +17,38 @@ namespace sdft {
 /// over the pool's lifetime; callers interested in one phase take a snapshot
 /// before and after and difference them.
 struct pool_counters {
-  std::size_t submitted = 0;  ///< jobs handed to submit()
+  std::size_t submitted = 0;  ///< jobs submitted to the pool
   std::size_t stolen = 0;     ///< jobs a worker took from another worker's deque
-  std::vector<std::size_t> executed;  ///< jobs run, per worker
+  std::vector<std::size_t> executed;  ///< per worker: jobs + claimed indices
 
-  /// Load balance of the jobs executed since `before`: mean per-worker
+  /// Load balance of the work executed since `before`: mean per-worker
   /// executed count divided by the maximum, in [0, 1]. 1 means every worker
-  /// ran the same number of jobs; 0 means no jobs ran at all.
+  /// ran the same amount; 0 means nothing ran at all.
   double occupancy_since(const pool_counters& before) const;
 };
 
-/// Fixed-size thread pool with per-worker work-stealing deques, used for
-/// parallel cutset generation (stage 2) and per-cutset quantification
-/// (stage 3) of the analysis engine.
+/// Fixed-size thread pool with per-worker work-stealing deques. An
+/// analysis_engine builds one at construction; every parallel stage of
+/// every concurrent caller shares it.
 ///
 /// Each worker owns a deque: jobs submitted from a worker thread go to the
 /// back of its own deque (no shared lock), and the worker pops from the
 /// back (LIFO, depth-first locality). Idle workers steal from the front of
 /// other deques (FIFO, breadth-side work, i.e. the largest unexplored
 /// subproblems). Jobs submitted from outside the pool are distributed
-/// round-robin.
-///
-/// submit() enqueues void() jobs, wait_idle() blocks until every submitted
-/// job (including jobs submitted by running jobs) has finished. An
-/// exception escaping a job is captured (first one wins; later ones are
-/// dropped) and rethrown from the next wait_idle(), after every remaining
-/// job has run — the pool keeps draining, so no submitted work is silently
-/// skipped. An exception never claimed by wait_idle() is discarded by the
-/// destructor.
+/// round-robin. Jobs reach the pool only through a batch, which scopes
+/// waiting and errors to one caller.
 class thread_pool {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+  class batch;
+
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency().
   explicit thread_pool(std::size_t threads = 0);
 
-  thread_pool(const thread_pool&) = delete;
-  thread_pool& operator=(const thread_pool&) = delete;
-
+  /// Joins the workers; every batch on this pool must be gone by then.
   ~thread_pool();
-
-  /// Enqueues a job for asynchronous execution. Safe to call from worker
-  /// jobs of this pool (the job lands on the calling worker's own deque).
-  void submit(std::function<void()> job);
-
-  /// Blocks until every deque is empty and all workers are idle, then
-  /// rethrows the first exception that escaped a job since the last
-  /// wait_idle() (clearing it, so the pool stays usable). Must not be
-  /// called from a worker job of this pool.
-  void wait_idle();
 
   std::size_t size() const { return workers_.size(); }
 
@@ -77,43 +60,79 @@ class thread_pool {
   pool_counters counters() const;
 
  private:
+  friend void parallel_for(thread_pool& pool, std::size_t n,
+                           const std::function<void(std::size_t)>& fn);
+
+  struct job {
+    std::function<void()> fn;
+    batch* owner = nullptr;
+  };
+
   /// One worker's deque, padded so the per-deque locks and counters of
   /// adjacent workers do not share cache lines.
   struct alignas(64) work_deque {
     std::mutex mutex;
-    std::deque<std::function<void()>> jobs;
+    std::deque<job> jobs;
     std::atomic<std::size_t> approx_size{0};  ///< lock-free emptiness probe
     std::atomic<std::size_t> executed{0};
   };
 
-  bool try_pop(work_deque& dq, bool steal, std::function<void()>& out);
-  std::function<void()> take(std::size_t me);
+  bool try_pop(work_deque& dq, bool steal, job& out);
+  job take(std::size_t me);
   void worker_loop(std::size_t me);
 
   std::vector<std::unique_ptr<work_deque>> deques_;
   std::vector<std::thread> workers_;
 
-  std::atomic<std::size_t> queued_{0};   ///< jobs sitting in deques
-  std::atomic<std::size_t> pending_{0};  ///< queued + currently running
+  std::atomic<std::size_t> queued_{0};  ///< jobs sitting in deques
   std::atomic<std::size_t> sleepers_{0};
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> stolen_{0};
   std::atomic<std::size_t> next_deque_{0};  ///< round-robin for external submits
 
-  std::mutex mutex_;  ///< guards the condition variables, stopping_, exception
+  std::mutex mutex_;  ///< guards work_available_ and stopping_
   std::condition_variable work_available_;
-  std::condition_variable all_idle_;
   bool stopping_ = false;
+};
+
+/// The jobs one caller runs on a pool. Jobs may submit more jobs to their
+/// own batch; wait() blocks until that whole tree has run (no job is
+/// skipped), then rethrows the first exception a job raised; the batch stays
+/// usable. The destructor waits too and drops an unclaimed exception.
+/// Neither may run on a worker of the same pool.
+class thread_pool::batch {
+ public:
+  explicit batch(thread_pool& pool) : pool_(pool) {}
+  ~batch();
+
+  /// From one of this batch's jobs, lands on the calling worker's deque.
+  void submit(std::function<void()> fn);
+  void wait();
+
+ private:
+  friend class thread_pool;
+  void finish(std::exception_ptr error);  ///< a worker ran one of our jobs
+
+  thread_pool& pool_;
+  std::atomic<std::size_t> pending_{1};  ///< unfinished jobs + the waiter's 1
+  std::mutex mutex_;
+  std::condition_variable drained_;
+  bool drained_flag_ = false;  ///< set by the last job to finish
   std::exception_ptr first_exception_;
 };
 
-/// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
-/// With an empty pool (threads == 0 resolved to 1 worker) this still works;
-/// for n == 0 it returns immediately, and n smaller than the pool simply
-/// leaves workers idle. If `fn` throws for some index — including the very
-/// first — every index still runs and the first exception is rethrown
-/// afterwards.
+/// Runs `fn(i)` for i in [0, n) across the pool and waits for completion:
+/// min(n, size()) jobs in one batch, each claiming indices in list order
+/// from a shared counter, while the caller waits. If `fn` throws for some
+/// index — including the very first — every index still runs and the
+/// first exception is rethrown afterwards. Must not be called from a
+/// worker of `pool`.
 void parallel_for(thread_pool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
+/// The same on an optional pool; a null or one-worker pool, or a call
+/// from one of the pool's own workers, runs a plain loop instead.
+void parallel_for(thread_pool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace sdft

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -303,6 +305,88 @@ TEST(Engine, RejectsInvalidNumericOptions) {
   edge.horizon = 0.0;
   edge.cutoff = 0.0;
   EXPECT_NO_THROW(analyze(tree, edge));
+}
+
+// --- One pool per engine ---------------------------------------------------
+
+TEST(EnginePool, BuiltOnceAtConstruction) {
+  analysis_options opts;
+  opts.threads = 3;
+  analysis_engine engine(opts);
+  ASSERT_NE(engine.pool(opts), nullptr);
+  EXPECT_EQ(engine.pool(opts)->size(), 3u);
+  // Per-call options neither resize the pool nor replace it.
+  analysis_options per_call = opts;
+  per_call.threads = 5;
+  const analysis_result r = engine.run(testing::example3_sd(), per_call);
+  EXPECT_EQ(r.stats.pool_threads, 3u);
+  per_call.inline_execution = true;
+  EXPECT_EQ(engine.run(testing::example3_sd(), per_call).stats.pool_threads,
+            1u);
+
+  opts.threads = 1;
+  EXPECT_EQ(analysis_engine(opts).pool(opts), nullptr);
+  opts.threads = 3;
+  opts.inline_execution = true;
+  EXPECT_EQ(analysis_engine(opts).pool(opts), nullptr);
+}
+
+TEST(EnginePool, ConcurrentRunsMatchSerialReference) {
+  // Four threads share one engine and its pool, every run on the pool
+  // (stage 2 and stage 3), with per-call cutoffs and horizons so cold
+  // generations overlap with structure-cache replays. Each result must be
+  // bit-identical to a serial one-shot analysis at the same options.
+  annotation_options aopts;
+  aopts.dynamic_fraction = 0.3;
+  aopts.trigger_fraction = 0.1;
+  const sd_fault_tree tree = testing::annotated_study(
+      testing::small_industrial_model(7), 1e-15, aopts);
+
+  analysis_options base;
+  base.threads = 3;
+  base.keep_cutset_details = true;
+  const auto options_for = [&](int t, int round) {
+    analysis_options o = base;
+    o.cutoff = (t + round) % 2 == 0 ? 1e-15 : 1e-12;
+    o.horizon = t < 2 ? 24.0 : 48.0;
+    return o;
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<analysis_result> results(kThreads * kRounds);
+  analysis_engine engine(base);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        results[static_cast<std::size_t>(t * kRounds + round)] =
+            engine.run(tree, options_for(t, round));
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      analysis_options serial = options_for(t, round);
+      serial.threads = 1;
+      const analysis_result expected = analyze(tree, serial);
+      const analysis_result& got =
+          results[static_cast<std::size_t>(t * kRounds + round)];
+      const std::string label =
+          "caller " + std::to_string(t) + " round " + std::to_string(round);
+      EXPECT_EQ(got.stats.pool_threads, 3u) << label;
+      EXPECT_EQ(got.failure_probability, expected.failure_probability)
+          << label;
+      ASSERT_EQ(got.cutsets.size(), expected.cutsets.size()) << label;
+      for (std::size_t i = 0; i < got.cutsets.size(); ++i) {
+        EXPECT_EQ(got.cutsets[i].events, expected.cutsets[i].events) << label;
+        EXPECT_EQ(got.cutsets[i].probability, expected.cutsets[i].probability)
+            << label << " cutset " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

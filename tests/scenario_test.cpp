@@ -22,6 +22,7 @@
 #include "sim/stream_rng.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdft::testing {
 
@@ -717,11 +718,15 @@ void expect_matches_reference(const event_tree& et,
                               const gate_cutset_lists& lists, double cutoff,
                               const std::string& label) {
   const auto expected = testing::reference_sequence_cutsets(et, lists, cutoff);
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  for (thread_pool* pool :
+       {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
     const sequence_cutsets got =
-        recombine_sequence_cutsets(et, lists, cutoff, threads);
+        recombine_sequence_cutsets(et, lists, cutoff, pool);
     EXPECT_EQ(got.lists, expected)
-        << label << " cutoff " << cutoff << " threads " << threads;
+        << label << " cutoff " << cutoff << " threads "
+        << (pool != nullptr ? pool->size() : 1);
   }
 }
 
@@ -881,7 +886,8 @@ TEST(ScenarioRecombination, GuardCountsMinimisedPrefixes) {
   expected = minimize_cutsets(std::move(expected));
   ASSERT_EQ(expected.size(), 2000u);
 
-  const sequence_cutsets got = recombine_sequence_cutsets(et, lists, 0.0, 1);
+  const sequence_cutsets got =
+      recombine_sequence_cutsets(et, lists, 0.0, nullptr);
   ASSERT_EQ(got.lists.size(), 1u);
   EXPECT_EQ(got.lists[0], expected);
   EXPECT_THROW((void)testing::reference_sequence_cutsets(et, lists, 0.0),

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -157,11 +158,12 @@ TEST(SortedSet, BinaryOperations) {
 
 TEST(ThreadPool, RunsAllJobs) {
   thread_pool pool(4);
+  thread_pool::batch jobs(pool);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
+    jobs.submit([&count] { count.fetch_add(1); });
   }
-  pool.wait_idle();
+  jobs.wait();
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -178,36 +180,116 @@ TEST(ThreadPool, ParallelForEmptyIsNoop) {
   parallel_for(pool, 0, [](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstJobException) {
+TEST(ThreadPool, ParallelForSubmitsOneJobPerWorker) {
+  // The claim loop: at most min(n, size()) jobs, each claiming indices
+  // from a shared counter; a worker's executed counts its job and its
+  // indices.
+  thread_pool pool(3);
+  const pool_counters before = pool.counters();
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for(pool, hits.size(),
+               [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  const pool_counters after = pool.counters();
+  EXPECT_EQ(after.submitted - before.submitted, 3u);
+  std::size_t executed = 0;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    executed += after.executed[w] - before.executed[w];
+  }
+  EXPECT_EQ(executed, hits.size() + 3);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  parallel_for(pool, 2, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  EXPECT_EQ(pool.counters().submitted - after.submitted, 2u);
+}
+
+TEST(ThreadPool, ParallelForOnNullOrOneWorkerPoolRunsInline) {
+  // A plain loop on the calling thread, in index order.
+  thread_pool single(1);
+  for (thread_pool* pool : {static_cast<thread_pool*>(nullptr), &single}) {
+    std::vector<std::size_t> order;
+    parallel_for(pool, 5, [&](std::size_t i) {
+      EXPECT_EQ(single.worker_index(), thread_pool::npos);
+      order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+  EXPECT_EQ(single.counters().submitted, 0u);
+}
+
+TEST(ThreadPool, ParallelForFromOwnWorkerRunsInline) {
+  // A job of the pool that calls parallel_for on the same pool must not
+  // block its worker waiting for jobs that need that worker: the inner
+  // loop runs in order on that worker and submits nothing.
   thread_pool pool(2);
+  std::vector<std::atomic<int>> hits(64);
+  const pool_counters before = pool.counters();
+  {
+    thread_pool::batch jobs(pool);
+    for (std::size_t outer = 0; outer < 4; ++outer) {
+      jobs.submit([&pool, &hits, outer] {
+        const std::size_t me = pool.worker_index();
+        ASSERT_LT(me, pool.size());
+        std::vector<std::size_t> order;
+        parallel_for(&pool, 16, [&](std::size_t inner) {
+          EXPECT_EQ(pool.worker_index(), me);
+          order.push_back(inner);
+          hits[outer * 16 + inner].fetch_add(1);
+        });
+        EXPECT_EQ(order.size(), 16u);
+        EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+      });
+    }
+    jobs.wait();
+  }
+  EXPECT_EQ(pool.counters().submitted - before.submitted, 4u);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, WaitRethrowsFirstJobException) {
+  thread_pool pool(2);
+  thread_pool::batch jobs(pool);
   std::atomic<int> ran{0};
   for (int i = 0; i < 20; ++i) {
-    pool.submit([&ran, i] {
+    jobs.submit([&ran, i] {
       ran.fetch_add(1);
       if (i % 5 == 0) throw std::runtime_error("job failed");
     });
   }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Every job ran despite the failures — the pool drains, it doesn't stop.
+  EXPECT_THROW(jobs.wait(), std::runtime_error);
+  // Every job ran despite the failures — the batch drains, it doesn't stop.
   EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(ThreadPool, UsableAfterRethrow) {
   thread_pool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The exception was claimed; the pool accepts and runs new jobs.
+  thread_pool::batch jobs(pool);
+  jobs.submit([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(jobs.wait(), std::runtime_error);
+  // The exception was claimed; the batch and its pool accept and run new
+  // jobs.
   std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&count] { count.fetch_add(1); });
-  EXPECT_NO_THROW(pool.wait_idle());
+  for (int i = 0; i < 10; ++i) jobs.submit([&count] { count.fetch_add(1); });
+  EXPECT_NO_THROW(jobs.wait());
   EXPECT_EQ(count.load(), 10);
+  thread_pool::batch next(pool);
+  for (int i = 0; i < 10; ++i) next.submit([&count] { count.fetch_add(1); });
+  EXPECT_NO_THROW(next.wait());
+  EXPECT_EQ(count.load(), 20);
 }
 
 TEST(ThreadPool, UnclaimedExceptionDoesNotTerminate) {
-  // An exception never collected by wait_idle() must be dropped by the
-  // destructor, not terminate the process.
+  // An exception never collected by wait() must be dropped by the batch's
+  // destructor (which still waits for the job), not terminate the process.
   thread_pool pool(1);
-  pool.submit([] { throw std::runtime_error("dropped"); });
+  std::atomic<bool> ran{false};
+  {
+    thread_pool::batch jobs(pool);
+    jobs.submit([&ran] {
+      ran = true;
+      throw std::runtime_error("dropped");
+    });
+  }
+  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
@@ -239,24 +321,69 @@ TEST(ThreadPool, ParallelForExceptionFromFirstChunk) {
                               if (i == 0) throw std::runtime_error("index 0");
                             }),
                std::runtime_error);
-  // The failing first index must not abandon the remaining jobs.
+  // The failing first index must not abandon the remaining indices.
   EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ThreadPool, SubmitFromWorkerJob) {
   // Jobs submitted from inside a worker land on that worker's own deque;
-  // wait_idle() must still cover the whole transitive job tree.
+  // wait() must still cover the batch's whole transitive job tree.
   thread_pool pool(4);
+  thread_pool::batch jobs(pool);
   std::atomic<int> count{0};
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &count] {
+    jobs.submit([&jobs, &count] {
       for (int j = 0; j < 16; ++j) {
-        pool.submit([&count] { count.fetch_add(1); });
+        jobs.submit([&count] { count.fetch_add(1); });
       }
     });
   }
-  pool.wait_idle();
+  jobs.wait();
   EXPECT_EQ(count.load(), 8 * 16);
+}
+
+TEST(ThreadPool, ConcurrentBatchesAreIsolated) {
+  // Two external threads share one pool. A's job throws and A has a long
+  // job still running: only A's wait() throws, and B's wait() returns
+  // while A's long job is still running.
+  thread_pool pool(3);
+  std::atomic<bool> release_a{false};
+  std::atomic<bool> a_long_started{false};
+  std::atomic<bool> a_long_done{false};
+  std::atomic<bool> b_done{false};
+  bool a_threw = false;
+
+  std::thread a([&] {
+    thread_pool::batch jobs(pool);
+    jobs.submit([&] {
+      a_long_started = true;
+      while (!release_a.load()) std::this_thread::yield();
+      a_long_done = true;
+    });
+    jobs.submit([] { throw std::runtime_error("batch A"); });
+    try {
+      jobs.wait();
+    } catch (const std::runtime_error&) {
+      a_threw = true;
+    }
+  });
+  while (!a_long_started.load()) std::this_thread::yield();
+
+  std::thread b([&] {
+    thread_pool::batch jobs(pool);
+    std::atomic<int> count{0};
+    for (int i = 0; i < 50; ++i) jobs.submit([&count] { count.fetch_add(1); });
+    EXPECT_NO_THROW(jobs.wait());
+    EXPECT_EQ(count.load(), 50);
+    EXPECT_FALSE(a_long_done.load());
+    b_done = true;
+  });
+  b.join();
+  EXPECT_TRUE(b_done.load());
+  release_a = true;
+  a.join();
+  EXPECT_TRUE(a_threw);
+  EXPECT_TRUE(a_long_done.load());
 }
 
 TEST(ThreadPool, WorkerIndexIdentifiesWorkers) {
@@ -278,9 +405,10 @@ TEST(ThreadPool, WorkerIndexIdentifiesWorkers) {
 TEST(ThreadPool, CountersTrackSubmissionsAndExecutions) {
   thread_pool pool(2);
   const pool_counters before = pool.counters();
+  thread_pool::batch jobs(pool);
   std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
+  for (int i = 0; i < 50; ++i) jobs.submit([&count] { count.fetch_add(1); });
+  jobs.wait();
   const pool_counters after = pool.counters();
   EXPECT_EQ(after.submitted - before.submitted, 50u);
   ASSERT_EQ(after.executed.size(), pool.size());
@@ -299,14 +427,15 @@ TEST(ThreadPool, ChildJobsAreStolenFromBusyWorker) {
   // can ever run is another worker stealing them — this deadlocks (and
   // times out) if stealing is broken.
   thread_pool pool(4);
+  thread_pool::batch jobs(pool);
   std::atomic<int> done{0};
-  pool.submit([&pool, &done] {
+  jobs.submit([&jobs, &done] {
     for (int i = 0; i < 2; ++i) {
-      pool.submit([&done] { done.fetch_add(1); });
+      jobs.submit([&done] { done.fetch_add(1); });
     }
     while (done.load() < 2) std::this_thread::yield();
   });
-  pool.wait_idle();
+  jobs.wait();
   EXPECT_EQ(done.load(), 2);
   EXPECT_GE(pool.counters().stolen, 2u);
 }

@@ -306,17 +306,32 @@ sd_fault_tree load(const std::string& path) {
   return parse_sd_fault_tree(in);
 }
 
-/// The engine run behind `static` and `mcs`: relevant minimal cutsets of a
-/// static tree (prep, modular MOCUS under the cutoff, canonical order over
-/// the tree's own indices) with their probabilities — the stage 2 that
-/// `analyze` runs too.
-analysis_result static_analysis(const sd_fault_tree& tree,
-                                const cli_options& opt) {
+/// The engine options every pipeline command (analyze, static, mcs,
+/// importance, uncertainty, sweep, serve) derives from the shared CLI flags.
+analysis_options make_analysis_options(const cli_options& opt) {
   analysis_options aopts;
+  aopts.horizon = opt.horizon;
   aopts.cutoff = opt.cutoff;
   aopts.threads = opt.threads;
+  aopts.mode = opt.mode;
+  aopts.backend = opt.backend;
+  aopts.bdd_ordering = opt.bdd_ordering;
+  aopts.exact_static = opt.exact_static;
   aopts.prep = opt.prep;
-  return analyze(tree, aopts);
+  aopts.structure_cache_entries = opt.struct_cache_entries;
+  aopts.quant_cache_entries = opt.quant_cache_entries;
+  aopts.mc = opt.mc;
+  aopts.mc.seed = opt.seed;
+  return aopts;
+}
+
+/// The engine run behind every command that prints or ranks cutsets:
+/// static, mcs, importance and uncertainty.
+analysis_result cutset_analysis(const sd_fault_tree& tree,
+                                const cli_options& opt) {
+  require_model(opt.backend != cutset_backend::mc,
+                opt.command + " needs a cutset list; --backend mc gives none");
+  return analyze(tree, make_analysis_options(opt));
 }
 
 std::string cutset_names(const fault_tree& ft, const cutset& c) {
@@ -333,7 +348,7 @@ int cmd_static(const cli_options& opt) {
                 "static analysis requires a purely static model; use "
                 "'analyze' for SD models");
   const fault_tree& ft = tree.structure();
-  analysis_result result = static_analysis(tree, opt);
+  analysis_result result = cutset_analysis(tree, opt);
   std::vector<cutset> cutsets;
   for (cutset_result& c : result.cutsets) {
     cutsets.push_back(std::move(c.events));
@@ -358,7 +373,7 @@ int cmd_mcs(const cli_options& opt) {
   const sd_fault_tree tree = load(opt.file);
   const static_translation tr =
       translate_to_static(tree, opt.horizon, 1e-10);
-  analysis_result result = static_analysis(sd_fault_tree(tr.ft_bar), opt);
+  analysis_result result = cutset_analysis(sd_fault_tree(tr.ft_bar), opt);
   std::vector<cutset_result>& ranked = result.cutsets;
   std::printf("# %zu minimal cutsets (top %zu by probability)\n",
               ranked.size(), opt.top);
@@ -480,25 +495,6 @@ void print_engine_stats(const engine_stats& s) {
   std::printf("%s", table.str().c_str());
 }
 
-/// The engine options every pipeline command (analyze, sweep, serve)
-/// derives from the shared CLI flags.
-analysis_options make_analysis_options(const cli_options& opt) {
-  analysis_options aopts;
-  aopts.horizon = opt.horizon;
-  aopts.cutoff = opt.cutoff;
-  aopts.threads = opt.threads;
-  aopts.mode = opt.mode;
-  aopts.backend = opt.backend;
-  aopts.bdd_ordering = opt.bdd_ordering;
-  aopts.exact_static = opt.exact_static;
-  aopts.prep = opt.prep;
-  aopts.structure_cache_entries = opt.struct_cache_entries;
-  aopts.quant_cache_entries = opt.quant_cache_entries;
-  aopts.mc = opt.mc;
-  aopts.mc.seed = opt.seed;
-  return aopts;
-}
-
 int cmd_analyze(const cli_options& opt) {
   const sd_fault_tree tree = load(opt.file);
   analysis_engine engine(make_analysis_options(opt));
@@ -568,11 +564,7 @@ int cmd_exact(const cli_options& opt) {
 
 int cmd_importance(const cli_options& opt) {
   const sd_fault_tree tree = load(opt.file);
-  analysis_options aopts;
-  aopts.horizon = opt.horizon;
-  aopts.cutoff = opt.cutoff;
-  aopts.threads = opt.threads;
-  const analysis_result result = analyze(tree, aopts);
+  const analysis_result result = cutset_analysis(tree, opt);
   const auto fv = fussell_vesely_sd(tree, result);
   std::vector<std::pair<double, node_index>> ranked;
   for (const auto& [event, value] : fv) ranked.emplace_back(value, event);
@@ -642,11 +634,7 @@ int cmd_export(const cli_options& opt) {
 
 int cmd_uncertainty(const cli_options& opt) {
   const sd_fault_tree tree = load(opt.file);
-  analysis_options aopts;
-  aopts.horizon = opt.horizon;
-  aopts.cutoff = opt.cutoff;
-  aopts.threads = opt.threads;
-  const analysis_result result = analyze(tree, aopts);
+  const analysis_result result = cutset_analysis(tree, opt);
   uncertainty_options uopts;
   uopts.samples = opt.runs;
   uopts.seed = opt.seed;
