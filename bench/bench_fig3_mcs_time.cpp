@@ -8,8 +8,9 @@
 //
 // Also sweeps the engine's stage 2 (prep + modular MOCUS on the static
 // model) over thread counts to report the speedup of its parallel cutset
-// generation from engine_stats, verifying on every run that the cutset
-// list is identical to the serial one.
+// generation from engine_stats. Every row's cutset list must equal the
+// inline run's; the program exits 1 when one differs, which makes it the
+// thread-sweep regression test (ctest bench_fig3_thread_sweep).
 
 #include <algorithm>
 #include <cstdio>
@@ -22,7 +23,9 @@
 
 namespace {
 
-void run_thread_sweep(const sdft::industrial_model& model) {
+/// Prints the sweep table; false when some row's list differs from the
+/// inline run's.
+bool run_thread_sweep(const sdft::industrial_model& model) {
   using namespace sdft;
   std::printf(
       "=== Stage 2 thread sweep: engine cutset generation on model 1 "
@@ -47,8 +50,8 @@ void run_thread_sweep(const sdft::industrial_model& model) {
   };
   const analysis_result serial = run(1);
 
-  text_table table({"threads", "time", "speedup", "tasks", "steals",
-                    "occupancy", "identical"});
+  text_table table({"threads", "time", "speedup", "occupancy", "identical"});
+  bool all_identical = true;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     const analysis_result r = run(threads);
     const engine_stats& st = r.stats;
@@ -57,16 +60,17 @@ void run_thread_sweep(const sdft::industrial_model& model) {
     std::snprintf(s, sizeof s, "%.2fx",
                   serial.stats.generate_seconds / st.generate_seconds);
     std::snprintf(occ, sizeof occ, "%.1f%%", 100.0 * st.mocus_occupancy);
-    table.add_row({std::to_string(st.mocus_threads), t, s,
-                   std::to_string(st.mocus_tasks),
-                   std::to_string(st.mocus_steals), occ,
-                   same_list(r, serial) ? "yes" : "NO (BUG)"});
+    const bool identical = same_list(r, serial);
+    all_identical = all_identical && identical;
+    table.add_row({std::to_string(st.mocus_threads), t, s, occ,
+                   identical ? "yes" : "NO (BUG)"});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(
-      "%zu minimal cutsets; every row must reproduce the serial list\n"
+      "%zu minimal cutsets; every row must reproduce the inline list\n"
       "bit-identically (\"identical\" column).\n\n",
       serial.num_cutsets);
+  return all_identical;
 }
 
 }  // namespace
@@ -78,7 +82,11 @@ int main(int argc, char** argv) {
   const bench::prepared_model p =
       bench::prepare(bench::model1_options(full));
 
-  run_thread_sweep(p.model);
+  if (!run_thread_sweep(p.model)) {
+    std::fprintf(stderr, "thread sweep: a cutset list differs from the "
+                         "inline run's\n");
+    return 1;
+  }
 
   std::printf(
       "=== Figure 3: per-MCS analysis time vs #dyn events x phases ===\n\n");

@@ -77,8 +77,8 @@ class cutset_source {
 /// this, as does the modular recombination layer.
 void sort_cutsets_canonically(std::vector<cutset>& sets);
 
-/// MOCUS (paper §V-B), the seed pipeline's generator. With a pool,
-/// partial-cutset expansion runs on the work-stealing frontier.
+/// MOCUS (paper §V-B), the seed pipeline's generator. With a pool, the
+/// drains of its breadth-first frontier run on the pool's workers.
 class mocus_source final : public cutset_source {
  public:
   const char* name() const override { return "mocus"; }

@@ -207,12 +207,9 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.bitset_words = acq.generation.bitset_words;
     const pool_counters after_generate = counters_of(pool);
     stats.mocus_threads = pool != nullptr ? pool->size() : 1;
-    stats.mocus_tasks = after_generate.submitted - before_generate.submitted;
-    stats.mocus_steals = after_generate.stolen - before_generate.stolen;
     stats.mocus_occupancy = after_generate.occupancy_since(before_generate);
     gen_span.arg("cutsets", static_cast<double>(stats.num_cutsets));
     gen_span.arg("partials", static_cast<double>(stats.source_partials));
-    gen_span.arg("tasks", static_cast<double>(stats.mocus_tasks));
     gen_span.arg("occupancy", stats.mocus_occupancy);
   }
 

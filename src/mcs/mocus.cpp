@@ -7,8 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -33,8 +33,8 @@ struct partial_cutset {
 /// A partial's exact identity for the visited tables: its events and gates
 /// merged into one sorted vector (basic events and gates are disjoint index
 /// sets, so the union loses nothing), plus a well-mixed 64-bit hash of it.
-/// One key buffer is reused per driver or worker, so building it
-/// allocates only while the buffer still grows.
+/// One key buffer is reused per walk, so building it allocates only while
+/// the buffer still grows.
 struct partial_key {
   std::vector<node_index> ids;
   std::uint64_t hash = 0;
@@ -48,7 +48,7 @@ struct partial_key {
       h = (std::rotl(h, 5) ^ id) * 0x517cc1b727220a95ULL;
     }
     // Every output bit of mix64 depends on every input bit, so the low bits
-    // (slot index) and the high bits (shard) are both uniform.
+    // that pick a slot are uniform.
     hash = mix64(h);
   }
 };
@@ -149,7 +149,7 @@ struct leaf_signature {
   }
 };
 
-/// Where the drivers count the partials that die. Every dropped partial is
+/// Where a walk counts the partials that die. Every dropped partial is
 /// handed over with its event product P(E): each cutset it would have
 /// produced contains E, which is what a truncation bound on the dropped
 /// mass sums (ROADMAP).
@@ -164,11 +164,10 @@ struct discard_tally {
   }
 };
 
-/// The expansion core shared by the serial and the parallel driver: the
-/// forced-event modes, the cutoff/order pruning, the look-ahead bounds and
-/// the single-gate expansion step. Stateless apart from the read-only
-/// inputs, so the parallel driver calls it from every worker without
-/// synchronisation.
+/// The expansion core shared by every walk of the driver: the forced-event
+/// modes, the cutoff/order pruning, the look-ahead bounds and the
+/// single-gate expansion step. Stateless apart from the read-only inputs,
+/// so the drains call it from every worker without synchronisation.
 struct expansion {
   const fault_tree& ft;
   const mocus_options& opt;
@@ -331,8 +330,8 @@ struct expansion {
   /// receives the grown partial's event product, taken over the merged set
   /// in sorted-index order from scratch, so the value (and thus every
   /// cutoff decision) depends only on the set, never on the expansion path
-  /// that assembled it — the keystone of the bit-identical serial/parallel
-  /// guarantee. Forced-failed children are handled by the callers.
+  /// that assembled it — the keystone of the bit-identical result at
+  /// every thread count. Forced-failed children are handled by the callers.
   bool admits(const partial_cutset& p, node_index child, double& probability,
               discard_tally& tally) const {
     probability = p.probability;
@@ -450,192 +449,118 @@ struct expansion {
   }
 };
 
-/// The original single-threaded driver: an explicit DFS stack and one
-/// visited set cleared at dedup_limit.
-mocus_result run_serial(const expansion& ex, partial_cutset seed) {
-  obs::span_scope span("mocus.serial", "mocus");
-  mocus_result result;
-  std::vector<partial_cutset> stack;
-  visited_table visited;
-  partial_key key;
-  std::vector<cutset> raw_cutsets;
+/// What one walk over partial cutsets produced.
+struct walk_output {
+  std::vector<cutset> raw;  ///< unminimized cutsets
   discard_tally tally;
+  std::size_t partials = 0;  ///< partials this walk expanded
+};
 
-  key.assign(seed);
-  visited.insert(key);
-  stack.push_back(std::move(seed));
-
+/// One walk over partial cutsets: the breadth-first phase or one drain. It
+/// owns its visited set, cleared at dedup_limit, and its output; only the
+/// max_partials valve is shared between walks.
+struct walk {
+  const expansion& ex;
+  std::atomic<std::size_t>& processed;  ///< every walk's partials so far
+  visited_table visited;
+  partial_key key;  // reused by mark()
   std::vector<partial_cutset> children;
-  while (!stack.empty()) {
-    partial_cutset p = std::move(stack.back());
-    stack.pop_back();
-    ++result.partials_processed;
-    if (result.partials_processed > ex.opt.max_partials) {
+  walk_output out;
+
+  walk(const expansion& expander, std::atomic<std::size_t>& shared)
+      : ex(expander), processed(shared) {}
+
+  /// Inserts `p` into the visited set; false if it was already there.
+  bool mark(const partial_cutset& p) {
+    key.assign(p);
+    return visited.insert(key);
+  }
+
+  /// Expands `p` by one gate (or records it as a raw cutset when no gate
+  /// is left) and appends its unvisited children to `live`, the walk's
+  /// pending partials. Throws numeric_error once all walks together pass
+  /// max_partials, so the valve trips promptly on every worker.
+  template <class Live>
+  void step(partial_cutset p, Live& live) {
+    ++out.partials;
+    if (processed.fetch_add(1, std::memory_order_relaxed) >=
+        ex.opt.max_partials) {
       throw numeric_error("mocus: partial cutset limit exceeded");
     }
-
     if (p.gates.empty()) {
-      raw_cutsets.push_back(std::move(p.events));
-      continue;
+      out.raw.push_back(std::move(p.events));
+      return;
     }
     children.clear();
-    ex.expand(std::move(p), children, tally);
+    ex.expand(std::move(p), children, out.tally);
     for (auto& c : children) {
       if (visited.size() >= ex.opt.dedup_limit) {
         // Clearing at the bound keeps memory flat, but a bare clear also
         // forgets the partials still awaiting expansion: a shared subtree
-        // reached again would re-admit a partial that is already on the
-        // stack (in the worst case the seed itself) and re-expand its
-        // whole region once per clear. Re-priming with the live stack
-        // keys makes a clear forget only *finished* work.
+        // reached again would re-admit a partial that is already pending
+        // (in the worst case the walk's root) and re-expand its whole
+        // region once per clear. Re-priming with the live keys makes a
+        // clear forget only *finished* work.
         visited.clear();
-        for (const partial_cutset& live : stack) {
-          key.assign(live);
-          visited.insert(key);
-        }
+        for (const partial_cutset& pending : live) mark(pending);
       }
-      key.assign(c);
-      if (visited.insert(key)) {
-        stack.push_back(std::move(c));
-      }
+      if (mark(c)) live.push_back(std::move(c));
     }
   }
+};
 
-  result.cutoff_discarded = tally.discarded;
-  result.lookahead_pruned = tally.lookahead_pruned;
-  span.arg("partials", static_cast<double>(result.partials_processed));
-  span.arg("cutsets", static_cast<double>(raw_cutsets.size()));
+/// The one MOCUS driver. It expands the seed breadth-first until the
+/// frontier holds mocus_frontier_width partials (or runs out), then drains
+/// every frontier partial depth-first through parallel_for, each drain
+/// with its own visited set and output slot. Which partials each walk expands
+/// depends only on the frontier, never on scheduling, so the counters are
+/// the same at every thread count; minimize_cutsets() canonicalises the
+/// merged list.
+mocus_result run_driver(const expansion& ex, partial_cutset seed) {
+  std::atomic<std::size_t> processed{0};
+  walk head(ex, processed);
+  std::deque<partial_cutset> frontier;
+  head.mark(seed);
+  frontier.push_back(std::move(seed));
+  while (!frontier.empty() && frontier.size() < mocus_frontier_width) {
+    partial_cutset p = std::move(frontier.front());
+    frontier.pop_front();
+    head.step(std::move(p), frontier);
+  }
+
+  std::vector<walk_output> drained(frontier.size());
+  parallel_for(ex.opt.pool, frontier.size(), [&](std::size_t i) {
+    obs::span_scope span("mocus.task", "mocus");
+    walk drain(ex, processed);
+    std::vector<partial_cutset> stack;
+    drain.mark(frontier[i]);
+    stack.push_back(std::move(frontier[i]));
+    while (!stack.empty()) {
+      partial_cutset p = std::move(stack.back());
+      stack.pop_back();
+      drain.step(std::move(p), stack);
+    }
+    span.arg("partials", static_cast<double>(drain.out.partials));
+    drained[i] = std::move(drain.out);
+  });
+
+  mocus_result result;
+  std::vector<cutset> raw;
+  const auto merge = [&](walk_output& w) {
+    result.partials_processed += w.partials;
+    result.cutoff_discarded += w.tally.discarded;
+    result.lookahead_pruned += w.tally.lookahead_pruned;
+    raw.insert(raw.end(), std::make_move_iterator(w.raw.begin()),
+               std::make_move_iterator(w.raw.end()));
+  };
+  merge(head.out);
+  for (walk_output& w : drained) merge(w);
   minimize_stats min_stats;
-  result.cutsets = minimize_cutsets(std::move(raw_cutsets), &min_stats);
+  result.cutsets = minimize_cutsets(std::move(raw), &min_stats);
   result.subset_tests = min_stats.subset_tests;
   result.universe_words = min_stats.universe_words;
   return result;
 }
-
-/// The parallel driver: the pool's work-stealing deques act as the shared
-/// frontier of partial cutsets. Each task runs a local DFS, spilling
-/// breadth-side partials back to the pool for thieves; duplicates are
-/// filtered through 64 mutex-guarded visited tables, a partial's shard
-/// picked by the top bits of its key hash; results and discard counters
-/// accumulate in per-worker buffers merged after the batch drains. The raw
-/// cutset *set* is identical to the serial driver's (dedup and scheduling
-/// only affect which duplicates get re-expanded), and minimize_cutsets()
-/// canonicalises the final order, so the output is bit-identical to the
-/// serial path for every thread count.
-class parallel_mocus {
- public:
-  parallel_mocus(const expansion& ex, thread_pool& pool)
-      : ex_(ex),
-        pool_(pool),
-        shard_limit_(std::max<std::size_t>(1, ex.opt.dedup_limit / num_shards)),
-        locals_(pool.size()),
-        tasks_(pool) {}
-
-  mocus_result run(partial_cutset seed) {
-    mocus_result result;
-    partial_key key;
-    mark_visited(seed, key);
-    tasks_.submit([this, p = std::move(seed)]() mutable { run_task(std::move(p)); });
-    tasks_.wait();  // rethrows the numeric_error of a tripped valve
-
-    std::vector<cutset> raw;
-    for (local_buffers& local : locals_) {
-      result.cutoff_discarded += local.tally.discarded;
-      result.lookahead_pruned += local.tally.lookahead_pruned;
-      raw.insert(raw.end(), std::make_move_iterator(local.raw.begin()),
-                 std::make_move_iterator(local.raw.end()));
-    }
-    result.partials_processed = processed_.load(std::memory_order_relaxed);
-    result.threads_used = pool_.size();
-    minimize_stats min_stats;
-    result.cutsets = minimize_cutsets(std::move(raw), &min_stats);
-    result.subset_tests = min_stats.subset_tests;
-    result.universe_words = min_stats.universe_words;
-    return result;
-  }
-
- private:
-  static constexpr int shard_bits = 6;
-  static constexpr std::size_t num_shards = std::size_t{1} << shard_bits;
-  /// Partials kept on the local run before breadth-side work is spilled to
-  /// the pool for stealing.
-  static constexpr std::size_t spill_threshold = 4;
-
-  struct alignas(64) visited_shard {
-    std::mutex mutex;
-    visited_table set;
-  };
-
-  struct alignas(64) local_buffers {
-    std::vector<cutset> raw;
-    discard_tally tally;
-    partial_key key;  // reused by mark_visited()
-  };
-
-  /// Builds `p`'s identity in `key` and inserts it into its shard. The
-  /// shard comes from the top hash bits and the slot from the low ones.
-  bool mark_visited(const partial_cutset& p, partial_key& key) {
-    key.assign(p);
-    visited_shard& shard = shards_[key.hash >> (64 - shard_bits)];
-    std::lock_guard lock(shard.mutex);
-    // A shard clear can re-admit partials still queued on other workers'
-    // deques (they are unreachable from here); unlike the serial driver
-    // the duplicate work is bounded by shard_limit_ re-expansions and the
-    // result set is unaffected — minimize_cutsets() dedups.
-    if (shard.set.size() >= shard_limit_) shard.set.clear();
-    return shard.set.insert(key);
-  }
-
-  void run_task(partial_cutset p) {
-    obs::span_scope span("mocus.task", "mocus");
-    std::size_t batch_partials = 0;
-    std::size_t batch_spilled = 0;
-    local_buffers& local = locals_[pool_.worker_index()];
-    std::deque<partial_cutset> todo;
-    todo.push_back(std::move(p));
-    std::vector<partial_cutset> children;
-    while (!todo.empty()) {
-      if (aborted_.load(std::memory_order_relaxed)) return;
-      partial_cutset cur = std::move(todo.back());
-      todo.pop_back();
-      ++batch_partials;
-      if (processed_.fetch_add(1, std::memory_order_relaxed) >=
-          ex_.opt.max_partials) {
-        aborted_.store(true, std::memory_order_relaxed);
-        throw numeric_error("mocus: partial cutset limit exceeded");
-      }
-      if (cur.gates.empty()) {
-        local.raw.push_back(std::move(cur.events));
-        continue;
-      }
-      children.clear();
-      ex_.expand(std::move(cur), children, local.tally);
-      for (auto& c : children) {
-        if (mark_visited(c, local.key)) todo.push_back(std::move(c));
-      }
-      // Keep the depth-side tail local; hand the breadth side (the oldest,
-      // largest unexplored partials) to the pool for other workers.
-      while (todo.size() > spill_threshold) {
-        tasks_.submit([this, sp = std::move(todo.front())]() mutable {
-          run_task(std::move(sp));
-        });
-        todo.pop_front();
-        ++batch_spilled;
-      }
-    }
-    span.arg("partials", static_cast<double>(batch_partials));
-    span.arg("spilled", static_cast<double>(batch_spilled));
-  }
-
-  const expansion& ex_;
-  thread_pool& pool_;
-  const std::size_t shard_limit_;
-  std::array<visited_shard, num_shards> shards_;
-  std::vector<local_buffers> locals_;
-  std::atomic<std::size_t> processed_{0};
-  std::atomic<bool> aborted_{false};
-  thread_pool::batch tasks_;  ///< last: drains before what its jobs use dies
-};
 
 }  // namespace
 
@@ -661,15 +586,7 @@ mocus_result mocus_from(const fault_tree& ft, node_index root,
     return result;
   }
 
-  // The parallel driver needs a pool with at least two workers and must not
-  // be entered from a job already running on that pool (its batch wait
-  // would stall the worker the caller occupies).
-  thread_pool* pool = opt.pool;
-  const bool parallel =
-      pool != nullptr && pool->size() > 1 && pool->worker_index() == thread_pool::npos;
-
-  mocus_result result = parallel ? parallel_mocus(ex, *pool).run(std::move(seed))
-                                 : run_serial(ex, std::move(seed));
+  mocus_result result = run_driver(ex, std::move(seed));
   result.seconds = timer.seconds();
   return result;
 }

@@ -11,6 +11,12 @@ namespace sdft {
 
 class thread_pool;
 
+/// Partials the MOCUS driver expands breadth-first from the root before
+/// it drains them depth-first, one drain per frontier partial (see
+/// mocus_options::dedup_limit). Fixed, so the counters never depend on
+/// the pool.
+inline constexpr std::size_t mocus_frontier_width = 64;
+
 /// Options for the MOCUS minimal-cutset generator (paper §IV-B).
 struct mocus_options {
   /// Partial cutsets whose basic-event probability product falls below this
@@ -18,8 +24,8 @@ struct mocus_options {
   /// The product is always evaluated over the partial's *sorted* event set,
   /// so the cutoff decision for a partial depends only on which events it
   /// contains — never on the expansion path that reached it. This keeps the
-  /// generated cutset list identical between the serial and the parallel
-  /// driver (and across thread counts). Must be finite and >= 0.
+  /// generated cutset list identical across thread counts. Must be finite
+  /// and >= 0.
   /// With a positive cutoff (or a bounded max_order) MOCUS also drops a
   /// partial whose pending gates can no longer reach it — look-ahead
   /// pricing (DESIGN.md §9) — which changes the counters, not the list.
@@ -30,22 +36,27 @@ struct mocus_options {
   std::size_t max_order = std::numeric_limits<std::size_t>::max();
 
   /// Safety valve on the number of partial cutsets processed; exceeding it
-  /// throws numeric_error rather than exhausting memory. Enforced with a
-  /// relaxed shared counter in the parallel driver, so it trips promptly
+  /// throws numeric_error rather than exhausting memory. Every walk of the
+  /// driver counts into one relaxed shared counter, so it trips promptly
   /// regardless of thread count.
   std::size_t max_partials = 100'000'000;
 
-  /// Size bound of the duplicate-partial cache. Deduplication is a pure
-  /// optimisation (duplicates expand to identical cutsets), so the cache
-  /// is cleared when it reaches this bound: memory stays bounded on huge
+  /// Size bound of a duplicate-partial cache. Deduplication is a pure
+  /// optimisation (duplicates expand to identical cutsets), so a cache is
+  /// cleared when it reaches this bound: memory stays bounded on huge
   /// models at the price of occasionally re-expanding a shared partial.
-  /// The parallel driver shards the cache and bounds each shard at
-  /// dedup_limit / #shards.
+  /// The driver expands the root breadth-first into a fixed frontier of
+  /// partials and drains each one depth-first; that phase and every drain
+  /// own a cache with this bound, and at most pool->size() drains are live
+  /// at once. A partial reached from two frontier partials is expanded by
+  /// both drains. The frontier does not depend on the pool, so the
+  /// counters are the same at every thread count and every limit.
   std::size_t dedup_limit = 4'000'000;
 
-  /// Worker pool for parallel partial-cutset expansion. nullptr (or a pool
-  /// with a single worker, or a call made from within a worker job of this
-  /// very pool) runs the serial driver. The produced cutset list is
+  /// Worker pool the frontier drains run on, through
+  /// parallel_for(thread_pool*): nullptr, a pool with a single worker, or
+  /// a call made from within a worker job of this very pool drains them
+  /// inline, one after the other. The cutset list and the counters are
   /// bit-identical either way.
   thread_pool* pool = nullptr;
 
@@ -74,7 +85,6 @@ struct mocus_result {
   /// Of those, partials dropped by the look-ahead: their pending gates can
   /// no longer reach the cutoff or stay within max_order.
   std::size_t lookahead_pruned = 0;
-  std::size_t threads_used = 1;        ///< workers of the driver that ran
   std::size_t subset_tests = 0;    ///< packed subsumption tests in minimize
   std::size_t universe_words = 0;  ///< 64-bit words per minimize subset mask
   double seconds = 0.0;            ///< wall-clock generation time

@@ -250,7 +250,7 @@ class histogram {
 /// them), so hot paths resolve a name once and keep the handle:
 ///
 ///   static obs::counter& c =
-///       obs::metrics_registry::global().get_counter("mocus.tasks");
+///       obs::metrics_registry::global().get_counter("engine.cutsets");
 ///   c.add(1);
 class metrics_registry {
  public:

@@ -9,10 +9,10 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -143,8 +143,21 @@ void serve_tcp(analysis_service& service, unsigned short port,
   if (bound_port != nullptr) bound_port->store(actual);
   log << "listening on 127.0.0.1:" << actual << std::endl;
 
-  std::vector<std::thread> connections;
+  // One handler thread per connection. A handler raises `done` as it
+  // returns; the accept loop joins those before each poll, so a finished
+  // connection's thread (and its stack) is released while the server runs
+  // instead of at shutdown.
+  struct connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<connection> connections;
   while (!service.shutdown_requested()) {
+    connections.remove_if([](connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      return true;
+    });
     pollfd p{listener.fd, POLLIN, 0};
     const int ready = ::poll(&p, 1, 200);
     if (ready < 0) {
@@ -154,10 +167,13 @@ void serve_tcp(analysis_service& service, unsigned short port,
     if (ready == 0) continue;
     const int fd = ::accept(listener.fd, nullptr, nullptr);
     if (fd < 0) continue;
-    connections.emplace_back(
-        [&service, fd] { handle_connection(service, fd); });
+    connection& c = connections.emplace_back();
+    c.thread = std::thread([&service, &c, fd] {
+      handle_connection(service, fd);
+      c.done.store(true, std::memory_order_release);
+    });
   }
-  for (std::thread& t : connections) t.join();
+  for (connection& c : connections) c.thread.join();
 }
 
 }  // namespace sdft::serve

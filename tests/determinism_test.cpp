@@ -209,30 +209,40 @@ TEST(Determinism, McBackendThreadInvariant) {
 
 TEST(Determinism, RawMocusParallelMatchesSerial) {
   // Below the engine: the raw MOCUS driver itself must emit the identical
-  // result structure for the serial and the work-stealing parallel path.
-  // The model stays below dedup_limit, so no visited shard may overflow and
-  // clear: every distinct partial is expanded exactly once on either path,
-  // and the counters must match the serial run exactly.
+  // result structure inline and with its frontier drains on a pool. Which
+  // partials each walk expands depends only on the breadth-first frontier,
+  // which does not depend on the pool, so the counters must match the
+  // inline run exactly, both at the default dedup_limit (no visited set
+  // clears) and at a limit of 1000, where the larger drains clear their
+  // own sets.
   const industrial_model model = generate_industrial(industrial_options{});
-  mocus_options serial_opts;
-  serial_opts.cutoff = 1e-15;
-  const mocus_result serial = mocus(model.ft, serial_opts);
-  EXPECT_EQ(serial.threads_used, 1u);
+  for (const std::size_t limit : {mocus_options{}.dedup_limit,
+                                  std::size_t{1000}}) {
+    mocus_options inline_opts;
+    inline_opts.cutoff = 1e-15;
+    inline_opts.dedup_limit = limit;
+    const mocus_result inline_run = mocus(model.ft, inline_opts);
 
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    thread_pool pool(threads);
-    mocus_options par_opts = serial_opts;
-    par_opts.pool = &pool;
-    const mocus_result parallel = mocus(model.ft, par_opts);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      thread_pool pool(threads);
+      mocus_options par_opts = inline_opts;
+      par_opts.pool = &pool;
+      const pool_counters before = pool.counters();
+      const mocus_result parallel = mocus(model.ft, par_opts);
+      const pool_counters after = pool.counters();
 
-    EXPECT_EQ(parallel.cutsets, serial.cutsets) << threads << " threads";
-    EXPECT_EQ(parallel.partials_processed, serial.partials_processed)
-        << threads << " threads";
-    EXPECT_EQ(parallel.cutoff_discarded, serial.cutoff_discarded)
-        << threads << " threads";
-    EXPECT_EQ(parallel.lookahead_pruned, serial.lookahead_pruned)
-        << threads << " threads";
-    EXPECT_EQ(parallel.threads_used, pool.size());
+      const std::string at = std::to_string(threads) + " threads, limit " +
+                             std::to_string(limit);
+      EXPECT_EQ(parallel.cutsets, inline_run.cutsets) << at;
+      EXPECT_EQ(parallel.partials_processed, inline_run.partials_processed)
+          << at;
+      EXPECT_EQ(parallel.cutoff_discarded, inline_run.cutoff_discarded)
+          << at;
+      EXPECT_EQ(parallel.lookahead_pruned, inline_run.lookahead_pruned)
+          << at;
+      // The drains really ran on the pool's workers.
+      EXPECT_GT(after.submitted, before.submitted) << at;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bitset>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -151,10 +152,26 @@ TEST(Mocus, RejectsNegativeOrNonFiniteCutoff) {
 }
 
 TEST(Mocus, PartialLimitThrows) {
-  const fault_tree ft = testing::example1_static();
-  mocus_options opt;
-  opt.max_partials = 2;
-  EXPECT_THROW(mocus(ft, opt), numeric_error);
+  {
+    const fault_tree ft = testing::example1_static();
+    mocus_options opt;
+    opt.max_partials = 2;
+    EXPECT_THROW(mocus(ft, opt), numeric_error);
+  }
+  // The valve is one counter shared by the breadth-first phase and every
+  // drain, so the total work decides whether it trips, at every thread
+  // count: a limit at the total passes, one below it throws.
+  const fault_tree ft = testing::shared_or_tree(0, 16, 12, 8);
+  const std::size_t total = mocus(ft).partials_processed;
+  thread_pool pool(4);
+  for (thread_pool* p : {static_cast<thread_pool*>(nullptr), &pool}) {
+    mocus_options opt;
+    opt.pool = p;
+    opt.max_partials = total;
+    EXPECT_EQ(mocus(ft, opt).partials_processed, total);
+    opt.max_partials = total - 1;
+    EXPECT_THROW(mocus(ft, opt), numeric_error);
+  }
 }
 
 TEST(Mocus, TinyDedupLimitStaysCorrectAndBounded) {
@@ -190,7 +207,7 @@ TEST(Mocus, TinyDedupLimitStaysCorrectAndBounded) {
         << "dedup_limit " << limit;
   }
 
-  // Same contract for the sharded parallel driver.
+  // Same contract with the drains on a pool.
   thread_pool pool(4);
   mocus_options par;
   par.dedup_limit = 2;
@@ -202,12 +219,15 @@ TEST(Mocus, TinyDedupLimitStaysCorrectAndBounded) {
 TEST(Mocus, TinyDedupLimitOnRandomTrees) {
   // Random static trees plus DAG-heavy shared-OR trees, whose expansion
   // paths meet at the same partials, so the visited tables see real
-  // duplicates. Every dedup_limit and thread count must reproduce the
-  // brute-force cutsets; at the default limit nothing clears, so every
-  // driver expands each distinct partial exactly once.
+  // duplicates. The wide shared-OR trees outgrow the breadth-first
+  // frontier, so their drains run (on the pools, in parallel); the narrow
+  // ones mostly finish inside the breadth-first phase. Every
+  // dedup_limit and thread count must reproduce the brute-force cutsets,
+  // and at each limit the counters must not depend on the thread count:
+  // the frontier, and which partials each walk expands, never do.
   struct input {
     fault_tree ft;
-    bool shared;
+    bool wide;
   };
   std::vector<input> inputs;
   for (const std::uint64_t seed : {2u, 9u, 17u}) {
@@ -215,7 +235,10 @@ TEST(Mocus, TinyDedupLimitOnRandomTrees) {
         {testing::make_random_static_tree(seed, 9, 5).structure(), false});
   }
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    inputs.push_back({testing::shared_or_tree(seed), true});
+    inputs.push_back({testing::shared_or_tree(seed), false});
+  }
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    inputs.push_back({testing::shared_or_tree(seed, 16, 12, 8), true});
   }
   thread_pool pool2(2);
   thread_pool pool8(8);
@@ -223,27 +246,32 @@ TEST(Mocus, TinyDedupLimitOnRandomTrees) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const fault_tree& ft = inputs[i].ft;
     const std::vector<cutset> expected = minimal_cutsets_brute_force(ft);
-    const mocus_result serial = mocus(ft);
-    for (thread_pool* pool :
-         {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
-      const std::size_t threads = pool == nullptr ? 1 : pool->size();
-      for (const std::size_t limit :
-           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8},
-            defaults.dedup_limit}) {
-        mocus_options opt;
-        opt.dedup_limit = limit;
+    const mocus_result unbounded = mocus(ft);
+    for (const std::size_t limit :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8},
+          defaults.dedup_limit}) {
+      mocus_options opt;
+      opt.dedup_limit = limit;
+      const mocus_result inline_run = mocus(ft, opt);
+      if (limit == 1 && inputs[i].wide) {
+        // Shared ORs make duplicates within a drain that only its visited
+        // set removes.
+        EXPECT_LT(unbounded.partials_processed, inline_run.partials_processed)
+            << "input " << i;
+      }
+      for (thread_pool* pool :
+           {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
+        const std::size_t threads = pool == nullptr ? 1 : pool->size();
         opt.pool = pool;
         const mocus_result r = mocus(ft, opt);
         EXPECT_EQ(r.cutsets, expected)
             << "input " << i << " limit " << limit << " threads " << threads;
-        if (limit == defaults.dedup_limit) {
-          EXPECT_EQ(r.partials_processed, serial.partials_processed)
-              << "input " << i << " threads " << threads;
-        } else if (limit == 1 && pool == nullptr && inputs[i].shared) {
-          // Shared ORs make duplicates that only the visited table removes.
-          EXPECT_LT(serial.partials_processed, r.partials_processed)
-              << "input " << i;
-        }
+        EXPECT_EQ(r.partials_processed, inline_run.partials_processed)
+            << "input " << i << " limit " << limit << " threads " << threads;
+        EXPECT_EQ(r.cutoff_discarded, inline_run.cutoff_discarded)
+            << "input " << i << " limit " << limit << " threads " << threads;
+        EXPECT_EQ(r.lookahead_pruned, inline_run.lookahead_pruned)
+            << "input " << i << " limit " << limit << " threads " << threads;
       }
     }
   }
@@ -332,8 +360,9 @@ struct reference_bounds {
 
 /// Reference MOCUS that prices an OR branch only after copying the partial
 /// and inserting the child (copy-then-check). Same expansion order (the
-/// first AND gate, else the first gate) and exact deduplication, so its
-/// counters are the ones the production drivers must reproduce. With
+/// first AND gate, else the first gate), the same walks and exact
+/// deduplication within each walk, so its counters are the ones the
+/// production driver must reproduce. With
 /// `lookahead` it also drops each new partial that reference_bounds dooms,
 /// as production does whenever the cutoff or max_order is active; without
 /// it, it is the unpruned cutset oracle.
@@ -374,18 +403,15 @@ copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
     const auto it = std::lower_bound(gates.begin(), gates.end(), g);
     if (it == gates.end() || *it != g) gates.insert(it, g);
   };
-  std::set<partial> seen;
-  std::vector<partial> stack{{{}, {ft.top()}}};
-  seen.insert(stack.back());
   std::vector<cutset> raw;
-  while (!stack.empty()) {
-    partial p = std::move(stack.back());
-    stack.pop_back();
+  // Expands `p` by one gate and appends its children missing from `seen`
+  // to `pending`.
+  const auto step = [&](partial p, std::set<partial>& seen, auto& pending) {
     ++run.processed;
     auto& [events, gates] = p;
     if (gates.empty()) {
       raw.push_back(events);
-      continue;
+      return;
     }
     std::size_t pick = 0;
     for (std::size_t i = 0; i < gates.size(); ++i) {
@@ -420,7 +446,27 @@ copy_then_check_run copy_then_check(const fault_tree& ft, double cutoff,
       }
     }
     for (partial& c : children) {
-      if (seen.insert(c).second) stack.push_back(std::move(c));
+      if (seen.insert(c).second) pending.push_back(std::move(c));
+    }
+  };
+  // The production walks: breadth-first until mocus_frontier_width
+  // partials are pending, then one depth-first drain per frontier partial,
+  // each with its own seen set.
+  const partial seed{{}, {ft.top()}};
+  std::set<partial> seen{seed};
+  std::deque<partial> frontier{seed};
+  while (!frontier.empty() && frontier.size() < mocus_frontier_width) {
+    partial p = std::move(frontier.front());
+    frontier.pop_front();
+    step(std::move(p), seen, frontier);
+  }
+  for (partial& root : frontier) {
+    std::set<partial> drain_seen{root};
+    std::vector<partial> stack{std::move(root)};
+    while (!stack.empty()) {
+      partial p = std::move(stack.back());
+      stack.pop_back();
+      step(std::move(p), drain_seen, stack);
     }
   }
   run.cutsets = minimize_cutsets(std::move(raw));

@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -574,6 +576,57 @@ TEST(ServeTcp, OversizedRequestIsRejected) {
   send_bytes(client, "{\"op\":\"shutdown\"}\n");
   read_reply(client);
   ::close(client);
+  server.join();
+}
+
+
+/// The process's virtual size in KiB, from /proc/self/status.
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(ServeTcp, FinishedConnectionsAreReaped) {
+  // Every connection runs on its own handler thread. A finished handler
+  // must be joined while the server runs: otherwise its thread stack
+  // (8 MiB by default) stays mapped until shutdown, and a long-running
+  // server grows with every connection it ever served.
+  serve::analysis_service service = make_service();
+  std::atomic<int> port{0};
+  std::ostringstream log;
+  std::thread server([&] { serve::serve_tcp(service, 0, log, &port); });
+  while (port.load() == 0) std::this_thread::yield();
+
+  const auto health_once = [&] {
+    const int fd = connect_loopback(port.load());
+    send_bytes(fd, "{\"op\":\"health\"}\n");
+    EXPECT_NE(read_reply(fd).find("\"ok\":true"), std::string::npos);
+    ::close(fd);
+  };
+  for (int i = 0; i < 4; ++i) health_once();  // warm the thread stack cache
+  const std::size_t before = vm_size_kib();
+  ASSERT_GT(before, 0u);
+  constexpr int connections = 64;
+  for (int i = 0; i < connections; ++i) health_once();
+  const std::size_t after = vm_size_kib();
+  // 64 unjoined handlers would add ~512 MiB; reaped ones reuse a few
+  // cached stacks. Allow half a MiB per connection.
+  EXPECT_LT(after, before + connections * 512)
+      << "VmSize " << before << " KiB -> " << after << " KiB";
+
+  const int fd = connect_loopback(port.load());
+  send_bytes(fd, "{\"op\":\"shutdown\"}\n");
+  read_reply(fd);
+  ::close(fd);
   server.join();
 }
 

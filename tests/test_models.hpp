@@ -382,8 +382,10 @@ inline event_tree make_random_event_tree(std::uint64_t seed, fault_tree& ft) {
 /// DAG-heavy random tree: OR gates over a small event pool, then a layer of
 /// AND/OR gates drawing their inputs from those shared ORs, under an AND
 /// top. Shared ORs over overlapping events make many expansion paths meet
-/// at the same partial, so the visited table sees real duplicates.
-inline fault_tree shared_or_tree(std::uint64_t seed) {
+/// at the same partial, so the visited table sees real duplicates. More
+/// events, ORs and mid gates widen the expansion.
+inline fault_tree shared_or_tree(std::uint64_t seed, int num_events = 10,
+                                 int num_ors = 6, int num_mids = 4) {
   rng random(seed);
   fault_tree ft;
   // `count` distinct members of `from`, or 2-3 of them when count is 0.
@@ -399,17 +401,17 @@ inline fault_tree shared_or_tree(std::uint64_t seed) {
     return chosen;
   };
   std::vector<node_index> events;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < num_events; ++i) {
     events.push_back(ft.add_basic_event("e" + std::to_string(i),
                                         random.uniform(0.01, 0.3)));
   }
   std::vector<node_index> ors;
-  for (int g = 0; g < 6; ++g) {
+  for (int g = 0; g < num_ors; ++g) {
     ors.push_back(ft.add_gate("or" + std::to_string(g), gate_type::or_gate,
                               pick(events, 0)));
   }
   std::vector<node_index> mids;
-  for (int g = 0; g < 4; ++g) {
+  for (int g = 0; g < num_mids; ++g) {
     const auto type = g % 2 == 0 ? gate_type::and_gate : gate_type::or_gate;
     mids.push_back(
         ft.add_gate("mid" + std::to_string(g), type, pick(ors, 0)));

@@ -487,11 +487,8 @@ void print_engine_stats(const engine_stats& s) {
   char occupancy[32];
   std::snprintf(occupancy, sizeof occupancy, "%.1f%%",
                 100.0 * s.mocus_occupancy);
-  table.add_row({"generate threads", std::to_string(s.mocus_threads)});
-  table.add_row({"generate tasks / steals",
-                 std::to_string(s.mocus_tasks) + " / " +
-                     std::to_string(s.mocus_steals) + " (" + occupancy +
-                     " occupancy)"});
+  table.add_row({"generate threads", std::to_string(s.mocus_threads) +
+                                         " (" + occupancy + " occupancy)"});
   std::printf("%s", table.str().c_str());
 }
 
