@@ -1,7 +1,9 @@
 #include "core/mcs_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -298,23 +300,55 @@ std::vector<node_index> ftc_plan::added_static() const {
   return out;
 }
 
+ftc_plan_memo::~ftc_plan_memo() { delete stripes_.load(); }
+
+ftc_plan_memo::stripe& ftc_plan_memo::stripe_of(stripe_array& all,
+                                                const std::string& key) {
+  // The map hashes the key again; taking the stripe from the top bits of
+  // a remixed hash keeps the two choices independent.
+  static_assert(stripes == 64, "the stripe is the top 6 bits of the mix");
+  const std::uint64_t h = std::hash<std::string>{}(key);
+  return all[(h * 0x9E3779B97F4A7C15ULL) >> 58];
+}
+
 const ftc_plan* ftc_plan_memo::find(approx_mode mode, const cutset& c) const {
+  stripe_array* const all = stripes_.load(std::memory_order_acquire);
+  if (all == nullptr) return nullptr;
   const std::string key = plan_key(mode, c);
-  std::shared_lock lock(mutex_);
-  const auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
+  stripe& s = stripe_of(*all, key);
+  std::shared_lock lock(s.mutex);
+  const auto it = s.map.find(key);
+  return it == s.map.end() ? nullptr : &it->second;
 }
 
 const ftc_plan* ftc_plan_memo::insert(approx_mode mode, const cutset& c,
                                       ftc_plan plan) const {
+  stripe_array* all = stripes_.load(std::memory_order_acquire);
+  if (all == nullptr) {
+    // Racing first inserts each build stripes; one publishes, the others
+    // free theirs and use it.
+    auto fresh = std::make_unique<stripe_array>();
+    if (stripes_.compare_exchange_strong(all, fresh.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      all = fresh.release();
+    }
+  }
   std::string key = plan_key(mode, c);
-  std::lock_guard lock(mutex_);
-  return &map_.try_emplace(std::move(key), std::move(plan)).first->second;
+  stripe& s = stripe_of(*all, key);
+  std::lock_guard lock(s.mutex);
+  return &s.map.try_emplace(std::move(key), std::move(plan)).first->second;
 }
 
 std::size_t ftc_plan_memo::size() const {
-  std::shared_lock lock(mutex_);
-  return map_.size();
+  stripe_array* const all = stripes_.load(std::memory_order_acquire);
+  if (all == nullptr) return 0;
+  std::size_t n = 0;
+  for (stripe& s : *all) {
+    std::shared_lock lock(s.mutex);
+    n += s.map.size();
+  }
+  return n;
 }
 
 ftc_plan build_ftc_plan(const sd_fault_tree& tree, const cutset& c,

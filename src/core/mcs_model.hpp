@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -118,7 +120,10 @@ struct mcs_model {
 /// may therefore serve every cutset, approximation mode and parameter
 /// point of one structure; it must not be shared between structures (keys
 /// are node indices). Concurrent misses on one key may both solve it; the
-/// first insert wins and both results are identical.
+/// first insert wins and both results are identical. The duplicate solve
+/// is one cutoff-free MOCUS of a trigger gate's subtree, ~20 µs on the
+/// §VI-B study of full-size industrial model 1, and a cold run there sees
+/// only 28 keys, so one lock suffices.
 class trigger_set_memo {
  public:
   using sets = std::shared_ptr<const std::vector<cutset>>;
@@ -139,12 +144,25 @@ class trigger_set_memo {
 /// Thread-safe memo of ftc_plans, keyed by (approximation mode, cutset).
 /// A plan depends on the structure alone (see ftc_plan), so one memo may
 /// serve every parameter point of one structure; like trigger_set_memo it
-/// must not be shared between structures. Entries are never erased, so
-/// the pointers handed out stay valid for the memo's lifetime. Concurrent
-/// misses on one key may both build the plan; the first insert wins and
-/// both plans are identical.
+/// must not be shared between structures. Entries are never erased and
+/// map nodes never move, so the pointers handed out stay valid for the
+/// memo's lifetime. Concurrent misses on one key may both build the plan;
+/// the first insert wins and both plans are identical.
+///
+/// A cold run inserts one plan per dynamic cutset from every worker at
+/// once, so the memo is split into `stripes` maps chosen by key hash, each
+/// behind its own lock: inserts of different keys rarely meet. The stripes
+/// (~8 KB) are allocated by the first insert, so a structure that never
+/// plans, such as a static tree, does not pay for them.
 class ftc_plan_memo {
  public:
+  static constexpr std::size_t stripes = 64;
+
+  ftc_plan_memo() = default;
+  ~ftc_plan_memo();
+  ftc_plan_memo(const ftc_plan_memo&) = delete;
+  ftc_plan_memo& operator=(const ftc_plan_memo&) = delete;
+
   /// The stored plan for cutset `c` under `mode`, or nullptr.
   const ftc_plan* find(approx_mode mode, const cutset& c) const;
 
@@ -155,9 +173,20 @@ class ftc_plan_memo {
   std::size_t size() const;
 
  private:
+  /// One stripe, padded so neighbouring locks do not share a cache line.
   /// Warm runs only read: lookups share the lock, inserts take it alone.
-  mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<std::string, ftc_plan> map_;
+  struct alignas(64) stripe {
+    std::shared_mutex mutex;
+    std::unordered_map<std::string, ftc_plan> map;
+  };
+
+  using stripe_array = std::array<stripe, stripes>;
+
+  /// The stripe of `key` in `all`.
+  static stripe& stripe_of(stripe_array& all, const std::string& key);
+
+  /// Null until the first insert publishes the stripes; never replaced.
+  mutable std::atomic<stripe_array*> stripes_{nullptr};
 };
 
 /// Plans FT_C for cutset `c` of `tree` following paper §V-C:

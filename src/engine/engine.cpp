@@ -107,10 +107,6 @@ prep_result prep_stage(const fault_tree& ft_bar, const analysis_options& opt,
   return prep;
 }
 
-pool_counters counters_of(const thread_pool* pool) {
-  return pool != nullptr ? pool->counters() : pool_counters{};
-}
-
 }  // namespace
 
 struct analysis_engine::acquired_structure {
@@ -193,7 +189,7 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     obs::span_scope gen_span("engine.generate");
     obs::ambient_parent_scope ambient(gen_span.id());
     const mocus_source source;
-    const pool_counters before_generate = counters_of(pool);
+    const pool_tally tally(pool);
     modular_generation modular =
         generate_modular(prep, acq.translation, source, opt.cutoff, pool);
     acq.generation = std::move(modular.generation);
@@ -205,9 +201,9 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.lookahead_pruned = acq.generation.lookahead_pruned;
     stats.subset_tests = acq.generation.subset_tests;
     stats.bitset_words = acq.generation.bitset_words;
-    const pool_counters after_generate = counters_of(pool);
     stats.mocus_threads = pool != nullptr ? pool->size() : 1;
-    stats.mocus_occupancy = after_generate.occupancy_since(before_generate);
+    stats.mocus_pool_work = tally.executed();
+    stats.mocus_occupancy = tally.occupancy();
     gen_span.arg("cutsets", static_cast<double>(stats.num_cutsets));
     gen_span.arg("partials", static_cast<double>(stats.source_partials));
     gen_span.arg("occupancy", stats.mocus_occupancy);
@@ -399,7 +395,7 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
     result.cutsets.resize(generated.cutsets.size());
     std::vector<cutset_result>& quantified = result.cutsets;
     stats.pool_threads = pool != nullptr ? pool->size() : 1;
-    const pool_counters before_quantify = counters_of(pool);
+    const pool_tally tally(pool);
     parallel_for(pool, generated.cutsets.size(), [&](std::size_t i) {
       cutset c = std::move(generated.cutsets[i]);
       const quantifier& q =
@@ -409,8 +405,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
       quantified[i] = q.quantify(std::move(c));
     });
     stats.quantify_seconds = stage_timer.seconds();
-    stats.quantify_occupancy =
-        counters_of(pool).occupancy_since(before_quantify);
+    stats.quantify_pool_work = tally.executed();
+    stats.quantify_occupancy = tally.occupancy();
     quant_span.arg("occupancy", stats.quantify_occupancy);
   }
 

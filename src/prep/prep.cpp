@@ -1,6 +1,7 @@
 #include "prep/prep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -31,6 +32,34 @@ struct wnode {
   std::string name;                        // empty for synthesised gates
   node_index source = fault_tree::npos;    // source-tree ancestry
   std::vector<std::uint32_t> inputs;       // working ids
+};
+
+/// A set of working ids, emptied in O(1) by a generation stamp: an id is
+/// in the set while its stamp equals the current generation.
+class mark_set {
+ public:
+  /// Makes room for one more id.
+  void grow() { stamps_.push_back(0); }
+
+  void clear() {
+    if (++generation_ == 0) {  // wrapped: old stamps could collide
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      generation_ = 1;
+    }
+  }
+
+  /// Adds `id`; true if it was not in the set yet.
+  bool insert(std::uint32_t id) {
+    if (stamps_[id] == generation_) return false;
+    stamps_[id] = generation_;
+    return true;
+  }
+
+  bool contains(std::uint32_t id) const { return stamps_[id] == generation_; }
+
+ private:
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t generation_ = 1;
 };
 
 class workgraph {
@@ -73,8 +102,13 @@ class workgraph {
     const auto id = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(std::move(n));
     redirect_.push_back(id);
+    for (mark_set& m : marks_) m.grow();
     return id;
   }
+
+  /// Scratch id sets for the passes' per-gate work (two may be live at
+  /// once); resolve() uses marks(0).
+  mark_set& marks(std::size_t i = 0) { return marks_[i]; }
 
   std::uint32_t add_gate(gate_type type, std::vector<std::uint32_t> inputs) {
     wnode w;
@@ -108,15 +142,20 @@ class workgraph {
   /// list changed.
   bool resolve(std::uint32_t id) {
     auto& in = nodes_[id].inputs;
-    std::vector<std::uint32_t> out;
-    out.reserve(in.size());
-    std::unordered_set<std::uint32_t> seen;
+    mark_set& seen = marks();
+    seen.clear();
+    std::size_t kept = 0;
+    bool changed = false;
     for (std::uint32_t c : in) {
-      c = find(c);
-      if (seen.insert(c).second) out.push_back(c);
+      const std::uint32_t r = find(c);
+      if (!seen.insert(r)) {
+        changed = true;
+        continue;
+      }
+      changed |= r != c;
+      in[kept++] = r;
     }
-    const bool changed = out != in;
-    if (changed) in = std::move(out);
+    in.resize(kept);
     return changed;
   }
 
@@ -160,6 +199,7 @@ class workgraph {
   std::vector<wnode> nodes_;
   std::vector<std::uint32_t> redirect_;
   std::uint32_t top_ = wnpos;
+  std::array<mark_set, 2> marks_;
 };
 
 /// Lowers one atleast gate into a shared suffix network:
@@ -245,18 +285,19 @@ bool pass_coalesce(workgraph& g, prep_stats& stats) {
     if (node.kind != node_kind::gate) continue;
     std::vector<std::uint32_t> out;
     out.reserve(node.inputs.size());
-    std::unordered_set<std::uint32_t> seen;
+    mark_set& seen = g.marks();
+    seen.clear();
     bool spliced = false;
     for (std::uint32_t c : node.inputs) {
       const wnode& child = g.node(c);
       if (child.kind == node_kind::gate && child.type == node.type &&
           fanout[c] == 1 && c != top) {
         for (std::uint32_t gc : child.inputs) {
-          if (seen.insert(gc).second) out.push_back(gc);
+          if (seen.insert(gc)) out.push_back(gc);
         }
         ++stats.gates_coalesced;
         spliced = true;
-      } else if (seen.insert(c).second) {
+      } else if (seen.insert(c)) {
         out.push_back(c);
       }
     }
@@ -279,22 +320,24 @@ bool pass_absorb(workgraph& g, prep_stats& stats) {
     wnode& node = g.node(id);
     if (node.kind != node_kind::gate) continue;
     g.resolve(id);
-    const std::unordered_set<std::uint32_t> direct(node.inputs.begin(),
-                                                   node.inputs.end());
+    mark_set& direct = g.marks(0);
+    direct.clear();
+    for (std::uint32_t c : node.inputs) direct.insert(c);
     // Direct inputs covered by a same-type gate child.
-    std::unordered_set<std::uint32_t> covered;
+    mark_set& covered = g.marks(1);
+    covered.clear();
     for (std::uint32_t c : node.inputs) {
       const wnode& child = g.node(c);
       if (child.kind != node_kind::gate || child.type != node.type) continue;
       for (std::uint32_t gc : child.inputs) {
         const std::uint32_t r = g.find(gc);
-        if (r != c && direct.count(r)) covered.insert(r);
+        if (r != c && direct.contains(r)) covered.insert(r);
       }
     }
     std::vector<std::uint32_t> out;
     out.reserve(node.inputs.size());
     for (std::uint32_t c : node.inputs) {
-      if (covered.count(c)) {
+      if (covered.contains(c)) {
         ++stats.absorptions;
         changed = true;
         continue;
@@ -303,7 +346,7 @@ bool pass_absorb(workgraph& g, prep_stats& stats) {
       bool absorbed = false;
       if (child.kind == node_kind::gate && child.type != node.type) {
         for (std::uint32_t gc : child.inputs) {
-          if (direct.count(g.find(gc))) {
+          if (direct.contains(g.find(gc))) {
             absorbed = true;
             break;
           }

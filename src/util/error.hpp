@@ -28,9 +28,12 @@ class numeric_error : public error {
   explicit numeric_error(const std::string& what) : error(what) {}
 };
 
-/// Throws model_error with `what` unless `cond` holds.
-inline void require_model(bool cond, const std::string& what) {
-  if (!cond) throw model_error(what);
-}
-
 }  // namespace sdft
+
+/// require_model(cond, what): throws sdft::model_error(what) unless `cond`
+/// holds. A macro, so `what` is evaluated only when the check fails:
+/// checks that build their message from node names sit on hot paths (one
+/// per tree node or chain transition) and must cost a branch when they
+/// pass.
+#define require_model(cond, ...) \
+  ((cond) ? void() : throw ::sdft::model_error(__VA_ARGS__))

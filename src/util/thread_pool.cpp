@@ -15,6 +15,11 @@ namespace {
 thread_local const thread_pool* tls_pool = nullptr;
 thread_local std::size_t tls_index = thread_pool::npos;
 
+/// The pool_tally counting batches created on the current thread: the
+/// innermost live tally on a caller's thread, the running job's batch's
+/// tally on a worker.
+thread_local pool_tally* tls_tally = nullptr;
+
 }  // namespace
 
 double pool_counters::occupancy_since(const pool_counters& before) const {
@@ -116,16 +121,30 @@ void thread_pool::worker_loop(std::size_t me) {
       continue;
     }
     std::exception_ptr error;
+    tls_tally = j.owner->tally_;
     try {
       j.fn();
     } catch (...) {
       error = std::current_exception();
     }
+    tls_tally = nullptr;
     j.fn = nullptr;  // captures go before the batch can be seen drained
-    deques_[me]->executed.fetch_add(1, std::memory_order_relaxed);
+    count(me, 1, *j.owner);
     j.owner->finish(std::move(error));
   }
 }
+
+void thread_pool::count(std::size_t me, std::size_t n, const batch& owner) {
+  deques_[me]->executed.fetch_add(n, std::memory_order_relaxed);
+  if (owner.tally_ != nullptr) {
+    owner.tally_->executed_[me].fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
+thread_pool::batch::batch(thread_pool& pool)
+    : pool_(pool),
+      tally_(tls_tally != nullptr && tls_tally->pool_ == &pool ? tls_tally
+                                                               : nullptr) {}
 
 thread_pool::batch::~batch() {
   try { wait(); } catch (...) {}  // an unclaimed exception is dropped
@@ -190,6 +209,7 @@ void thread_pool::batch::wait() {
 void parallel_for(thread_pool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
   std::atomic<std::size_t> next{0};
+  thread_pool::batch jobs(pool);
   // Each job claims indices until none are left, then rethrows the first
   // exception it caught. The caller only waits: its own allocations stay
   // independent of scheduling, as with per-index jobs.
@@ -204,13 +224,32 @@ void parallel_for(thread_pool& pool, std::size_t n,
         if (!error) error = std::current_exception();
       }
     }
-    pool.deques_[pool.worker_index()]->executed.fetch_add(
-        ran, std::memory_order_relaxed);
+    pool.count(pool.worker_index(), ran, jobs);
     if (error) std::rethrow_exception(error);
   };
-  thread_pool::batch jobs(pool);
   for (std::size_t k = std::min(n, pool.size()); k > 0; --k) jobs.submit(job);
   jobs.wait();
+}
+
+pool_tally::pool_tally(const thread_pool* pool)
+    : pool_(pool),
+      outer_(std::exchange(tls_tally, this)),
+      executed_(pool != nullptr ? pool->size() : 0) {}
+
+pool_tally::~pool_tally() { tls_tally = outer_; }
+
+std::size_t pool_tally::executed() const {
+  std::size_t sum = 0;
+  for (const auto& n : executed_) sum += n.load(std::memory_order_relaxed);
+  return sum;
+}
+
+double pool_tally::occupancy() const {
+  pool_counters ran;
+  for (const auto& n : executed_) {
+    ran.executed.push_back(n.load(std::memory_order_relaxed));
+  }
+  return ran.occupancy_since(pool_counters{});
 }
 
 void parallel_for(thread_pool* pool, std::size_t n,

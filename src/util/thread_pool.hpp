@@ -27,6 +27,8 @@ struct pool_counters {
   double occupancy_since(const pool_counters& before) const;
 };
 
+class pool_tally;
+
 /// Fixed-size thread pool with per-worker work-stealing deques. An
 /// analysis_engine builds one at construction; every parallel stage of
 /// every concurrent caller shares it.
@@ -56,7 +58,8 @@ class thread_pool {
   /// when called from a thread that is not a worker of this pool.
   std::size_t worker_index() const;
 
-  /// Snapshot of the cumulative work-distribution counters.
+  /// Snapshot of the cumulative work-distribution counters, every
+  /// caller's work included (pool_tally counts one caller's).
   pool_counters counters() const;
 
  private:
@@ -77,6 +80,8 @@ class thread_pool {
     std::atomic<std::size_t> executed{0};
   };
 
+  /// Worker `me` ran `n` jobs or claimed indices for a job of `owner`.
+  void count(std::size_t me, std::size_t n, const batch& owner);
   bool try_pop(work_deque& dq, bool steal, job& out);
   job take(std::size_t me);
   void worker_loop(std::size_t me);
@@ -102,7 +107,9 @@ class thread_pool {
 /// Neither may run on a worker of the same pool.
 class thread_pool::batch {
  public:
-  explicit batch(thread_pool& pool) : pool_(pool) {}
+  /// The pool_tally installed on the calling thread, if it counts `pool`,
+  /// counts this batch's work.
+  explicit batch(thread_pool& pool);
   ~batch();
 
   /// From one of this batch's jobs, lands on the calling worker's deque.
@@ -114,11 +121,43 @@ class thread_pool::batch {
   void finish(std::exception_ptr error);  ///< a worker ran one of our jobs
 
   thread_pool& pool_;
+  pool_tally* const tally_;  ///< nullptr: counted by the pool only
   std::atomic<std::size_t> pending_{1};  ///< unfinished jobs + the waiter's 1
   std::mutex mutex_;
   std::condition_variable drained_;
   bool drained_flag_ = false;  ///< set by the last job to finish
   std::exception_ptr first_exception_;
+};
+
+/// One caller's share of a pool's work: per worker, the jobs and claimed
+/// indices (as pool_counters::executed) of the batches created on the
+/// constructing thread while the tally lives, and of the batches their
+/// jobs create. Concurrent callers of one pool each count only their own
+/// work, which a before/after snapshot of counters() cannot do. The tally
+/// installs itself on the constructing thread and restores the previous
+/// one when destroyed (the innermost tally counts), so it must be
+/// destroyed on that thread, after every batch it counts.
+class pool_tally {
+ public:
+  /// Counts work on `pool`; a null pool counts nothing.
+  explicit pool_tally(const thread_pool* pool);
+  ~pool_tally();
+  pool_tally(const pool_tally&) = delete;
+  pool_tally& operator=(const pool_tally&) = delete;
+
+  /// Jobs and claimed indices counted so far, over all workers.
+  std::size_t executed() const;
+
+  /// Load balance of the counted work, as pool_counters::occupancy_since;
+  /// 0 when nothing ran.
+  double occupancy() const;
+
+ private:
+  friend class thread_pool;
+
+  const thread_pool* const pool_;
+  pool_tally* const outer_;  ///< the tally this one shadows
+  std::vector<std::atomic<std::size_t>> executed_;
 };
 
 /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion:

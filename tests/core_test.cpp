@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mcs_model.hpp"
@@ -420,6 +421,66 @@ TEST(FtcPlan, SignatureMatchesReference) {
         "random seed " + std::to_string(seed));
   }
   EXPECT_GT(random_checked, 0u);
+}
+
+TEST(FtcPlanMemo, ConcurrentInsertsAgreeAndFirstInsertWins) {
+  // Eight threads find-or-insert 1,000 overlapping keys (500 cutsets under
+  // two modes) in different orders. Each thread's plan carries its id in
+  // `top`, so the stored plan names the winning insert.
+  constexpr int kThreads = 8;
+  constexpr std::size_t kCutsets = 500;
+  const approx_mode modes[2] = {approx_mode::as_classified,
+                                approx_mode::over_approximate};
+  const std::size_t keys = 2 * kCutsets;
+  const auto key_cutset = [](std::size_t k) {
+    const auto i = static_cast<node_index>(k % kCutsets);
+    return cutset{i, i + 1, 3 * i + 7};
+  };
+  const ftc_plan_memo memo;
+  std::vector<std::vector<const ftc_plan*>> seen(
+      kThreads, std::vector<const ftc_plan*>(keys, nullptr));
+  std::vector<std::vector<char>> won(kThreads, std::vector<char>(keys, 0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t j = 0; j < keys; ++j) {
+        // Strides coprime to `keys`: every thread visits every key.
+        constexpr std::size_t strides[kThreads] = {1, 3, 7, 9, 11, 13, 17, 19};
+        const std::size_t k = (j * strides[t] + 97 * t) % keys;
+        const approx_mode mode = modes[k / kCutsets];
+        const cutset c = key_cutset(k);
+        const ftc_plan* p = memo.find(mode, c);
+        if (p == nullptr) {
+          ftc_plan plan;
+          plan.top = static_cast<node_index>(t);
+          p = memo.insert(mode, c, std::move(plan));
+          won[t][k] = p->top == static_cast<node_index>(t);
+        }
+        seen[t][k] = p;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(memo.size(), keys);
+  for (std::size_t k = 0; k < keys; ++k) {
+    int winners = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_NE(seen[t][k], nullptr);
+      EXPECT_EQ(seen[t][k], seen[0][k]) << "key " << k << " thread " << t;
+      winners += won[t][k];
+    }
+    EXPECT_EQ(winners, 1) << "key " << k;
+    EXPECT_EQ(memo.find(modes[k / kCutsets], key_cutset(k)), seen[0][k]);
+  }
+
+  // A later insert under a present key keeps the first plan.
+  ftc_plan late;
+  late.top = 999;
+  EXPECT_EQ(memo.insert(modes[0], key_cutset(0), std::move(late)),
+            seen[0][0]);
+  EXPECT_NE(seen[0][0]->top, 999u);
+  EXPECT_EQ(memo.size(), keys);
 }
 
 // --- The full pipeline ---------------------------------------------------

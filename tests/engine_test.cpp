@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
+#include "sdft/parser.hpp"
 #include "sdft/translate.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
@@ -385,6 +388,46 @@ TEST(EnginePool, ConcurrentRunsMatchSerialReference) {
         EXPECT_EQ(got.cutsets[i].probability, expected.cutsets[i].probability)
             << label << " cutset " << i;
       }
+    }
+  }
+}
+
+TEST(EnginePool, ConcurrentRunsCountOnlyTheirOwnPoolWork) {
+  // Two callers run data/bwr.sdft on one engine at once. Each run's pool
+  // counters must equal a lone run's: stage 2's work when it generated (a
+  // structure-cache replay runs none), stage 3's always.
+  std::ifstream in(std::string(SDFT_DATA_DIR) + "/bwr.sdft");
+  const sd_fault_tree tree = parse_sd_fault_tree(in);
+  analysis_options opts;
+  opts.threads = 3;
+  opts.cutoff = 1e-15;
+  const analysis_result lone = analysis_engine(opts).run(tree, opts);
+  ASSERT_GT(lone.stats.mocus_pool_work, 0u);
+  // One claim-loop job per worker plus one claim per cutset.
+  EXPECT_EQ(lone.stats.quantify_pool_work, lone.num_cutsets + 3);
+
+  for (int round = 0; round < 4; ++round) {
+    analysis_engine engine(opts);
+    analysis_result results[2];
+    std::latch start(2);
+    std::vector<std::thread> callers;
+    for (analysis_result& r : results) {
+      callers.emplace_back([&] {
+        start.arrive_and_wait();
+        r = engine.run(tree, opts);
+      });
+    }
+    for (std::thread& c : callers) c.join();
+    for (const analysis_result& r : results) {
+      const std::string label = "round " + std::to_string(round);
+      EXPECT_EQ(r.stats.mocus_pool_work,
+                r.stats.struct_cache_hits == 1 ? 0u
+                                               : lone.stats.mocus_pool_work)
+          << label;
+      EXPECT_EQ(r.stats.quantify_pool_work, lone.stats.quantify_pool_work)
+          << label;
+      EXPECT_LE(r.stats.quantify_occupancy, 1.0) << label;
+      EXPECT_EQ(r.failure_probability, lone.failure_probability) << label;
     }
   }
 }

@@ -287,7 +287,8 @@ const std::vector<count_field> kCountFields = {
     &engine_stats::struct_cache_hits, &engine_stats::struct_cache_misses,
     &engine_stats::struct_cache_evictions,
     &engine_stats::struct_cache_entries, &engine_stats::pool_threads,
-    &engine_stats::mocus_threads, &engine_stats::mc_trajectories,
+    &engine_stats::mocus_threads, &engine_stats::mocus_pool_work,
+    &engine_stats::quantify_pool_work, &engine_stats::mc_trajectories,
     &engine_stats::mc_failures, &engine_stats::mc_levels,
     &engine_stats::mc_replications, &engine_stats::scenario_sequences,
     &engine_stats::scenario_end_states,

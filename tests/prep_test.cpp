@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -204,6 +205,50 @@ TEST(Prep, ToSourceMapsBasicEventsFaithfully) {
   // Module roots are topological with the top gate last.
   ASSERT_FALSE(prep.module_roots.empty());
   EXPECT_EQ(prep.module_roots.back(), prep.tree.top());
+}
+
+/// Every prep_stats counter of preprocess(src): nodes and gates before
+/// and after, atleast gates lowered, constants folded, gates coalesced,
+/// duplicates merged, common arguments merged, absorptions, passes and
+/// modules.
+std::array<std::size_t, 12> prep_counters(const fault_tree& src) {
+  const prep_stats s = preprocess(src).stats;
+  return {s.nodes_before,     s.nodes_after,        s.gates_before,
+          s.gates_after,      s.atleast_lowered,    s.constants_folded,
+          s.gates_coalesced,  s.duplicates_merged,  s.common_args_merged,
+          s.absorptions,      s.passes,             s.modules_found};
+}
+
+TEST(Prep, PinnedRewriteCounters) {
+  // The rewrite pipeline is a pure function of the tree's structure: every
+  // counter below is pinned, so a change to how a pass walks or
+  // deduplicates its inputs must leave the rewrite itself unchanged.
+  using counters = std::array<std::size_t, 12>;
+  EXPECT_EQ(prep_counters(make_bwr_model({}).structure()),
+            (counters{122, 95, 48, 21, 0, 1, 29, 0, 7, 0, 3, 4}));
+  EXPECT_EQ(prep_counters(generate_industrial(bench::model1_options(false)).ft),
+            (counters{1053, 549, 642, 138, 0, 360, 152, 7, 76, 0, 8, 32}));
+  // FT-bar of full-size model 1 annotated as in §VI-B (30 % dynamic, 10 %
+  // triggered): the structure the analyze_paper benchmark runs.
+  annotation_options an;
+  an.dynamic_fraction = 0.3;
+  an.trigger_fraction = 0.1;
+  an.repair_rate = 0.01;
+  const sd_fault_tree study = testing::annotated_study(
+      generate_industrial(bench::model1_options(true)), bench::paper_cutoff,
+      an);
+  EXPECT_EQ(prep_counters(translate_to_static(study, 24.0).ft_bar),
+            (counters{7314, 2911, 5019, 616, 0, 3600, 827, 4, 162, 0, 8, 134}));
+  // Random trees reach absorption, which those models never do: their
+  // counters summed over 200 seeds.
+  counters sum{};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const counters c =
+        prep_counters(testing::make_random_static_tree(seed).structure());
+    for (std::size_t i = 0; i < c.size(); ++i) sum[i] += c[i];
+  }
+  EXPECT_EQ(sum, (counters{2484, 1372, 1200, 387, 0, 56, 469, 1, 113, 414,
+                           483, 296}));
 }
 
 /// Engine-level agreement: with prep on and with prep off, several thread

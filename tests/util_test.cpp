@@ -440,6 +440,95 @@ TEST(ThreadPool, ChildJobsAreStolenFromBusyWorker) {
   EXPECT_GE(pool.counters().stolen, 2u);
 }
 
+TEST(PoolTally, CountsOnlyItsOwnCallersWork) {
+  // Two callers share one pool, each under its own tally: each tally
+  // counts exactly its caller's jobs and claimed indices, while the
+  // pool's cumulative counters hold both.
+  thread_pool pool(3);
+  const pool_counters before = pool.counters();
+  const std::size_t sizes[2] = {1000, 37};
+  std::size_t counted[2] = {0, 0};
+  double occupancy[2] = {-1.0, -1.0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      const pool_tally tally(&pool);
+      for (int round = 0; round < 20; ++round) {
+        parallel_for(pool, sizes[c], [](std::size_t) {});
+      }
+      counted[c] = tally.executed();
+      occupancy[c] = tally.occupancy();
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  std::size_t expected_total = 0;
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t expected = 20 * (sizes[c] + 3);  // indices + jobs
+    EXPECT_EQ(counted[c], expected) << "caller " << c;
+    EXPECT_GT(occupancy[c], 0.0);
+    EXPECT_LE(occupancy[c], 1.0);
+    expected_total += expected;
+  }
+  const pool_counters after = pool.counters();
+  std::size_t executed = 0;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    executed += after.executed[w] - before.executed[w];
+  }
+  EXPECT_EQ(executed, expected_total);
+}
+
+TEST(PoolTally, InnermostTallyCountsAndJobsInheritIt) {
+  thread_pool pool(2);
+  thread_pool other(2);
+  const pool_tally outer(&pool);
+  {
+    const pool_tally inner(&pool);
+    parallel_for(pool, 10, [](std::size_t) {});
+    EXPECT_EQ(inner.executed(), 12u);
+  }
+  EXPECT_EQ(outer.executed(), 0u);
+  // A batch's jobs count, and so do the jobs they submit to it.
+  {
+    thread_pool::batch jobs(pool);
+    jobs.submit([&jobs] { jobs.submit([] {}); });
+    jobs.wait();
+  }
+  EXPECT_EQ(outer.executed(), 2u);
+  // Work on another pool is not this tally's.
+  parallel_for(other, 10, [](std::size_t) {});
+  EXPECT_EQ(outer.executed(), 2u);
+  // Nor is work under a tally of no pool.
+  {
+    const pool_tally none(nullptr);
+    parallel_for(pool, 10, [](std::size_t) {});
+    EXPECT_EQ(none.executed(), 0u);
+    EXPECT_EQ(none.occupancy(), 0.0);
+  }
+  EXPECT_EQ(outer.executed(), 2u);
+}
+
+TEST(RequireModel, BuildsItsMessageOnlyWhenTheCheckFails) {
+  int built = 0;
+  int checked = 0;
+  const auto message = [&built](const std::string& name) {
+    ++built;
+    return "model: '" + name + "' is undefined";
+  };
+  require_model(++checked > 0, message("A"));
+  require_model(true, message("B"));
+  EXPECT_EQ(checked, 1);  // the condition runs exactly once
+  EXPECT_EQ(built, 0);
+  try {
+    require_model(++checked < 0, message("C"));
+    FAIL() << "a failing check must throw";
+  } catch (const model_error& e) {
+    EXPECT_STREQ(e.what(), "model: 'C' is undefined");
+  }
+  EXPECT_EQ(checked, 2);
+  EXPECT_EQ(built, 1);
+  EXPECT_THROW(require_model(false, "a literal message"), model_error);
+}
+
 TEST(SpinMutex, ExcludesUnderContention) {
   // Four threads hammer one short critical section, so most acquisitions
   // meet a held lock and some outlast the spin and block. A lost update
