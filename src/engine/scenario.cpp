@@ -5,7 +5,6 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,19 +93,13 @@ bool disjoint(const cutset& a, const cutset& b) {
 class recombination_walk {
  public:
   recombination_walk(const event_tree& et, const gate_cutset_lists& gates,
-                     double cutoff, thread_pool* pool, sequence_cutsets& out)
+                     double cutoff, sequence_cutsets& out)
       : et_(et),
         ie_(et.initiating_event()),
         cutoff_(cutoff),
         priced_(cutoff >= min_priced_cutoff),
         reject_below_(cutoff * (1.0 - pricing_slack)),
-        // Subtrees below this depth run as pool jobs: up to 16 of them,
-        // fixed by the tree rather than by the schedule.
-        split_depth_(pool != nullptr
-                         ? std::min<std::size_t>(et.num_functional_events(), 4)
-                         : 0),
         out_(out) {
-    if (pool != nullptr) jobs_.emplace(*pool);
     const std::size_t num_fe = et.num_functional_events();
     gate_lists_.resize(num_fe);
     for (std::size_t i = 0; i < num_fe; ++i) {
@@ -127,21 +120,35 @@ class recombination_walk {
     }
   }
 
-  void run() {
+  void run(thread_pool* pool) {
     std::vector<std::size_t> all(et_.num_sequences());
     for (std::size_t s = 0; s < all.size(); ++s) all[s] = s;
     out_.lists.assign(all.size(), {});
     if (all.empty()) return;
-    auto root = std::make_shared<const priced_cutsets>(
-        price(et_.ft(), {cutset{et_.initiating_event()}}));
-    if (jobs_) {
-      jobs_->submit([this, root = std::move(root), all = std::move(all)] {
-        walk(0, root, all);
+    std::vector<trie_node> level;
+    level.push_back({0,
+                     std::make_shared<const priced_cutsets>(price(
+                         et_.ft(), {cutset{et_.initiating_event()}})),
+                     std::move(all)});
+    // On a pool the trie is expanded level by level, one parallel_for per
+    // level (at most 1, 2, 4 and 8 nodes), then one more walks the
+    // frontier's subtrees: up to 16, fixed by the tree rather than by the
+    // schedule.
+    const std::size_t split_depth =
+        pool != nullptr ? std::min<std::size_t>(et_.num_functional_events(), 4)
+                        : 0;
+    for (std::size_t depth = 0; depth < split_depth; ++depth) {
+      std::vector<std::vector<trie_node>> children(level.size());
+      parallel_for(pool, level.size(), [&](std::size_t i) {
+        children[i] = expand(std::move(level[i]));
       });
-      jobs_->wait();
-    } else {
-      walk(0, std::move(root), std::move(all));
+      level.clear();
+      for (auto& c : children) {
+        std::move(c.begin(), c.end(), std::back_inserter(level));
+      }
     }
+    parallel_for(pool, level.size(),
+                 [&](std::size_t i) { walk(std::move(level[i])); });
     out_.prefixes = prefixes_.load();
     out_.candidates = candidates_.load();
     if (const std::size_t s = tripped_.load(); s != none) {
@@ -156,37 +163,49 @@ class recombination_walk {
   static constexpr std::size_t none = static_cast<std::size_t>(-1);
   using list_ref = std::shared_ptr<const priced_cutsets>;
 
-  /// `seqs` (ascending) share the node at `depth` whose list is `list`.
-  void walk(std::size_t depth, list_ref list, std::vector<std::size_t> seqs) {
-    // A subtree can only report a trip at or above its lowest sequence.
-    if (seqs.front() > tripped_.load()) return;
-    if (depth == et_.num_functional_events()) {
-      for (std::size_t s : seqs) out_.lists[s] = list->sets;
+  /// The sequences `seqs` (ascending) share the node at `depth`, whose list
+  /// is `list`.
+  struct trie_node {
+    std::size_t depth;
+    list_ref list;
+    std::vector<std::size_t> seqs;
+  };
+
+  /// Writes the lists of every sequence below `node`, serially.
+  void walk(trie_node node) {
+    if (node.depth == et_.num_functional_events()) {
+      if (node.seqs.front() > tripped_.load()) return;
+      for (std::size_t s : node.seqs) out_.lists[s] = node.list->sets;
       return;
     }
+    for (trie_node& child : expand(std::move(node))) walk(std::move(child));
+  }
+
+  /// The children of an inner node, failure child first. A child whose
+  /// extension trips the guard, or that holds no sequence, is dropped, and
+  /// so are both when the node cannot report a trip below one recorded.
+  std::vector<trie_node> expand(trie_node node) {
+    // A subtree can only report a trip at or above its lowest sequence.
+    if (node.seqs.front() > tripped_.load()) return {};
+    const std::size_t depth = node.depth;
     std::vector<std::size_t> failed;
     std::vector<std::size_t> other;
-    for (std::size_t s : seqs) {
+    for (std::size_t s : node.seqs) {
       (et_.sequence_outcomes(s)[depth] == branch_outcome::failure ? failed
                                                                  : other)
           .push_back(s);
     }
-    const auto descend = [&](list_ref child, std::vector<std::size_t> group) {
-      if (group.empty()) return;
-      if (depth < split_depth_) {
-        jobs_->submit([this, depth, child = std::move(child),
-                       group = std::move(group)]() mutable {
-          walk(depth + 1, std::move(child), std::move(group));
-        });
-      } else {
-        walk(depth + 1, std::move(child), std::move(group));
-      }
-    };
+    std::vector<trie_node> children;
     if (!failed.empty()) {
-      list_ref child = extend(*list, *gate_lists_[depth], failed.front());
-      if (child != nullptr) descend(std::move(child), std::move(failed));
+      list_ref child = extend(*node.list, *gate_lists_[depth], failed.front());
+      if (child != nullptr) {
+        children.push_back({depth + 1, std::move(child), std::move(failed)});
+      }
     }
-    descend(std::move(list), std::move(other));
+    if (!other.empty()) {
+      children.push_back({depth + 1, std::move(node.list), std::move(other)});
+    }
+    return children;
   }
 
   /// minimize(prune(base x add)), or null when the pruned product outgrows
@@ -242,14 +261,12 @@ class recombination_walk {
   const double cutoff_;
   const bool priced_;
   const double reject_below_;
-  const std::size_t split_depth_;
   sequence_cutsets& out_;
   std::unordered_map<node_index, priced_cutsets> priced_gates_;
   std::vector<const priced_cutsets*> gate_lists_;  ///< per functional event
   std::atomic<std::size_t> prefixes_{0};
   std::atomic<std::size_t> candidates_{0};
   std::atomic<std::size_t> tripped_{none};  ///< lowest tripping sequence
-  std::optional<thread_pool::batch> jobs_;  ///< subtrees above split_depth_
 };
 
 }  // namespace
@@ -258,7 +275,7 @@ sequence_cutsets recombine_sequence_cutsets(const event_tree& et,
                                             const gate_cutset_lists& gates,
                                             double cutoff, thread_pool* pool) {
   sequence_cutsets out;
-  recombination_walk(et, gates, cutoff, pool, out).run();
+  recombination_walk(et, gates, cutoff, out).run(pool);
   return out;
 }
 

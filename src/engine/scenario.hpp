@@ -99,7 +99,8 @@ struct scenario_point_result {
 /// evaluation plan and the compiler (manager, tables, memos) is dropped.
 /// Each probability vector — run()'s base point, every UQ sample, every
 /// evaluate_points() point — is one forward sweep of that plan; samples
-/// and points batch on the inner engine's pool with index-ordered writes.
+/// and points run through parallel_for on the inner engine's pool with
+/// index-ordered writes.
 /// Results are bit-identical at any thread count, and bit-identical to
 /// per-sequence one-shot compilations (BDD operations are canonical).
 ///
@@ -196,8 +197,10 @@ struct sequence_cutsets {
 /// disjoint pair is rejected on its probability product before it is
 /// built. `gates` must hold a list for every gate some sequence fails.
 ///
-/// Subtrees near the root run as one batch of jobs on `pool` (null =
-/// serially on the caller); the lists do not depend on it. Throws
+/// On `pool` (null = serially on the caller) the trie is expanded level by
+/// level, one parallel_for per level, down to depth 4; one more
+/// parallel_for then walks the (at most 16) subtrees below, each serially.
+/// The lists and counters do not depend on the pool. Throws
 /// model_error when one extension builds more than 2^20 pruned sets before
 /// minimising, naming the lowest-index sequence under that prefix.
 sequence_cutsets recombine_sequence_cutsets(const event_tree& et,

@@ -10,7 +10,7 @@ namespace sdft {
 
 simulation_result simulate_failure_probability(
     const sd_fault_tree& tree, double horizon,
-    const simulation_options& options) {
+    const simulation_options& options, thread_pool* pool) {
   require_model(options.runs > 0, "simulator: need at least one run");
 
   // The crude estimator samples run i from the substream keyed by
@@ -23,7 +23,7 @@ simulation_result simulate_failure_probability(
   mc.first_trajectory = options.first_trajectory;
   mc.max_update_sweeps = options.max_update_sweeps;
   const sim::mc_result crude =
-      sim::estimate_failure_probability_mc(tree, horizon, mc);
+      sim::estimate_failure_probability_mc(tree, horizon, mc, pool);
 
   simulation_result out;
   out.runs = options.runs;

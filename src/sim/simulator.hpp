@@ -7,6 +7,8 @@
 
 namespace sdft {
 
+class thread_pool;
+
 /// Options of the Monte-Carlo simulator.
 struct simulation_options {
   std::size_t runs = 100'000;
@@ -53,8 +55,10 @@ struct simulation_result {
 /// The runs are the mc backend's crude campaign
 /// (sim::estimate_failure_probability_mc with mc_method::crude); this
 /// adapter replaces its normal interval by the binomial Wilson interval.
+/// The runs spread over `pool` (null = the calling thread); the failure
+/// count and the interval are bit-identical at any pool size.
 simulation_result simulate_failure_probability(
     const sd_fault_tree& tree, double horizon,
-    const simulation_options& options = {});
+    const simulation_options& options = {}, thread_pool* pool = nullptr);
 
 }  // namespace sdft

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -15,12 +16,27 @@ namespace {
 thread_local const thread_pool* tls_pool = nullptr;
 thread_local std::size_t tls_index = thread_pool::npos;
 
-/// The pool_tally counting batches created on the current thread: the
-/// innermost live tally on a caller's thread, the running job's batch's
-/// tally on a worker.
+/// The innermost live pool_tally on the current thread.
 thread_local pool_tally* tls_tally = nullptr;
 
 }  // namespace
+
+/// One parallel_for call, on its caller's stack: the indices its claim jobs
+/// share and the jobs still running.
+struct thread_pool::claim_loop {
+  claim_loop(std::size_t n, const std::function<void(std::size_t)>& fn,
+             pool_tally* tally, std::size_t jobs)
+      : n(n), fn(fn), tally(tally), running(jobs) {}
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;
+  pool_tally* const tally;  ///< nullptr: counted by the pool only
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  ///< guards running and error
+  std::condition_variable finished;
+  std::size_t running;  ///< claim jobs not yet finished
+  std::exception_ptr error;
+};
 
 double pool_counters::occupancy_since(const pool_counters& before) const {
   std::size_t sum = 0;
@@ -36,17 +52,12 @@ double pool_counters::occupancy_since(const pool_counters& before) const {
          (static_cast<double>(executed.size()) * static_cast<double>(max));
 }
 
-thread_pool::thread_pool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  deques_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    deques_.push_back(std::make_unique<work_deque>());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+thread_pool::thread_pool(std::size_t threads)
+    : executed_(threads != 0
+                    ? threads
+                    : std::max(1u, std::thread::hardware_concurrency())) {
+  workers_.reserve(executed_.size());
+  for (std::size_t i = 0; i < executed_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -66,42 +77,11 @@ std::size_t thread_pool::worker_index() const {
 
 pool_counters thread_pool::counters() const {
   pool_counters out;
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.stolen = stolen_.load(std::memory_order_relaxed);
-  out.executed.reserve(deques_.size());
-  for (const auto& dq : deques_) {
-    out.executed.push_back(dq->executed.load(std::memory_order_relaxed));
+  out.executed.reserve(executed_.size());
+  for (const auto& n : executed_) {
+    out.executed.push_back(n.load(std::memory_order_relaxed));
   }
   return out;
-}
-
-bool thread_pool::try_pop(work_deque& dq, bool steal, job& out) {
-  if (dq.approx_size.load(std::memory_order_relaxed) == 0) return false;
-  std::lock_guard lock(dq.mutex);
-  if (dq.jobs.empty()) return false;
-  if (steal) {
-    out = std::move(dq.jobs.front());
-    dq.jobs.pop_front();
-  } else {
-    out = std::move(dq.jobs.back());
-    dq.jobs.pop_back();
-  }
-  dq.approx_size.store(dq.jobs.size(), std::memory_order_relaxed);
-  queued_.fetch_sub(1);
-  return true;
-}
-
-thread_pool::job thread_pool::take(std::size_t me) {
-  job j;
-  if (try_pop(*deques_[me], /*steal=*/false, j)) return j;
-  const std::size_t n = deques_.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    if (try_pop(*deques_[(me + i) % n], /*steal=*/true, j)) {
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return j;
-    }
-  }
-  return j;  // empty: nothing to run anywhere
 }
 
 void thread_pool::worker_loop(std::size_t me) {
@@ -109,126 +89,73 @@ void thread_pool::worker_loop(std::size_t me) {
   tls_index = me;
   obs::set_thread_label("pool-worker-" + std::to_string(me));
   for (;;) {
-    job j = take(me);
-    if (!j.fn) {
+    claim_loop* loop = nullptr;
+    {
       std::unique_lock lock(mutex_);
-      if (stopping_ && queued_.load() == 0) return;
-      sleepers_.fetch_add(1);
-      work_available_.wait(
-          lock, [this] { return stopping_ || queued_.load() > 0; });
-      sleepers_.fetch_sub(1);
-      if (stopping_ && queued_.load() == 0) return;
-      continue;
+      work_available_.wait(lock,
+                           [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and nothing left to run
+      loop = queue_.front();
+      queue_.pop_front();
     }
-    std::exception_ptr error;
-    tls_tally = j.owner->tally_;
+    claim(*loop, me);
+  }
+}
+
+void thread_pool::claim(claim_loop& loop, std::size_t me) {
+  std::exception_ptr error;
+  std::size_t ran = 1;  // the job itself, then each claimed index
+  for (std::size_t i;
+       (i = loop.next.fetch_add(1, std::memory_order_relaxed)) < loop.n;
+       ++ran) {
     try {
-      j.fn();
+      loop.fn(i);
     } catch (...) {
-      error = std::current_exception();
+      if (!error) error = std::current_exception();
     }
-    tls_tally = nullptr;
-    j.fn = nullptr;  // captures go before the batch can be seen drained
-    count(me, 1, *j.owner);
-    j.owner->finish(std::move(error));
   }
-}
-
-void thread_pool::count(std::size_t me, std::size_t n, const batch& owner) {
-  deques_[me]->executed.fetch_add(n, std::memory_order_relaxed);
-  if (owner.tally_ != nullptr) {
-    owner.tally_->executed_[me].fetch_add(n, std::memory_order_relaxed);
+  executed_[me].fetch_add(ran, std::memory_order_relaxed);
+  if (loop.tally != nullptr) {
+    loop.tally->executed_[me].fetch_add(ran, std::memory_order_relaxed);
   }
-}
-
-thread_pool::batch::batch(thread_pool& pool)
-    : pool_(pool),
-      tally_(tls_tally != nullptr && tls_tally->pool_ == &pool ? tls_tally
-                                                               : nullptr) {}
-
-thread_pool::batch::~batch() {
-  try { wait(); } catch (...) {}  // an unclaimed exception is dropped
-}
-
-void thread_pool::batch::submit(std::function<void()> fn) {
-  pending_.fetch_add(1);
-  const std::size_t me = pool_.worker_index();
-  const std::size_t target =
-      me != npos
-          ? me
-          : pool_.next_deque_.fetch_add(1, std::memory_order_relaxed) %
-                pool_.deques_.size();
-  // queued_ goes up before the push; it may transiently exceed the deques'
-  // contents, which only makes a scanner re-check a deque.
-  pool_.queued_.fetch_add(1);
-  pool_.submitted_.fetch_add(1, std::memory_order_relaxed);
-  work_deque& dq = *pool_.deques_[target];
-  {
-    std::lock_guard lock(dq.mutex);
-    dq.jobs.push_back(job{std::move(fn), this});
-    dq.approx_size.store(dq.jobs.size(), std::memory_order_relaxed);
-  }
-  // Wake a sleeper if there might be one. The seq_cst ordering between the
-  // queued_ increment above and this sleepers_ read pairs with the reverse
-  // order in worker_loop (sleepers_ increment, then queued_ check under
-  // mutex_), so a worker about to sleep either sees the new job or is
-  // notified under the lock.
-  if (pool_.sleepers_.load() > 0) {
-    std::lock_guard lock(pool_.mutex_);
-    pool_.work_available_.notify_one();
-  }
-}
-
-void thread_pool::batch::finish(std::exception_ptr error) {
-  if (error) {
-    std::lock_guard lock(mutex_);
-    if (!first_exception_) first_exception_ = std::move(error);
-  }
-  // Only the job taking the last count (the waiter gave up its own) touches
-  // the batch after its decrement, under mutex_, which the waiter needs.
-  if (pending_.fetch_sub(1) == 1) {
-    std::lock_guard lock(mutex_);
-    drained_flag_ = true;
-    drained_.notify_all();
-  }
-}
-
-void thread_pool::batch::wait() {
-  std::unique_lock lock(mutex_);
-  if (pending_.fetch_sub(1) != 1) {
-    drained_.wait(lock, [this] { return drained_flag_; });
-  }
-  drained_flag_ = false;
-  pending_.store(1);  // the waiter's count again, for reuse
-  if (std::exception_ptr e = std::exchange(first_exception_, nullptr)) {
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
+  // The caller returns, ending `loop`, once it sees running reach 0 under
+  // the lock, so nothing touches `loop` after this block.
+  std::lock_guard lock(loop.mutex);
+  if (error && !loop.error) loop.error = std::move(error);
+  if (--loop.running == 0) loop.finished.notify_one();
 }
 
 void parallel_for(thread_pool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  std::atomic<std::size_t> next{0};
-  thread_pool::batch jobs(pool);
-  // Each job claims indices until none are left, then rethrows the first
-  // exception it caught. The caller only waits: its own allocations stay
-  // independent of scheduling, as with per-index jobs.
-  const auto job = [&] {
-    std::exception_ptr error;
-    std::size_t ran = 0;
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;
-         ++ran) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    pool.count(pool.worker_index(), ran, jobs);
-    if (error) std::rethrow_exception(error);
-  };
-  for (std::size_t k = std::min(n, pool.size()); k > 0; --k) jobs.submit(job);
-  jobs.wait();
+  if (pool.worker_index() != thread_pool::npos) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  if (n == 0) return;
+  // The caller only waits: its own allocations stay independent of
+  // scheduling, as with per-index jobs.
+  const std::size_t jobs = std::min(n, pool.size());
+  thread_pool::claim_loop loop(
+      n, fn,
+      tls_tally != nullptr && tls_tally->pool_ == &pool ? tls_tally : nullptr,
+      jobs);
+  {
+    std::lock_guard lock(pool.mutex_);
+    pool.queue_.insert(pool.queue_.end(), jobs, &loop);
+  }
+  for (std::size_t k = 0; k < jobs; ++k) pool.work_available_.notify_one();
+  std::unique_lock lock(loop.mutex);
+  loop.finished.wait(lock, [&loop] { return loop.running == 0; });
+  if (loop.error) {
+    lock.unlock();
+    std::rethrow_exception(loop.error);
+  }
+}
+
+void parallel_for(thread_pool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && pool->size() > 1) return parallel_for(*pool, n, fn);
+  for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
 pool_tally::pool_tally(const thread_pool* pool)
@@ -250,15 +177,6 @@ double pool_tally::occupancy() const {
     ran.executed.push_back(n.load(std::memory_order_relaxed));
   }
   return ran.occupancy_since(pool_counters{});
-}
-
-void parallel_for(thread_pool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->size() > 1 &&
-      pool->worker_index() == thread_pool::npos) {
-    return parallel_for(*pool, n, fn);
-  }
-  for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace sdft

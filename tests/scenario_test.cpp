@@ -713,20 +713,26 @@ gate_cutset_lists engine_gate_lists(const event_tree& et, double cutoff) {
 }
 
 /// recombine_sequence_cutsets() must return the reference loop's lists —
-/// every set, in order — at every thread count.
+/// every set, in order — and the serial walk's counters at every thread
+/// count.
 void expect_matches_reference(const event_tree& et,
                               const gate_cutset_lists& lists, double cutoff,
                               const std::string& label) {
   const auto expected = testing::reference_sequence_cutsets(et, lists, cutoff);
+  const sequence_cutsets serial =
+      recombine_sequence_cutsets(et, lists, cutoff, nullptr);
   thread_pool pool2(2);
   thread_pool pool8(8);
   for (thread_pool* pool :
        {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
     const sequence_cutsets got =
         recombine_sequence_cutsets(et, lists, cutoff, pool);
-    EXPECT_EQ(got.lists, expected)
-        << label << " cutoff " << cutoff << " threads "
-        << (pool != nullptr ? pool->size() : 1);
+    const std::string at = label + " cutoff " + std::to_string(cutoff) +
+                           " threads " +
+                           std::to_string(pool != nullptr ? pool->size() : 1);
+    EXPECT_EQ(got.lists, expected) << at;
+    EXPECT_EQ(got.prefixes, serial.prefixes) << at;
+    EXPECT_EQ(got.candidates, serial.candidates) << at;
   }
 }
 
@@ -811,10 +817,13 @@ TEST(ScenarioRecombination, CountersShowPrefixSharing) {
 }
 
 /// A scenario whose functional event k fails an OR gate over
-/// `gate_sizes[fe_gates[k]]` fresh basic events (p = 1e-3); one sequence,
-/// every branch failed. The engine runs at cutoff 0.
+/// `gate_sizes[fe_gates[k]]` fresh basic events (p = 1e-3). Each string of
+/// `sequences` is one sequence's outcomes, 'F' failure and 'S' success per
+/// functional event; by default one sequence with every branch failed. The
+/// engine runs at cutoff 0.
 scenario_model or_gate_scenario(const std::vector<std::size_t>& gate_sizes,
-                                const std::vector<std::size_t>& fe_gates) {
+                                const std::vector<std::size_t>& fe_gates,
+                                const std::vector<std::string>& sequences = {}) {
   sd_fault_tree tree;
   tree.add_static_event("IE", 1e-2);
   std::vector<node_index> gates;
@@ -831,15 +840,39 @@ scenario_model or_gate_scenario(const std::vector<std::size_t>& gate_sizes,
   scenario_description sc;
   sc.name = "GUARD";
   sc.initiating_event = "IE";
-  scenario_description::sequence seq;
   for (std::size_t k = 0; k < fe_gates.size(); ++k) {
     sc.functional.push_back(
         {"F" + std::to_string(k), "G" + std::to_string(fe_gates[k])});
-    seq.outcomes.push_back(branch_outcome::failure);
   }
-  seq.end_state = "CD";
-  sc.sequences.push_back(std::move(seq));
+  for (const std::string& pattern :
+       sequences.empty() ? std::vector<std::string>{std::string(
+                               fe_gates.size(), 'F')}
+                         : sequences) {
+    scenario_description::sequence seq;
+    for (char c : pattern) {
+      seq.outcomes.push_back(c == 'F' ? branch_outcome::failure
+                                      : branch_outcome::success);
+    }
+    seq.end_state = "CD";
+    sc.sequences.push_back(std::move(seq));
+  }
   return {std::move(tree), std::move(sc)};
+}
+
+/// Each gate Gg of an or_gate_scenario() tree's single-event cutsets, in
+/// canonical order.
+gate_cutset_lists or_gate_lists(const fault_tree& ft,
+                                const std::vector<std::size_t>& gate_sizes) {
+  gate_cutset_lists lists;
+  for (std::size_t g = 0; g < gate_sizes.size(); ++g) {
+    std::vector<cutset>& list = lists[ft.find("G" + std::to_string(g))];
+    for (std::size_t k = 0; k < gate_sizes[g]; ++k) {
+      list.push_back({ft.find("G" + std::to_string(g) + "_E" +
+                              std::to_string(k))});
+    }
+    std::sort(list.begin(), list.end());
+  }
+  return lists;
 }
 
 TEST(ScenarioRecombination, GuardRejectsOversizedProducts) {
@@ -856,6 +889,36 @@ TEST(ScenarioRecombination, GuardRejectsOversizedProducts) {
   }
 }
 
+TEST(ScenarioRecombination, GuardNamesTheLowestTrippingSequence) {
+  // Two sequences trip in different subtrees of the trie: sequence 1 under
+  // the failed F0 branch, which the serial walk extends first, and
+  // sequence 0 under the succeeded one. Sequence 2 stays small. Every pool
+  // size names sequence 0.
+  const std::vector<std::size_t> sizes{1025, 1025, 1025};
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  const scenario_engine engine(
+      or_gate_scenario(sizes, {0, 1, 2}, {"SFF", "FFS", "SSF"}), opts);
+  const event_tree& et = engine.compiled_event_tree();
+  const gate_cutset_lists lists = or_gate_lists(et.ft(), sizes);
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  for (thread_pool* pool :
+       {static_cast<thread_pool*>(nullptr), &pool2, &pool8}) {
+    const std::string at =
+        "threads " + std::to_string(pool != nullptr ? pool->size() : 1);
+    try {
+      (void)recombine_sequence_cutsets(et, lists, 0.0, pool);
+      ADD_FAILURE() << "expected the recombination guard to trip, " << at;
+    } catch (const model_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "sequence 0 recombines to more than 1048576"),
+                std::string::npos)
+          << e.what() << ", " << at;
+    }
+  }
+}
+
 TEST(ScenarioRecombination, GuardCountsMinimisedPrefixes) {
   // The same 1,000-event OR twice, then a 2-event OR: the second step
   // builds 10^6 sets that minimise back to 1,000, so the third step stays
@@ -865,17 +928,8 @@ TEST(ScenarioRecombination, GuardCountsMinimisedPrefixes) {
   const scenario_engine engine(m, {});
   const event_tree& et = engine.compiled_event_tree();
   const fault_tree& ft = et.ft();
-  gate_cutset_lists lists;
+  const gate_cutset_lists lists = or_gate_lists(ft, {1000, 2});
   std::vector<cutset> expected;
-  for (std::size_t g = 0; g < 2; ++g) {
-    const std::size_t size = g == 0 ? 1000 : 2;
-    std::vector<cutset>& list = lists[ft.find("G" + std::to_string(g))];
-    for (std::size_t k = 0; k < size; ++k) {
-      list.push_back({ft.find("G" + std::to_string(g) + "_E" +
-                              std::to_string(k))});
-    }
-    std::sort(list.begin(), list.end());
-  }
   for (const cutset& a : lists.at(ft.find("G0"))) {
     for (const cutset& b : lists.at(ft.find("G1"))) {
       cutset c{et.initiating_event(), a[0], b[0]};

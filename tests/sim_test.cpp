@@ -14,6 +14,7 @@
 #include "sim/trajectory.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdft {
 namespace {
@@ -201,6 +202,31 @@ TEST(Simulator, StreamAdditivityAcrossCampaigns) {
       simulate_failure_probability(tree, 12.0, opts);
   EXPECT_EQ(first.failures + second.failures, whole.failures);
   EXPECT_NE(first.failures, second.failures);  // the halves truly differ
+}
+
+TEST(Simulator, PoolSizeDoesNotChangeTheCampaign) {
+  // The runs spread over the pool in batches, but every run draws from its
+  // own substream and the failures add up in batch order: the count and
+  // the Wilson interval are bit-identical with no pool, 2 and 8 workers.
+  const sd_fault_tree tree = testing::example3_sd(0.05, 0.2);
+  simulation_options opts;
+  opts.runs = 10'000;  // three mc batches
+  opts.seed = 5;
+  opts.first_trajectory = 123;
+  const simulation_result serial =
+      simulate_failure_probability(tree, 12.0, opts);
+  ASSERT_GT(serial.failures, 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    thread_pool pool(threads);
+    const simulation_result r =
+        simulate_failure_probability(tree, 12.0, opts, &pool);
+    EXPECT_EQ(r.failures, serial.failures) << threads;
+    EXPECT_EQ(r.runs, serial.runs) << threads;
+    EXPECT_EQ(r.estimate, serial.estimate) << threads;
+    EXPECT_EQ(r.std_error, serial.std_error) << threads;
+    EXPECT_EQ(r.ci_low, serial.ci_low) << threads;
+    EXPECT_EQ(r.ci_high, serial.ci_high) << threads;
+  }
 }
 
 TEST(Simulator, TrajectorySubstreamsAreDecorrelated) {

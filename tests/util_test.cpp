@@ -156,17 +156,6 @@ TEST(SortedSet, BinaryOperations) {
   EXPECT_EQ(sorted_set::set_difference(a, b), (std::vector<int>{1}));
 }
 
-TEST(ThreadPool, RunsAllJobs) {
-  thread_pool pool(4);
-  thread_pool::batch jobs(pool);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    jobs.submit([&count] { count.fetch_add(1); });
-  }
-  jobs.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   thread_pool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -178,28 +167,34 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 TEST(ThreadPool, ParallelForEmptyIsNoop) {
   thread_pool pool(2);
   parallel_for(pool, 0, [](std::size_t) { FAIL(); });
+  EXPECT_EQ(pool.counters().executed, (std::vector<std::size_t>{0, 0}));
 }
 
-TEST(ThreadPool, ParallelForSubmitsOneJobPerWorker) {
-  // The claim loop: at most min(n, size()) jobs, each claiming indices
-  // from a shared counter; a worker's executed counts its job and its
-  // indices.
+/// Jobs plus claimed indices the pool ran since `before`.
+std::size_t executed_since(const thread_pool& pool,
+                           const pool_counters& before) {
+  const pool_counters after = pool.counters();
+  std::size_t executed = 0;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    executed += after.executed[w] - before.executed[w];
+  }
+  return executed;
+}
+
+TEST(ThreadPool, ParallelForRunsOneJobPerWorker) {
+  // The claim loop: min(n, size()) jobs, each claiming indices from a
+  // shared counter; a worker's executed counts its job and its indices.
   thread_pool pool(3);
   const pool_counters before = pool.counters();
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(pool, hits.size(),
                [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  const pool_counters after = pool.counters();
-  EXPECT_EQ(after.submitted - before.submitted, 3u);
-  std::size_t executed = 0;
-  for (std::size_t w = 0; w < pool.size(); ++w) {
-    executed += after.executed[w] - before.executed[w];
-  }
-  EXPECT_EQ(executed, hits.size() + 3);
+  EXPECT_EQ(executed_since(pool, before), hits.size() + 3);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 
+  const pool_counters after = pool.counters();
   parallel_for(pool, 2, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  EXPECT_EQ(pool.counters().submitted - after.submitted, 2u);
+  EXPECT_EQ(executed_since(pool, after), 2u + 2u);
 }
 
 TEST(ThreadPool, ParallelForOnNullOrOneWorkerPoolRunsInline) {
@@ -213,83 +208,33 @@ TEST(ThreadPool, ParallelForOnNullOrOneWorkerPoolRunsInline) {
     });
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   }
-  EXPECT_EQ(single.counters().submitted, 0u);
+  EXPECT_EQ(single.counters().executed, (std::vector<std::size_t>{0}));
 }
 
 TEST(ThreadPool, ParallelForFromOwnWorkerRunsInline) {
-  // A job of the pool that calls parallel_for on the same pool must not
+  // An index of the pool that calls parallel_for on the same pool must not
   // block its worker waiting for jobs that need that worker: the inner
-  // loop runs in order on that worker and submits nothing.
+  // loop runs in order on that worker and queues nothing.
   thread_pool pool(2);
   std::vector<std::atomic<int>> hits(64);
   const pool_counters before = pool.counters();
-  {
-    thread_pool::batch jobs(pool);
-    for (std::size_t outer = 0; outer < 4; ++outer) {
-      jobs.submit([&pool, &hits, outer] {
-        const std::size_t me = pool.worker_index();
-        ASSERT_LT(me, pool.size());
-        std::vector<std::size_t> order;
-        parallel_for(&pool, 16, [&](std::size_t inner) {
-          EXPECT_EQ(pool.worker_index(), me);
-          order.push_back(inner);
-          hits[outer * 16 + inner].fetch_add(1);
-        });
-        EXPECT_EQ(order.size(), 16u);
-        EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  parallel_for(pool, 4, [&pool, &hits](std::size_t outer) {
+    const std::size_t me = pool.worker_index();
+    ASSERT_LT(me, pool.size());
+    for (thread_pool* inner_pool : {&pool, static_cast<thread_pool*>(nullptr)}) {
+      std::vector<std::size_t> order;
+      parallel_for(inner_pool, 8, [&](std::size_t inner) {
+        EXPECT_EQ(pool.worker_index(), me);
+        order.push_back(inner);
+        hits[outer * 16 + (inner_pool != nullptr ? 0 : 8) + inner].fetch_add(1);
       });
+      EXPECT_EQ(order.size(), 8u);
+      EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
     }
-    jobs.wait();
-  }
-  EXPECT_EQ(pool.counters().submitted - before.submitted, 4u);
+  });
+  // Two outer jobs and their four indices; the inner loops add nothing.
+  EXPECT_EQ(executed_since(pool, before), 2u + 4u);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, WaitRethrowsFirstJobException) {
-  thread_pool pool(2);
-  thread_pool::batch jobs(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) {
-    jobs.submit([&ran, i] {
-      ran.fetch_add(1);
-      if (i % 5 == 0) throw std::runtime_error("job failed");
-    });
-  }
-  EXPECT_THROW(jobs.wait(), std::runtime_error);
-  // Every job ran despite the failures — the batch drains, it doesn't stop.
-  EXPECT_EQ(ran.load(), 20);
-}
-
-TEST(ThreadPool, UsableAfterRethrow) {
-  thread_pool pool(2);
-  thread_pool::batch jobs(pool);
-  jobs.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(jobs.wait(), std::runtime_error);
-  // The exception was claimed; the batch and its pool accept and run new
-  // jobs.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) jobs.submit([&count] { count.fetch_add(1); });
-  EXPECT_NO_THROW(jobs.wait());
-  EXPECT_EQ(count.load(), 10);
-  thread_pool::batch next(pool);
-  for (int i = 0; i < 10; ++i) next.submit([&count] { count.fetch_add(1); });
-  EXPECT_NO_THROW(next.wait());
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, UnclaimedExceptionDoesNotTerminate) {
-  // An exception never collected by wait() must be dropped by the batch's
-  // destructor (which still waits for the job), not terminate the process.
-  thread_pool pool(1);
-  std::atomic<bool> ran{false};
-  {
-    thread_pool::batch jobs(pool);
-    jobs.submit([&ran] {
-      ran = true;
-      throw std::runtime_error("dropped");
-    });
-  }
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
@@ -302,6 +247,10 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                             }),
                std::runtime_error);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The pool runs the next call as usual.
+  parallel_for(pool, hits.size(),
+               [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 2);
 }
 
 TEST(ThreadPool, ParallelForFewerItemsThanWorkers) {
@@ -325,61 +274,44 @@ TEST(ThreadPool, ParallelForExceptionFromFirstChunk) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, SubmitFromWorkerJob) {
-  // Jobs submitted from inside a worker land on that worker's own deque;
-  // wait() must still cover the batch's whole transitive job tree.
-  thread_pool pool(4);
-  thread_pool::batch jobs(pool);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    jobs.submit([&jobs, &count] {
-      for (int j = 0; j < 16; ++j) {
-        jobs.submit([&count] { count.fetch_add(1); });
-      }
-    });
-  }
-  jobs.wait();
-  EXPECT_EQ(count.load(), 8 * 16);
-}
-
-TEST(ThreadPool, ConcurrentBatchesAreIsolated) {
-  // Two external threads share one pool. A's job throws and A has a long
-  // job still running: only A's wait() throws, and B's wait() returns
-  // while A's long job is still running.
+TEST(ThreadPool, ConcurrentParallelForsAreIsolated) {
+  // Two external threads share one pool. A's index 0 throws and its index
+  // 1 runs until released: only A's call throws, and B's call returns,
+  // every index run, while A's long index is still running.
   thread_pool pool(3);
   std::atomic<bool> release_a{false};
   std::atomic<bool> a_long_started{false};
   std::atomic<bool> a_long_done{false};
-  std::atomic<bool> b_done{false};
   bool a_threw = false;
 
   std::thread a([&] {
-    thread_pool::batch jobs(pool);
-    jobs.submit([&] {
-      a_long_started = true;
-      while (!release_a.load()) std::this_thread::yield();
-      a_long_done = true;
-    });
-    jobs.submit([] { throw std::runtime_error("batch A"); });
     try {
-      jobs.wait();
+      parallel_for(pool, 2, [&](std::size_t i) {
+        if (i == 0) throw std::runtime_error("caller A");
+        a_long_started = true;
+        while (!release_a.load()) std::this_thread::yield();
+        a_long_done = true;
+      });
     } catch (const std::runtime_error&) {
       a_threw = true;
     }
   });
   while (!a_long_started.load()) std::this_thread::yield();
 
+  std::vector<std::atomic<int>> hits(50);
+  bool b_threw = false;
   std::thread b([&] {
-    thread_pool::batch jobs(pool);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 50; ++i) jobs.submit([&count] { count.fetch_add(1); });
-    EXPECT_NO_THROW(jobs.wait());
-    EXPECT_EQ(count.load(), 50);
+    try {
+      parallel_for(pool, hits.size(),
+                   [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    } catch (...) {
+      b_threw = true;
+    }
     EXPECT_FALSE(a_long_done.load());
-    b_done = true;
   });
   b.join();
-  EXPECT_TRUE(b_done.load());
+  EXPECT_FALSE(b_threw);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   release_a = true;
   a.join();
   EXPECT_TRUE(a_threw);
@@ -402,42 +334,17 @@ TEST(ThreadPool, WorkerIndexIdentifiesWorkers) {
   for (std::size_t w : seen) EXPECT_LT(w, pool.size());
 }
 
-TEST(ThreadPool, CountersTrackSubmissionsAndExecutions) {
+TEST(ThreadPool, CountersTrackExecutions) {
   thread_pool pool(2);
   const pool_counters before = pool.counters();
-  thread_pool::batch jobs(pool);
   std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) jobs.submit([&count] { count.fetch_add(1); });
-  jobs.wait();
+  parallel_for(pool, 50, [&count](std::size_t) { count.fetch_add(1); });
   const pool_counters after = pool.counters();
-  EXPECT_EQ(after.submitted - before.submitted, 50u);
+  EXPECT_EQ(count.load(), 50);
   ASSERT_EQ(after.executed.size(), pool.size());
-  std::size_t executed = 0;
-  for (std::size_t i = 0; i < after.executed.size(); ++i) {
-    executed += after.executed[i] - before.executed[i];
-  }
-  EXPECT_EQ(executed, 50u);
+  EXPECT_EQ(executed_since(pool, before), 50u + 2u);
   EXPECT_GT(after.occupancy_since(before), 0.0);
   EXPECT_LE(after.occupancy_since(before), 1.0);
-}
-
-TEST(ThreadPool, ChildJobsAreStolenFromBusyWorker) {
-  // The parent job parks on its worker and spins until both children have
-  // run. The children sit on the parent's own deque, so the only way they
-  // can ever run is another worker stealing them — this deadlocks (and
-  // times out) if stealing is broken.
-  thread_pool pool(4);
-  thread_pool::batch jobs(pool);
-  std::atomic<int> done{0};
-  jobs.submit([&jobs, &done] {
-    for (int i = 0; i < 2; ++i) {
-      jobs.submit([&done] { done.fetch_add(1); });
-    }
-    while (done.load() < 2) std::this_thread::yield();
-  });
-  jobs.wait();
-  EXPECT_EQ(done.load(), 2);
-  EXPECT_GE(pool.counters().stolen, 2u);
 }
 
 TEST(PoolTally, CountsOnlyItsOwnCallersWork) {
@@ -477,7 +384,7 @@ TEST(PoolTally, CountsOnlyItsOwnCallersWork) {
   EXPECT_EQ(executed, expected_total);
 }
 
-TEST(PoolTally, InnermostTallyCountsAndJobsInheritIt) {
+TEST(PoolTally, InnermostTallyCounts) {
   thread_pool pool(2);
   thread_pool other(2);
   const pool_tally outer(&pool);
@@ -487,16 +394,11 @@ TEST(PoolTally, InnermostTallyCountsAndJobsInheritIt) {
     EXPECT_EQ(inner.executed(), 12u);
   }
   EXPECT_EQ(outer.executed(), 0u);
-  // A batch's jobs count, and so do the jobs they submit to it.
-  {
-    thread_pool::batch jobs(pool);
-    jobs.submit([&jobs] { jobs.submit([] {}); });
-    jobs.wait();
-  }
-  EXPECT_EQ(outer.executed(), 2u);
+  parallel_for(pool, 10, [](std::size_t) {});
+  EXPECT_EQ(outer.executed(), 12u);
   // Work on another pool is not this tally's.
   parallel_for(other, 10, [](std::size_t) {});
-  EXPECT_EQ(outer.executed(), 2u);
+  EXPECT_EQ(outer.executed(), 12u);
   // Nor is work under a tally of no pool.
   {
     const pool_tally none(nullptr);
@@ -504,7 +406,7 @@ TEST(PoolTally, InnermostTallyCountsAndJobsInheritIt) {
     EXPECT_EQ(none.executed(), 0u);
     EXPECT_EQ(none.occupancy(), 0.0);
   }
-  EXPECT_EQ(outer.executed(), 2u);
+  EXPECT_EQ(outer.executed(), 12u);
 }
 
 TEST(RequireModel, BuildsItsMessageOnlyWhenTheCheckFails) {

@@ -50,6 +50,7 @@
 #include <cstring>
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -76,6 +77,7 @@
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -611,8 +613,11 @@ int cmd_simulate(const cli_options& opt) {
   simulation_options sopts;
   sopts.runs = opt.runs;
   sopts.seed = opt.seed;
-  const simulation_result r =
-      simulate_failure_probability(tree, opt.horizon, sopts);
+  // The same pool the engine builds from --threads (none at 1 thread).
+  std::optional<thread_pool> pool;
+  if (opt.threads != 1) pool.emplace(opt.threads);
+  const simulation_result r = simulate_failure_probability(
+      tree, opt.horizon, sopts, pool ? &*pool : nullptr);
   std::printf("simulated failure probability: %s  [horizon %gh]\n",
               sci(r.estimate).c_str(), opt.horizon);
   std::printf("95%% CI: [%s, %s]  (%zu failures in %zu runs)\n",
