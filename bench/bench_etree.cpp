@@ -8,9 +8,10 @@
 // sequences, every functional event demanded in every sequence), then
 // measures:
 //
-//   A  one pass: scenario_engine compiles every gate once into one shared
-//      multi-root BDD and batch-quantifies all sequences and end states
-//      (construction + run(), cutset column off — both sides BDD-exact).
+//   A  one pass: scenario_engine compiles every sequence as memoised suffix
+//      products, in partitions by the last functional events on its pool,
+//      and batch-quantifies all sequences and end states (construction +
+//      run(), cutset column off — both sides BDD-exact).
 //   B  one-shot: sequence_probability_exact per sequence, each call
 //      compiling its own event_tree_bdd from scratch — the workload a
 //      per-sequence analysis loop pays today.
@@ -22,7 +23,8 @@
 // train's first demand failure; one sweep of the frozen plan per sample)
 // and asserts the bands are bit-identical at 1 and N threads. Writes the
 // measurements as JSON (default BENCH_etree.json) for CI archival;
-// `obs_check bench-etree` asserts the >= 3x acceptance threshold on it.
+// `obs_check bench-etree` asserts the >= 3x acceptance threshold and the
+// compile's node ratio (BDD nodes <= 1.25x plan nodes) on it.
 
 #include <cstdio>
 #include <cstdlib>
@@ -199,10 +201,12 @@ int main(int argc, char** argv) {
     const bool bit_identical = a_probs == b_probs;
     const double speedup =
         one_pass_seconds > 0.0 ? one_shot_seconds / one_pass_seconds : 0.0;
-    std::printf("one pass %.4fs (%zu gates compiled, %zu prefix hits, %zu "
-                "BDD nodes), one-shots %.4fs, speedup %.1fx, %s, %s\n",
+    std::printf("one pass %.4fs (%zu gates compiled, %zu suffix hits, %zu "
+                "BDD nodes, %zu plan nodes), one-shots %.4fs, speedup %.1fx, "
+                "%s, %s\n",
                 one_pass_seconds, a.stats.scenario_gates_compiled,
                 a.stats.scenario_prefix_hits, a.stats.scenario_bdd_nodes,
+                a.stats.scenario_plan_nodes,
                 one_shot_seconds, speedup,
                 bit_identical ? "bit-identical" : "MISMATCH",
                 thread_identical ? "thread-identical" : "THREAD MISMATCH");

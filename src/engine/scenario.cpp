@@ -316,27 +316,24 @@ scenario_engine::scenario_engine(scenario_model model, scenario_options options)
   for (const auto& s : sc.sequences) et_->add_sequence(s.outcomes, s.end_state);
   et_->validate();
 
-  // One shared multi-root compilation of every root, frozen into one
-  // evaluation plan that run()/evaluate_points() only read. The compiler's
-  // hash tables go before the plan is built (freeze() releases them
-  // first), so the plan never adds to the compile-time memory peak.
-  {
-    event_tree_bdd compiled(*et_);
-    std::vector<bdd_ref> roots;
-    roots.reserve(et_->num_sequences());
-    for (std::size_t s = 0; s < et_->num_sequences(); ++s) {
-      roots.push_back(compiled.sequence(s));
-      const std::string& es = et_->end_state(s);
-      if (std::find(es_names_.begin(), es_names_.end(), es) ==
-          es_names_.end()) {
-        es_names_.push_back(es);
-      }
+  // Every sequence and end-state root, compiled in independent jobs on the
+  // pool (suffix partitions plus one end-state job) into one evaluation
+  // plan that run()/evaluate_points() only read. Each job frees its
+  // manager's hash tables before building its plan, so the plans never
+  // add to a job's memory peak.
+  for (std::size_t s = 0; s < et_->num_sequences(); ++s) {
+    const std::string& es = et_->end_state(s);
+    if (std::find(es_names_.begin(), es_names_.end(), es) == es_names_.end()) {
+      es_names_.push_back(es);
     }
-    for (const auto& es : es_names_) roots.push_back(compiled.end_state(es));
-    bdd_nodes_ = compiled.nodes();
-    gates_compiled_ = compiled.gates_compiled();
-    prefix_hits_ = compiled.prefix_hits();
-    plan_ = std::move(compiled).freeze(roots);
+  }
+  {
+    event_tree_compilation compiled =
+        compile_event_tree(*et_, es_names_, engine_.pool(options_.analysis));
+    bdd_nodes_ = compiled.bdd_nodes;
+    gates_compiled_ = compiled.gates_compiled;
+    suffix_hits_ = compiled.suffix_hits;
+    plan_ = std::move(compiled.plan);
   }
 
   base_expanded_probs_ = expanded_probs(original_probs());
@@ -430,7 +427,7 @@ scenario_result scenario_engine::run(std::size_t uq_samples,
   stats.scenario_bdd_nodes = bdd_nodes_;
   stats.scenario_plan_nodes = plan_.nodes();
   stats.scenario_gates_compiled = gates_compiled_;
-  stats.scenario_prefix_hits = prefix_hits_;
+  stats.scenario_prefix_hits = suffix_hits_;
   stats.ccf_groups = model_.scenario.ccf.size();
   stats.ccf_events_added = expanded_.events_added;
   stats.ccf_members_expanded = expanded_.members_expanded;

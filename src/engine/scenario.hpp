@@ -93,10 +93,11 @@ struct scenario_point_result {
 /// One-pass event-tree scenario engine. Construction compiles the model:
 /// CCF groups are expanded (traced, so parameter draws re-derive every
 /// CCF probability exactly), the event tree is re-anchored on the
-/// expanded tree, and every functional-event gate is compiled exactly
-/// once into one shared multi-root BDD with prefix-product sharing across
-/// sequences. The sequence and end-state roots are then frozen into one
-/// evaluation plan and the compiler (manager, tables, memos) is dropped.
+/// expanded tree, and every sequence and end-state root is compiled by
+/// compile_event_tree(): sequences bottom-up as memoised suffix products,
+/// split by their last functional events into jobs that run on the inner
+/// engine's pool, end states in one more job. Each job freezes its roots
+/// into its own plan and drops its compiler (manager, tables, memos).
 /// Each probability vector — run()'s base point, every UQ sample, every
 /// evaluate_points() point — is one forward sweep of that plan; samples
 /// and points run through parallel_for on the inner engine's pool with
@@ -162,10 +163,10 @@ class scenario_engine {
   event_tree_plan plan_;
   std::vector<double> base_expanded_probs_;
 
-  /// Counters of the discarded compiler, read before freezing.
+  /// Counters of the discarded compilers, read before freezing.
   std::size_t bdd_nodes_ = 0;
   std::size_t gates_compiled_ = 0;
-  std::size_t prefix_hits_ = 0;
+  std::size_t suffix_hits_ = 0;
 
   /// Distributions resolved to original-tree node indices.
   std::vector<std::pair<node_index, parameter_distribution>> dists_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdft {
 
@@ -73,31 +75,32 @@ event_tree_bdd::event_tree_bdd(const event_tree& et)
 
 bdd_ref event_tree_bdd::sequence(std::size_t s) {
   require_model(s < et_.num_sequences(), "event_tree: sequence out of range");
-  bdd_ref f = compiler_.compile(et_.initiating_event());
   const auto& outcomes = et_.sequence_outcomes(s);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+  bdd_ref f = manager_.one();
+  for (std::size_t i = outcomes.size(); i-- > 0;) {
     if (outcomes[i] == branch_outcome::bypass) continue;
-    // Prefix-product cache: sequences sharing (partial product, demanded
+    // Suffix-product cache: sequences sharing (suffix product, demanded
     // event, outcome) reuse the product instead of re-running the BDD
     // apply. Key packs (ref, event index, outcome) into 64 bits.
     const std::uint64_t key = static_cast<std::uint64_t>(f) |
                               (static_cast<std::uint64_t>(i) << 32) |
                               (static_cast<std::uint64_t>(outcomes[i]) << 56);
-    auto it = prefix_.find(key);
-    if (it != prefix_.end()) {
-      ++prefix_hits_;
+    auto it = suffix_.find(key);
+    if (it != suffix_.end()) {
+      ++suffix_hits_;
       f = it->second;
       continue;
     }
     const bdd_ref gate = compiler_.compile(et_.functional_gate(i));
     const bdd_ref next =
-        manager_.bdd_and(f, outcomes[i] == branch_outcome::failure
-                                ? gate
-                                : manager_.bdd_not(gate));
-    prefix_.emplace(key, next);
+        manager_.bdd_and(outcomes[i] == branch_outcome::failure
+                             ? gate
+                             : manager_.bdd_not(gate),
+                         f);
+    suffix_.emplace(key, next);
     f = next;
   }
-  return f;
+  return manager_.bdd_and(compiler_.compile(et_.initiating_event()), f);
 }
 
 bdd_ref event_tree_bdd::end_state(const std::string& end_state) {
@@ -140,12 +143,9 @@ double event_tree_bdd::probability(bdd_ref f) const {
   return manager_.probability(f, probs);
 }
 
-event_tree_plan event_tree_bdd::freeze(const std::vector<bdd_ref>& roots) && {
-  prefix_ = {};
-  event_tree_plan out;
-  out.plan_ = std::move(manager_).freeze(roots);
-  out.var_to_event_ = std::move(var_to_event_);
-  return out;
+bdd_plan event_tree_bdd::freeze(const std::vector<bdd_ref>& roots) && {
+  suffix_ = {};
+  return std::move(manager_).freeze(roots);
 }
 
 void event_tree_plan::evaluate(const std::vector<double>& node_probs,
@@ -157,7 +157,115 @@ void event_tree_plan::evaluate(const std::vector<double>& node_probs,
                   "event_tree: probability vector does not cover the tree");
     probs[v] = node_probs[n];
   }
-  plan_.evaluate(probs, out);
+  out.resize(num_roots_);
+  std::vector<double> values;
+  for (const part& p : parts_) {
+    p.plan.evaluate(probs, values);
+    for (std::size_t r = 0; r < values.size(); ++r) out[p.slots[r]] = values[r];
+  }
+}
+
+std::size_t event_tree_plan::nodes() const {
+  std::size_t n = 0;
+  for (const part& p : parts_) n += p.plan.size();
+  return n;
+}
+
+namespace {
+/// Depth of the sequence split: fixed by the tree, never by the pool.
+constexpr std::size_t split_depth = 3;
+
+/// Sequence indices grouped by the outcomes of their last
+/// min(#FE, split_depth) functional events, groups in lexicographic order
+/// of those outcomes, each group ascending. Every suffix product starts
+/// with those outcomes, so two groups never look up the same memo entry.
+std::vector<std::vector<std::size_t>> suffix_partitions(const event_tree& et) {
+  const std::size_t depth =
+      std::min(et.num_functional_events(), split_depth);
+  std::map<std::vector<branch_outcome>, std::vector<std::size_t>> groups;
+  for (std::size_t s = 0; s < et.num_sequences(); ++s) {
+    const auto& outcomes = et.sequence_outcomes(s);
+    groups[{outcomes.end() - static_cast<std::ptrdiff_t>(depth),
+            outcomes.end()}]
+        .push_back(s);
+  }
+  std::vector<std::vector<std::size_t>> out;
+  out.reserve(groups.size());
+  for (auto& [tail, seqs] : groups) out.push_back(std::move(seqs));
+  return out;
+}
+
+/// Gates under the functional events some sequence demands: what one
+/// shared ft_compiler lowers for every sequence root (end states lower a
+/// subset), however many jobs each lower their own copy.
+std::size_t demanded_gates(const event_tree& et) {
+  const fault_tree& ft = et.ft();
+  std::vector<bool> seen(ft.size(), false);
+  std::vector<node_index> stack;
+  for (std::size_t i = 0; i < et.num_functional_events(); ++i) {
+    for (std::size_t s = 0; s < et.num_sequences(); ++s) {
+      if (et.sequence_outcomes(s)[i] != branch_outcome::bypass) {
+        stack.push_back(et.functional_gate(i));
+        break;
+      }
+    }
+  }
+  std::size_t gates = 0;
+  while (!stack.empty()) {
+    const node_index n = stack.back();
+    stack.pop_back();
+    if (seen[n] || ft.is_basic(n)) continue;
+    seen[n] = true;
+    ++gates;
+    for (node_index child : ft.node(n).inputs) stack.push_back(child);
+  }
+  return gates;
+}
+}  // namespace
+
+event_tree_compilation compile_event_tree(
+    const event_tree& et, const std::vector<std::string>& end_states,
+    thread_pool* pool) {
+  et.validate();
+  event_tree_compilation out;
+  const std::vector<std::vector<std::size_t>> partitions =
+      suffix_partitions(et);
+  const std::size_t jobs = partitions.size() + (end_states.empty() ? 0 : 1);
+  struct job_result {
+    std::size_t nodes = 0;
+    std::size_t suffix_hits = 0;
+  };
+  std::vector<job_result> results(jobs);
+  std::vector<event_tree_plan::part> parts(jobs);
+  // Each job compiles in its own manager and freezes its plan before it
+  // returns, so at most one manager per worker is resident at a time.
+  parallel_for(pool, jobs, [&](std::size_t j) {
+    event_tree_bdd compiled(et);
+    std::vector<bdd_ref> roots;
+    std::vector<std::size_t>& slots = parts[j].slots;
+    if (j < partitions.size()) {
+      for (std::size_t s : partitions[j]) {
+        roots.push_back(compiled.sequence(s));
+        slots.push_back(s);
+      }
+    } else {
+      for (std::size_t e = 0; e < end_states.size(); ++e) {
+        roots.push_back(compiled.end_state(end_states[e]));
+        slots.push_back(et.num_sequences() + e);
+      }
+    }
+    results[j] = {compiled.nodes(), compiled.suffix_hits()};
+    parts[j].plan = std::move(compiled).freeze(roots);
+  });
+  for (const job_result& r : results) {
+    out.bdd_nodes += r.nodes;
+    out.suffix_hits += r.suffix_hits;
+  }
+  out.gates_compiled = demanded_gates(et);
+  out.plan.parts_ = std::move(parts);
+  out.plan.var_to_event_ = variable_order(et);
+  out.plan.num_roots_ = et.num_sequences() + end_states.size();
+  return out;
 }
 
 double sequence_probability_exact(const event_tree& et, std::size_t s) {

@@ -84,43 +84,62 @@ class event_tree {
   std::vector<sequence> sequences_;
 };
 
-/// The frozen form of an event tree's compiled roots (see
-/// event_tree_bdd::freeze): the bdd_plan over those roots plus the
-/// variable -> basic-event map it reads node probabilities through.
-/// Immutable once built; evaluate() is const and thread-safe.
+class thread_pool;
+struct event_tree_compilation;
+
+/// The frozen form of an event tree's compiled roots (compile_event_tree):
+/// one bdd_plan per compilation job, each with the root slots it fills, plus
+/// the variable -> basic-event map every plan reads node probabilities
+/// through (all jobs share one variable order). Immutable once built;
+/// evaluate() is const and thread-safe.
 class event_tree_plan {
  public:
-  /// Writes the probability of every frozen root, in freeze() order, with
-  /// per-node probabilities indexed by node_index of the referenced tree
-  /// (only basic events reachable from the roots are read). One forward
-  /// sweep over the reachable nodes, whatever the number of roots.
+  /// Writes the probability of every root into its slot, with per-node
+  /// probabilities indexed by node_index of the referenced tree (only basic
+  /// events reachable from the roots are read). One forward sweep of each
+  /// job's plan, in job order, whatever the number of roots.
   void evaluate(const std::vector<double>& node_probs,
                 std::vector<double>& out) const;
 
-  /// BDD nodes one evaluation visits (reachable nodes, terminals included).
-  std::size_t nodes() const { return plan_.size(); }
+  /// BDD nodes one evaluation visits: every plan's reachable nodes,
+  /// terminals included, summed over the plans.
+  std::size_t nodes() const;
 
  private:
-  friend class event_tree_bdd;
+  friend event_tree_compilation compile_event_tree(
+      const event_tree& et, const std::vector<std::string>& end_states,
+      thread_pool* pool);
 
-  bdd_plan plan_;
+  struct part {
+    bdd_plan plan;
+    std::vector<std::size_t> slots;  ///< output slot of each plan root
+  };
+  std::vector<part> parts_;
   std::vector<node_index> var_to_event_;
+  std::size_t num_roots_ = 0;
 };
 
-/// Multi-root BDD compilation of every fault-tree node an event tree
+/// Multi-root BDD compilation of the fault-tree nodes an event tree
 /// references: one manager, one variable order (discovery order over the
 /// IE then the functional gates — deterministic), one ft_compiler shared
-/// by all gates. Sequence BDDs are built as prefix products (IE ∧
-/// outcome_0 ∧ …) and memoised per (partial product, functional event,
-/// outcome), so sequences differing in one late branch reuse the common
-/// prefix; end states are built on the sequence trie. BDD operations are
-/// canonical, so a probability read off a shared compilation is
+/// by all gates.
+///
+/// A sequence is built bottom-up, in variable order: S_k = ±G_k ∧ S_{k+1}
+/// from the last demanded functional event to the first, then IE ∧ S_0.
+/// The order puts each gate's variables above the later gates', so a step
+/// lays G_k on top of the suffix product instead of copying a whole prefix
+/// product under G_{k+1}. Suffix products are memoised per (suffix product,
+/// functional event, outcome), so sequences differing in one early branch
+/// reuse their common suffix; bypass outcomes are skipped. End states are
+/// built on the sequence trie. BDD operations are canonical, so a sequence
+/// is the same node as the top-down product (IE ∧ ±G_0) ∧ ±G_1 ∧ … in the
+/// same manager, and a probability read off any compilation is
 /// bit-identical to a one-shot compilation of the same root — the contract
-/// the scenario engine's one-pass mode relies on.
+/// the scenario engine's partitioned compile relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
-/// thread-safe. Compile-once, evaluate-many callers freeze() the roots
-/// into an event_tree_plan and drop the compiler.
+/// thread-safe. compile_event_tree() runs one compiler per job and
+/// freeze()s each into its own plan.
 class event_tree_bdd {
  public:
   explicit event_tree_bdd(const event_tree& et);
@@ -138,19 +157,19 @@ class event_tree_bdd {
   /// Probability of `f` under the referenced tree's own probabilities.
   double probability(bdd_ref f) const;
 
-  /// Freezes `roots` into an evaluation plan and consumes the compiler:
-  /// the prefix cache and the manager's hash tables are released before
-  /// the plan is built, and the node array after it.
-  /// Read the counters below first; they describe the compilation.
-  event_tree_plan freeze(const std::vector<bdd_ref>& roots) &&;
+  /// Freezes `roots` into an evaluation plan over this compilation's
+  /// variables and consumes the compiler: the suffix memo and the manager's
+  /// hash tables are released before the plan is built, and the node array
+  /// after it. Read the counters below first; they describe the compilation.
+  bdd_plan freeze(const std::vector<bdd_ref>& roots) &&;
 
   std::size_t num_variables() const { return var_to_event_.size(); }
   std::size_t nodes() const { return manager_.size(); }
   std::size_t gates_compiled() const { return compiler_.gates_compiled(); }
-  std::size_t prefix_hits() const { return prefix_hits_; }
+  std::size_t suffix_hits() const { return suffix_hits_; }
 
  private:
-  friend struct event_tree_bdd_test_access;  ///< the fold oracle in tests
+  friend struct event_tree_bdd_test_access;  ///< the fold oracles in tests
   /// E of the trie node over trie_order_[lo, hi) at functional event depth.
   bdd_ref end_state_below(std::size_t lo, std::size_t hi, std::size_t depth,
                           const std::string& end_state);
@@ -159,10 +178,33 @@ class event_tree_bdd {
   bdd_manager manager_;
   std::vector<node_index> var_to_event_;
   ft_compiler compiler_;  ///< over manager_, declared after it
-  std::unordered_map<std::uint64_t, bdd_ref> prefix_;
-  std::size_t prefix_hits_ = 0;
+  std::unordered_map<std::uint64_t, bdd_ref> suffix_;
+  std::size_t suffix_hits_ = 0;
   std::vector<std::size_t> trie_order_;  ///< sequences by outcome vector
 };
+
+/// Result of compile_event_tree(): the frozen plan and the counters of the
+/// compilation, which do not depend on the pool.
+struct event_tree_compilation {
+  /// Roots: every sequence in index order, then every requested end state.
+  event_tree_plan plan;
+  std::size_t bdd_nodes = 0;  ///< nodes allocated, summed over the managers
+  /// Distinct gates lowered (each job lowers its own copy; counted once).
+  std::size_t gates_compiled = 0;
+  std::size_t suffix_hits = 0;  ///< suffix-memo hits, summed over the jobs
+};
+
+/// Compiles every sequence of `et` and every end state in `end_states` in
+/// independent jobs, each with its own event_tree_bdd, frozen into its own
+/// plan as soon as it finishes. Sequences are split by the outcomes of their
+/// last min(#FE, 3) functional events: sequences in different jobs share no
+/// suffix product, so the split duplicates only the gate BDDs. The end
+/// states form one more job on the sequence trie. Jobs run through
+/// parallel_for on `pool` (null = serially on the caller). Plans, values
+/// and counters are the same at any thread count. Validates the tree.
+event_tree_compilation compile_event_tree(
+    const event_tree& et, const std::vector<std::string>& end_states,
+    thread_pool* pool);
 
 /// Exact probability of sequence `s`: P[IE and the outcome of every
 /// functional event], evaluated on a BDD of the underlying fault tree so

@@ -15,13 +15,31 @@
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdft {
 
-/// The end-state construction that event_tree_bdd::end_state() replaced,
-/// kept as its oracle: a left fold of bdd_or over the sequence roots, in
+/// The constructions that event_tree_bdd replaced, kept as its oracles in
 /// the compilation's own manager.
 struct event_tree_bdd_test_access {
+  /// The sequence construction before suffix products: the top-down
+  /// product ((IE ∧ ±G_0) ∧ ±G_1) ∧ …, bypass outcomes skipped.
+  static bdd_ref prefix_fold(event_tree_bdd& compiled, std::size_t s) {
+    const event_tree& et = compiled.et_;
+    bdd_ref f = compiled.compiler_.compile(et.initiating_event());
+    const auto& outcomes = et.sequence_outcomes(s);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (outcomes[i] == branch_outcome::bypass) continue;
+      const bdd_ref gate = compiled.compiler_.compile(et.functional_gate(i));
+      f = compiled.manager_.bdd_and(
+          f, outcomes[i] == branch_outcome::failure
+                 ? gate
+                 : compiled.manager_.bdd_not(gate));
+    }
+    return f;
+  }
+  /// The end-state construction before the sequence trie: a left fold of
+  /// bdd_or over the sequence roots.
   static bdd_ref fold(event_tree_bdd& compiled, const std::string& end_state) {
     bdd_ref any = compiled.manager_.zero();
     for (std::size_t s = 0; s < compiled.et_.num_sequences(); ++s) {
@@ -368,6 +386,206 @@ TEST(EventTreeBdd, TrieEndStateEqualsFold) {
   EXPECT_EQ(compiled.end_state("NONSENSE"),
             event_tree_bdd_test_access::zero(compiled));
   expect_trie_equals_fold(fx.et(), {"NONSENSE", "OK", "CD"}, "fixture");
+}
+
+/// The tree's own basic-event probabilities, indexed by node.
+std::vector<double> node_probs(const fault_tree& ft) {
+  std::vector<double> p(ft.size(), 0.0);
+  for (node_index n = 0; n < ft.size(); ++n) {
+    if (ft.is_basic(n)) p[n] = ft.node(n).probability;
+  }
+  return p;
+}
+
+/// The bench-size industrial model 1 (seed 1).
+fault_tree industrial_model1() {
+  industrial_options o;
+  o.seed = 1;
+  o.num_frontline_systems = 18;
+  o.num_support_systems = 5;
+  o.num_initiating_events = 10;
+  o.sequences_per_ie = 6;
+  o.components_per_train = 5;
+  return generate_industrial(o).ft;
+}
+
+/// Nine front-line systems of `ft` as functional events, all 512
+/// success/failure sequences, CD on two or more failures.
+event_tree industrial_event_tree(const fault_tree& ft) {
+  constexpr int systems = 9;
+  event_tree et(ft, ft.find("IE0"), "IND");
+  for (int k = 0; k < systems; ++k) {
+    et.add_functional_event("F" + std::to_string(k),
+                            ft.find("SYS" + std::to_string(k) + "_F"));
+  }
+  for (std::size_t mask = 0; mask < (std::size_t{1} << systems); ++mask) {
+    std::vector<branch_outcome> outcomes;
+    int failures = 0;
+    for (int k = 0; k < systems; ++k) {
+      const bool failed = (mask >> k) & 1u;
+      failures += failed ? 1 : 0;
+      outcomes.push_back(failed ? branch_outcome::failure
+                                : branch_outcome::success);
+    }
+    et.add_sequence(std::move(outcomes), failures >= 2 ? "CD" : "OK");
+  }
+  return et;
+}
+
+/// Four functional events over shared pumps, bypassed from the end: the
+/// pairs (A, B) and (C, D) share a suffix product within their partition.
+class bypass_tail_fixture {
+ public:
+  fault_tree ft;
+
+  bypass_tail_fixture() {
+    const node_index ie = ft.add_basic_event("IE", 2e-2);
+    const node_index a = ft.add_basic_event("PUMP_A", 3e-2);
+    const node_index b = ft.add_basic_event("PUMP_B", 4e-2);
+    const node_index c = ft.add_basic_event("PUMP_C", 5e-2);
+    const node_index bus = ft.add_basic_event("BUS", 1e-3);
+    std::vector<node_index> gates = {
+        ft.add_gate("G0", gate_type::or_gate, {a, bus}),
+        ft.add_gate("G1", gate_type::and_gate, {a, b}),
+        ft.add_gate("G2", gate_type::or_gate, {b, c, bus}),
+        ft.add_atleast_gate("G3", 2, {a, b, c})};
+    ft.set_top(ft.add_gate("TOP", gate_type::or_gate, gates));
+    using enum branch_outcome;
+    et_.emplace(ft, ie, "TAIL");
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      et_->add_functional_event("F" + std::to_string(i), gates[i]);
+    }
+    et_->add_sequence({success, success, bypass, bypass}, "OK");   // A
+    et_->add_sequence({failure, success, bypass, bypass}, "OK");   // B
+    et_->add_sequence({success, failure, success, bypass}, "OK");  // C
+    et_->add_sequence({failure, failure, success, bypass}, "CD");  // D
+    et_->add_sequence({bypass, failure, failure, success}, "CD");
+    et_->add_sequence({bypass, failure, failure, failure}, "CD");
+    et_->validate();
+  }
+
+  const event_tree& et() const { return *et_; }
+
+ private:
+  std::optional<event_tree> et_;
+};
+
+/// In one compilation of `et`, every sequence's suffix product is the
+/// prefix fold's own node; and compile_event_tree() on a null, a 2- and an
+/// 8-worker pool evaluates every sequence and end state to the folds'
+/// probabilities bit for bit, with the same counters on every pool.
+void expect_suffix_compile_equals_fold(const event_tree& et,
+                                       const std::vector<std::string>& names,
+                                       const std::vector<thread_pool*>& pools,
+                                       const std::string& label) {
+  event_tree_bdd compiled(et);
+  std::vector<double> expected;
+  for (std::size_t s = 0; s < et.num_sequences(); ++s) {
+    const bdd_ref suffix = compiled.sequence(s);
+    const bdd_ref fold = event_tree_bdd_test_access::prefix_fold(compiled, s);
+    EXPECT_EQ(suffix, fold) << label << " sequence " << s;
+    expected.push_back(compiled.probability(fold));
+  }
+  for (const std::string& name : names) {
+    expected.push_back(compiled.probability(
+        event_tree_bdd_test_access::fold(compiled, name)));
+  }
+  const event_tree_compilation serial = compile_event_tree(et, names, nullptr);
+  for (thread_pool* pool : pools) {
+    const event_tree_compilation c = compile_event_tree(et, names, pool);
+    const std::string at = label + " threads " +
+                           std::to_string(pool != nullptr ? pool->size() : 1);
+    std::vector<double> got;
+    c.plan.evaluate(node_probs(et.ft()), got);
+    EXPECT_EQ(got, expected) << at;
+    EXPECT_EQ(c.bdd_nodes, serial.bdd_nodes) << at;
+    EXPECT_EQ(c.plan.nodes(), serial.plan.nodes()) << at;
+    EXPECT_EQ(c.suffix_hits, serial.suffix_hits) << at;
+    EXPECT_EQ(c.gates_compiled, serial.gates_compiled) << at;
+  }
+}
+
+TEST(EventTreeBdd, SuffixCompileEqualsPrefixFold) {
+  // plant.etree (CCF-expanded), the scenario tests' demo, a tree bypassing
+  // its last events, and random trees with bypass outcomes, repeated gates
+  // and incomplete sequence sets.
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  const std::vector<thread_pool*> pools = {nullptr, &pool2, &pool8};
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  opts.analysis.publish_metrics = false;
+  const scenario_engine plant(load_plant(), opts);
+  expect_suffix_compile_equals_fold(plant.compiled_event_tree(), {"OK", "CD"},
+                                    pools, "plant");
+  const scenario_engine demo(
+      parse_scenario_string("be IE 1e-2\nbe PUMP_A 2e-3\nbe PUMP_B 2e-3\n"
+                            "be BACKUP 5e-3\nbe VALVE 1e-3\n"
+                            "and SYS1_F PUMP_A PUMP_B\n"
+                            "or SYS2_F BACKUP VALVE\nor TOP SYS1_F SYS2_F\n"
+                            "top TOP\n\netree DEMO\ninitiating IE\n"
+                            "functional S1 SYS1_F\nfunctional S2 SYS2_F\n"
+                            "sequence OK S -\nsequence OK F S\n"
+                            "sequence CD F F\n"),
+      opts);
+  expect_suffix_compile_equals_fold(demo.compiled_event_tree(), {"OK", "CD"},
+                                    pools, "demo");
+  const bypass_tail_fixture tail;
+  expect_suffix_compile_equals_fold(tail.et(), {"OK", "CD"}, pools, "tail");
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    fault_tree ft = testing::make_random_static_tree(seed, 10, 6).structure();
+    const event_tree et = testing::make_random_event_tree(seed, ft);
+    expect_suffix_compile_equals_fold(et, {"CD", "OK"}, pools,
+                                      "seed " + std::to_string(seed));
+  }
+}
+
+TEST(EventTreeBdd, IndustrialSuffixCompile) {
+  // The 512-sequence tree: eight partitions by the last three events, each
+  // 64 sequences making 576 memo lookups over 129 distinct suffix products.
+  const fault_tree ft = industrial_model1();
+  const event_tree et = industrial_event_tree(ft);
+  thread_pool pool2(2);
+  thread_pool pool8(8);
+  expect_suffix_compile_equals_fold(et, {"CD", "OK"}, {nullptr, &pool2, &pool8},
+                                    "industrial");
+  const event_tree_compilation c = compile_event_tree(et, {"CD", "OK"}, &pool2);
+  EXPECT_EQ(c.suffix_hits, 8u * (576u - 129u));
+  // The managers hold little beyond what the plans keep.
+  EXPECT_LE(c.bdd_nodes * 4, c.plan.nodes() * 5)
+      << c.bdd_nodes << " nodes for " << c.plan.nodes() << " plan nodes";
+
+  // gates_compiled counts each gate once, as one shared compiler lowers it.
+  event_tree_bdd shared(et);
+  for (std::size_t s = 0; s < et.num_sequences(); ++s) shared.sequence(s);
+  shared.end_state("CD");
+  shared.end_state("OK");
+  EXPECT_EQ(c.gates_compiled, shared.gates_compiled());
+}
+
+TEST(EventTreeBdd, SuffixHitsAreExact) {
+  // A hit is a repeated (suffix product, event, outcome) within a
+  // partition: in the tail fixture, B reuses A's ¬G1 and D reuses C's
+  // ¬G2 and G1 ∧ ¬G2. Sequences differing in a late branch share nothing.
+  const bypass_tail_fixture tail;
+  EXPECT_EQ(compile_event_tree(tail.et(), {"OK", "CD"}, nullptr).suffix_hits,
+            3u);
+  event_tree_bdd shared(tail.et());
+  for (std::size_t s = 0; s < tail.et().num_sequences(); ++s) {
+    shared.sequence(s);
+  }
+  EXPECT_EQ(shared.suffix_hits(), 3u);
+
+  const et_fixture fx;
+  EXPECT_EQ(compile_event_tree(fx.et(), {"OK", "CD"}, nullptr).suffix_hits,
+            0u);
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  opts.analysis.publish_metrics = false;
+  const scenario_engine plant(load_plant(), opts);
+  EXPECT_EQ(compile_event_tree(plant.compiled_event_tree(), {"OK"}, nullptr)
+                .suffix_hits,
+            0u);
 }
 
 std::string hex(double x) {

@@ -2,9 +2,10 @@
 // errors), bit-agreement of the one-pass engine with per-sequence one-shot
 // compilations, the CCF beta/alpha closed forms (exact and MCS-approx),
 // the UQ layer's seed/thread determinism, point re-evaluation off the
-// compiled structure, concurrent reads of one frozen scenario, and the
-// prefix-trie cutset recombination against the per-sequence loop it
-// replaced (lists, counters and the 2^20 guard).
+// compiled structure, concurrent reads of one frozen scenario, the compile
+// counters at every thread count, and the prefix-trie cutset recombination
+// against the per-sequence loop it replaced (lists, counters and the 2^20
+// guard).
 
 #include <gtest/gtest.h>
 
@@ -184,7 +185,9 @@ TEST(ScenarioEngine, MatchesPerSequenceOneShots) {
                   r.sequences[2].probability,
               1e-2, 1e-15);
   EXPECT_EQ(r.stats.scenario_sequences, 3u);
-  EXPECT_GE(r.stats.scenario_prefix_hits, 1u);
+  // Built bottom-up, the three sequences share no suffix product: the
+  // last events' outcomes (-, S, F) put each in its own partition.
+  EXPECT_EQ(r.stats.scenario_prefix_hits, 0u);
 }
 
 TEST(ScenarioEngine, CcfBetaFactorClosedForm) {
@@ -547,6 +550,43 @@ TEST(ScenarioEngine, IndustrialUqAndPointsMatchOneShots) {
     got.insert(got.end(), points[i].end_state_probabilities.begin(),
                points[i].end_state_probabilities.end());
     EXPECT_EQ(got, expected) << "point " << i;
+  }
+}
+
+TEST(ScenarioEngine, CompileCountersAtAnyThreadCount) {
+  // The compile's counters describe the partitioned compilation, which the
+  // tree fixes: the same at 1 (no pool), 2 and 8 threads. The 32-sequence
+  // tree splits by its last three events into 8 partitions of 4 sequences,
+  // each making 20 memo lookups over 9 distinct suffix products.
+  const scenario_model m = industrial_scenario(5);
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  opts.analysis.publish_metrics = false;
+  opts.analysis.threads = 1;
+  scenario_engine serial(m, opts);
+  const engine_stats reference = serial.run(0, 1).stats;
+  EXPECT_EQ(reference.scenario_prefix_hits, 8u * (20u - 9u));
+  EXPECT_LE(reference.scenario_plan_nodes, reference.scenario_bdd_nodes);
+
+  // Distinct gates, as one shared compiler of every root lowers them.
+  event_tree_bdd shared(serial.compiled_event_tree());
+  for (std::size_t s = 0; s < 32; ++s) shared.sequence(s);
+  shared.end_state("CD");
+  shared.end_state("OK");
+  EXPECT_EQ(reference.scenario_gates_compiled, shared.gates_compiled());
+
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    opts.analysis.threads = threads;
+    scenario_engine engine(m, opts);
+    const engine_stats stats = engine.run(0, 1).stats;
+    const std::string at = "threads=" + std::to_string(threads);
+    EXPECT_EQ(stats.scenario_bdd_nodes, reference.scenario_bdd_nodes) << at;
+    EXPECT_EQ(stats.scenario_plan_nodes, reference.scenario_plan_nodes) << at;
+    EXPECT_EQ(stats.scenario_prefix_hits, reference.scenario_prefix_hits)
+        << at;
+    EXPECT_EQ(stats.scenario_gates_compiled,
+              reference.scenario_gates_compiled)
+        << at;
   }
 }
 

@@ -20,7 +20,8 @@
 // structure-cache hit.
 // Bench-etree checks: the one-pass scenario engine bit-identical to
 // per-sequence one-shots and across thread counts, >= 3x faster, with the
-// shared compilation covering every functional-event gate.
+// compilation covering every functional-event gate and its managers
+// allocating at most 1.25x the nodes its plans keep.
 // Bench-mc checks: crude MC empty at the shared budget while forcing and
 // splitting both bracket the exact-static answer with a >= 10x relative
 // error improvement over crude.
@@ -156,12 +157,19 @@ int check_bench_etree(const std::string& path) {
       doc.at("etree").at("functional_events").as_number();
   check(compiled >= functional,
         "shared compilation did not cover every functional-event gate");
+  const double bdd_nodes = doc.at("etree").at("bdd_nodes").as_number();
+  const double plan_nodes = doc.at("etree").at("plan_nodes").as_number();
+  check(bdd_nodes <= 1.25 * plan_nodes,
+        "compilation allocated " + std::to_string(bdd_nodes) +
+            " BDD nodes, more than 1.25x its " + std::to_string(plan_nodes) +
+            " plan nodes");
   const double speedup = doc.at("speedup").as_number();
   check(speedup >= 3.0, "one-pass speedup " + std::to_string(speedup) +
                             "x is below the 3x acceptance threshold");
   std::printf(
-      "bench-etree ok: %.0f sequences, %.1fx speedup, bit-identical\n",
-      sequences, speedup);
+      "bench-etree ok: %.0f sequences, %.1fx speedup, %.2fx nodes per plan "
+      "node, bit-identical\n",
+      sequences, speedup, bdd_nodes / plan_nodes);
   return 0;
 }
 

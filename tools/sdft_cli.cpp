@@ -731,9 +731,10 @@ void print_scenario_stats(const engine_stats& s) {
                      std::to_string(s.scenario_end_states)});
   table.add_row(
       {"functional events", std::to_string(s.scenario_functional_events)});
-  table.add_row({"bdd nodes (shared)", std::to_string(s.scenario_bdd_nodes)});
+  table.add_row(
+      {"bdd nodes (all jobs)", std::to_string(s.scenario_bdd_nodes)});
   table.add_row({"bdd nodes per sweep", std::to_string(s.scenario_plan_nodes)});
-  table.add_row({"gates compiled / prefix hits",
+  table.add_row({"gates compiled / suffix hits",
                  std::to_string(s.scenario_gates_compiled) + " / " +
                      std::to_string(s.scenario_prefix_hits)});
   table.add_row({"ccf groups",
