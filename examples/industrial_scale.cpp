@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
       "quantification scales with the cutset list, not the state space —\n"
       "and the engine's memoisation collapses structurally identical\n"
       "chains (%zu cached solves served %zu quantifications).\n",
-      engine.cache().size(), engine.cache().hits() + engine.cache().misses());
+      engine.cache().solves(),
+      engine.cache().hits() + engine.cache().misses());
   return 0;
 }

@@ -34,7 +34,11 @@ class ctmc {
   void set_failed(state_index state, bool failed = true);
 
   double initial(state_index state) const { return initial_[state]; }
+  const std::vector<double>& initial_distribution() const { return initial_; }
   bool failed(state_index state) const { return failed_[state] != 0; }
+
+  /// Per-state failed flags (1 = failed), the target of reach_failed_*.
+  const std::vector<char>& failed_flags() const { return failed_; }
 
   /// Outgoing transitions of `state` as (target, rate) pairs.
   const std::vector<std::pair<state_index, double>>& transitions_from(

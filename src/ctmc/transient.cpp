@@ -12,26 +12,28 @@ namespace sdft {
 
 namespace {
 
-std::vector<double> transient_impl(const ctmc& chain,
-                                   const std::vector<char>& absorbing,
-                                   double t, double epsilon,
-                                   const transient_controls& controls) {
+void require_horizon(double t) {
   require_model(t >= 0.0 && std::isfinite(t),
                 "transient analysis requires a finite horizon t >= 0");
-  chain.validate();
+}
+
+/// The one uniformisation loop every entry point runs.
+std::vector<double> transient_impl(const uniformised_dtmc& dtmc,
+                                   const std::vector<double>& initial,
+                                   double t, double epsilon,
+                                   const transient_controls& controls) {
+  require_horizon(t);
+  require_model(initial.size() == dtmc.n,
+                "transient analysis: initial vector has wrong size");
 
   transient_stats local_stats;
   transient_stats& stats =
       controls.stats != nullptr ? *controls.stats : local_stats;
   stats = {};
 
-  const std::size_t n = chain.num_states();
-  std::vector<double> current(n);
-  for (state_index s = 0; s < n; ++s) current[s] = chain.initial(s);
-  if (t == 0.0) return current;
-
-  const uniformised_dtmc dtmc(chain, absorbing);
-  if (dtmc.q * t < 1e-300) return current;
+  const std::size_t n = dtmc.n;
+  std::vector<double> current = initial;
+  if (t == 0.0 || dtmc.q * t < 1e-300) return current;
 
   const poisson_window window = fox_glynn(dtmc.q * t, epsilon);
   stats.steps_planned = window.right;
@@ -137,13 +139,34 @@ std::vector<double> transient_impl(const ctmc& chain,
   return result;
 }
 
+/// The ctmc entry points: validate once, build the uniformised form with
+/// `absorbing` rows, then run the shared loop.
+std::vector<double> transient_from_chain(const ctmc& chain,
+                                         const std::vector<char>& absorbing,
+                                         double t, double epsilon,
+                                         const transient_controls& controls) {
+  require_horizon(t);
+  chain.validate();
+  return transient_impl(uniformised_dtmc(chain, absorbing),
+                        chain.initial_distribution(), t, epsilon, controls);
+}
+
+double target_mass(const std::vector<double>& dist,
+                   const std::vector<char>& target) {
+  double p = 0.0;
+  for (std::size_t s = 0; s < dist.size(); ++s) {
+    if (target[s]) p += dist[s];
+  }
+  return p;
+}
+
 }  // namespace
 
 std::vector<double> transient_distribution(const ctmc& chain, double t,
                                            double epsilon,
                                            const transient_controls& controls) {
   const std::vector<char> none(chain.num_states(), 0);
-  return transient_impl(chain, none, t, epsilon, controls);
+  return transient_from_chain(chain, none, t, epsilon, controls);
 }
 
 double reach_probability(const ctmc& chain, const std::vector<char>& target,
@@ -151,21 +174,23 @@ double reach_probability(const ctmc& chain, const std::vector<char>& target,
                          const transient_controls& controls) {
   require_model(target.size() == chain.num_states(),
                 "reach_probability: target flag vector has wrong size");
-  const auto dist = transient_impl(chain, target, t, epsilon, controls);
-  double p = 0.0;
-  for (state_index s = 0; s < chain.num_states(); ++s) {
-    if (target[s]) p += dist[s];
-  }
-  return p;
+  return target_mass(transient_from_chain(chain, target, t, epsilon, controls),
+                     target);
+}
+
+double reach_probability(const uniformised_dtmc& dtmc,
+                         const std::vector<double>& initial,
+                         const std::vector<char>& target, double t,
+                         double epsilon, const transient_controls& controls) {
+  require_model(target.size() == dtmc.n,
+                "reach_probability: target flag vector has wrong size");
+  return target_mass(transient_impl(dtmc, initial, t, epsilon, controls),
+                     target);
 }
 
 double reach_failed_probability(const ctmc& chain, double t, double epsilon,
                                 const transient_controls& controls) {
-  std::vector<char> target(chain.num_states(), 0);
-  for (state_index s = 0; s < chain.num_states(); ++s) {
-    target[s] = chain.failed(s) ? 1 : 0;
-  }
-  return reach_probability(chain, target, t, epsilon, controls);
+  return reach_probability(chain, chain.failed_flags(), t, epsilon, controls);
 }
 
 }  // namespace sdft

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
+#include "ctmc/uniformised.hpp"
 
 namespace sdft {
 
@@ -73,6 +74,18 @@ double reach_failed_probability(const ctmc& chain, double t,
 /// per-state flags (size num_states).
 double reach_probability(const ctmc& chain, const std::vector<char>& target,
                          double t,
+                         double epsilon = default_transient_epsilon,
+                         const transient_controls& controls = {});
+
+/// As reach_probability, from a prebuilt uniformised form: `dtmc` must have
+/// been built with the `target` rows absorbing, and `initial` is the
+/// chain's initial distribution (size dtmc.n). The ctmc overloads build
+/// exactly this form and run the same loop, so a chain uniformised once
+/// and solved at several horizons reproduces each fresh solve bit for bit.
+/// The chain is not validated here: that is its builder's job.
+double reach_probability(const uniformised_dtmc& dtmc,
+                         const std::vector<double>& initial,
+                         const std::vector<char>& target, double t,
                          double epsilon = default_transient_epsilon,
                          const transient_controls& controls = {});
 

@@ -348,6 +348,7 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
   engine_stats& stats = result.stats;
   const std::size_t cache_hits_before = cache_.hits();
   const std::size_t cache_misses_before = cache_.misses();
+  const std::size_t cache_chain_reuses_before = cache_.chain_reuses();
   const std::size_t cache_evictions_before = cache_.evictions();
   const std::size_t struct_evictions_before = struct_cache_.evictions();
 
@@ -468,6 +469,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
 
   stats.cache_hits = cache_.hits() - cache_hits_before;
   stats.cache_misses = cache_.misses() - cache_misses_before;
+  stats.cache_chain_reuses =
+      cache_.chain_reuses() - cache_chain_reuses_before;
   stats.cache_evictions = cache_.evictions() - cache_evictions_before;
   stats.cache_entries = cache_.size();
   stats.struct_cache_evictions =

@@ -88,8 +88,10 @@ struct analysis_options {
   /// Entry bounds of the engine-owned caches, applied at engine
   /// construction (per-call option overrides ignore them; resize live
   /// engines through the cache accessors). 0 = unbounded. The engine
-  /// always memoises: per-cutset transient solves in the quantification
-  /// cache, stages 1b–2 in the structure cache (see struct_cache.hpp).
+  /// always memoises: explored product chains and their transient solves
+  /// in the quantification cache, whose bound counts chains (each keeps
+  /// at most quantification_cache::max_solves solves), stages 1b–2 in the
+  /// structure cache (see struct_cache.hpp).
   /// Both are exact, so a hit returns bit-identical results.
   std::size_t structure_cache_entries = structure_cache::default_capacity;
   std::size_t quant_cache_entries = quantification_cache::default_capacity;
@@ -151,9 +153,10 @@ struct analysis_result {
 ///
 /// The engine owns its quantification cache, which persists across run()
 /// calls: repeated analyses of models sharing dynamic sub-structure (e.g.
-/// a growing fleet of similar trains) reuse each other's transient solves.
-/// Keys encode horizon and accuracy, so runs with different options never
-/// alias. Its one worker pool is shared by every stage of concurrent calls.
+/// a growing fleet of similar trains) reuse each other's explored chains
+/// and transient solves. Chains are keyed without the horizon, so a run at
+/// a new horizon reruns only uniformisation; solves are keyed by horizon
+/// and accuracy, so runs with different options never alias. Its one worker pool is shared by every stage of concurrent calls.
 class analysis_engine {
  public:
   explicit analysis_engine(analysis_options options = {});

@@ -47,15 +47,22 @@ void put_dynamic_model(std::string& out, const dynamic_model& model) {
   for (state_index s : triggered.to_off) put_u32(out, s);
 }
 
+/// The solve of (horizon, epsilon) in `solves`, or nullptr.
+const quantification_cache::solve* find_solve(
+    const std::vector<quantification_cache::solve>& solves, double horizon,
+    double epsilon) {
+  for (const quantification_cache::solve& s : solves) {
+    if (s.horizon == horizon && s.epsilon == epsilon) return &s;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
-                          double horizon, double epsilon) {
+std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source) {
   using kind = ftc_plan::kind;
   std::string out;
   out.reserve(256);
-  put_f64(out, horizon);
-  put_f64(out, epsilon);
   put_u32(out, static_cast<std::uint32_t>(plan.nodes.size()));
   put_u32(out, plan.top);
   // FT_C construction is deterministic, so serialising nodes in index
@@ -88,26 +95,53 @@ std::string ftc_signature(const ftc_plan& plan, const sd_fault_tree& source,
 quantification_cache::quantification_cache(std::size_t capacity)
     : map_(capacity) {}
 
-std::optional<quantification_cache::entry> quantification_cache::find(
-    const std::string& key) const {
+quantification_cache::lookup quantification_cache::find(
+    const std::string& key, double horizon, double epsilon) const {
+  lookup out;
   std::lock_guard lock(mutex_);
   const entry* found = map_.find(key);
-  if (found == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+  if (found != nullptr) {
+    out.chain = found->chain;
+    if (const solve* s = find_solve(found->solves, horizon, epsilon)) {
+      out.solved = *s;
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return *found;
+  if (out.solved) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (out.chain) chain_reuses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return out;
 }
 
-void quantification_cache::store(const std::string& key, const entry& e) {
+void quantification_cache::store(const std::string& key,
+                                 std::shared_ptr<const explored_chain> chain,
+                                 const solve& s) {
   std::lock_guard lock(mutex_);
-  map_.insert(key, e);
+  entry* found = map_.find(key);
+  if (found == nullptr) {
+    map_.insert(key, entry{std::move(chain), {s}});
+    return;
+  }
+  std::vector<solve>& solves = found->solves;
+  if (find_solve(solves, s.horizon, s.epsilon) != nullptr) return;
+  if (solves.size() == max_solves) solves.erase(solves.begin());
+  solves.push_back(s);
 }
 
 std::size_t quantification_cache::size() const {
   std::lock_guard lock(mutex_);
   return map_.size();
+}
+
+std::size_t quantification_cache::solves() const {
+  std::lock_guard lock(mutex_);
+  std::size_t total = 0;
+  map_.for_each([&](const std::string&, const entry& e) {
+    total += e.solves.size();
+  });
+  return total;
 }
 
 std::size_t quantification_cache::capacity() const {
@@ -130,6 +164,7 @@ void quantification_cache::clear() {
   map_.clear();
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
+  chain_reuses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sdft

@@ -1,5 +1,7 @@
 #include "engine/quantifier.hpp"
 
+#include <memory>
+
 #include "ctmc/transient.hpp"
 #include "obs/obs.hpp"
 #include "product/product_ctmc.hpp"
@@ -64,34 +66,50 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
     const double static_factor = ftc_static_factor(tree_, out.events);
 
     std::string key;
+    quantification_cache::lookup cached;
     if (cache_ != nullptr) {
-      key = ftc_signature(*plan, tree_, options_.horizon, options_.epsilon);
-      if (const auto cached = cache_->find(key)) {
-        out.cache_hit = true;
-        out.chain_states = cached->chain_states;
-        out.lumped_orbits = cached->lumped_orbits;
-        out.steps_saved = cached->steps_saved;
-        out.packed_keys = cached->packed_keys;
-        out.probability = cached->chain_probability * static_factor;
-        out.seconds = timer.seconds();
-        span.arg("cache_hit", 1.0);
-        span.arg("states", static_cast<double>(out.chain_states));
-        return out;
-      }
+      key = ftc_signature(*plan, tree_);
+      cached = cache_->find(key, options_.horizon, options_.epsilon);
+    }
+    std::shared_ptr<const explored_chain> chain = std::move(cached.chain);
+    if (chain == nullptr) {
+      obs::span_scope explore("quant.explore", "quant");
+      product_options popts;
+      popts.max_states = options_.max_product_states;
+      const product_ctmc product =
+          build_product_ctmc(materialise_ftc(*plan, tree_), popts);
+      const ctmc& explored = product.chain;
+      explored.validate();  // once per chain, not once per solve
+      chain = std::make_shared<const explored_chain>(explored_chain{
+          uniformised_dtmc(explored, explored.failed_flags()),
+          explored.initial_distribution(), explored.failed_flags(),
+          product.lumped_orbits, product.packed_keys});
+      explore.arg("states", static_cast<double>(chain->num_states()));
+    }
+    out.chain_states = chain->num_states();
+    out.lumped_orbits = chain->lumped_orbits;
+    out.packed_keys = chain->packed_keys;
+    if (cached.solved) {
+      out.cache_hit = true;
+      out.steps_saved = cached.solved->steps_saved;
+      out.probability = cached.solved->chain_probability * static_factor;
+      out.seconds = timer.seconds();
+      span.arg("cache_hit", 1.0);
+      span.arg("states", static_cast<double>(out.chain_states));
+      return out;
     }
 
-    product_options popts;
-    popts.max_states = options_.max_product_states;
-    const product_ctmc product =
-        build_product_ctmc(materialise_ftc(*plan, tree_), popts);
-    out.chain_states = product.num_states();
-    out.lumped_orbits = product.lumped_orbits;
-    out.packed_keys = product.packed_keys;
     transient_stats tstats;
-    transient_controls tctrl;
-    tctrl.stats = &tstats;
-    const double chain_probability = reach_failed_probability(
-        product.chain, options_.horizon, options_.epsilon, tctrl);
+    double chain_probability = 0;
+    {
+      obs::span_scope uniformise("quant.uniformise", "quant");
+      transient_controls tctrl;
+      tctrl.stats = &tstats;
+      chain_probability =
+          reach_probability(chain->dtmc, chain->initial, chain->failed,
+                            options_.horizon, options_.epsilon, tctrl);
+      uniformise.arg("steps", static_cast<double>(tstats.steps_taken));
+    }
     out.steps_saved = tstats.steps_saved();
     if (obs::enabled()) {
       static obs::counter& steps =
@@ -100,9 +118,9 @@ cutset_result product_chain_quantifier::quantify(cutset c) const {
       steps.add(tstats.steps_taken);
     }
     if (cache_ != nullptr) {
-      cache_->store(key, {chain_probability, out.chain_states,
-                          out.lumped_orbits, out.steps_saved,
-                          out.packed_keys});
+      cache_->store(key, std::move(chain),
+                    {options_.horizon, options_.epsilon, chain_probability,
+                     out.steps_saved});
     }
     out.probability = chain_probability * static_factor;
   } catch (const error& e) {

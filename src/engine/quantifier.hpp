@@ -70,11 +70,12 @@ class static_product_quantifier final : public quantifier {
 
 /// Cutsets with dynamic events: plan FT_C (paper §V-C), solve the product
 /// chain by uniformisation and multiply the static factor back in. The
-/// transient solve is memoised in `cache` (optional) under ftc_signature()
-/// of the plan, so cutsets sharing dynamic sub-structure — e.g. thousands
-/// of MCSs combining the same triggered chain with different static
-/// events — pay for one solve, and FT_C itself is materialised only when
-/// the cache misses. The plans are memoised in `plans` and the minimal
+/// explored chain and its transient solve are memoised in `cache`
+/// (optional) under ftc_signature() of the plan, so cutsets sharing
+/// dynamic sub-structure — e.g. thousands of MCSs combining the same
+/// triggered chain with different static events — pay for one solve, a
+/// new horizon pays only for uniformisation, and FT_C itself is
+/// materialised only when no chain is cached. The plans are memoised in `plans` and the minimal
 /// trigger sets they are built from in `trigger_sets` (both optional,
 /// owned by the tree's structure-cache entry), so a warm cutset costs a
 /// plan lookup, a signature and a cache lookup. Falls back to the

@@ -411,6 +411,7 @@ std::string analysis_service::handle(const std::string& line) {
       w.key("quant_cache").begin_object();
       const quantification_cache& qc = engine_.cache();
       w.key("entries").integer(qc.size());
+      w.key("solves").integer(qc.solves());
       w.key("capacity").integer(qc.capacity());
       w.key("hits").integer(qc.hits());
       w.key("misses").integer(qc.misses());

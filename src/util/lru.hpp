@@ -59,6 +59,13 @@ class lru_map {
     trim();
   }
 
+  /// Calls f(key, value) for every entry, most recent first, without
+  /// touching recency.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const auto& [key, value] : order_) f(key, value);
+  }
+
   std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return capacity_; }
   std::size_t evictions() const { return evictions_; }

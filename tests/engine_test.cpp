@@ -10,10 +10,13 @@
 #include <cmath>
 #include <fstream>
 #include <latch>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ctmc/transient.hpp"
 #include "engine/engine.hpp"
 #include "gen/bwr.hpp"
 #include "gen/industrial.hpp"
@@ -184,17 +187,77 @@ TEST(QuantificationCache, PersistsAcrossRunsOfOneEngine) {
   EXPECT_NEAR(first.failure_probability, second.failure_probability, 1e-15);
 }
 
-TEST(QuantificationCache, SignatureSeparatesHorizons) {
-  const sd_fault_tree tree = testing::example3_sd();
-  cutset bd{tree.structure().find("b"), tree.structure().find("d")};
-  std::sort(bd.begin(), bd.end());
-  const ftc_plan plan = build_ftc_plan(tree, bd);
-  EXPECT_NE(ftc_signature(plan, tree, 24.0, 1e-10),
-            ftc_signature(plan, tree, 48.0, 1e-10));
-  EXPECT_NE(ftc_signature(plan, tree, 24.0, 1e-10),
-            ftc_signature(plan, tree, 24.0, 1e-8));
-  EXPECT_EQ(ftc_signature(plan, tree, 24.0, 1e-10),
-            ftc_signature(plan, tree, 24.0, 1e-10));
+/// A two-state repairable chain in the flat form the cache stores.
+std::shared_ptr<const explored_chain> repairable_chain() {
+  ctmc chain = make_repairable(1e-3, 5e-2);
+  chain.set_failed(1);
+  return std::make_shared<const explored_chain>(explored_chain{
+      uniformised_dtmc(chain, chain.failed_flags()),
+      chain.initial_distribution(), chain.failed_flags()});
+}
+
+double solve_chain(const explored_chain& chain, double horizon,
+                   double epsilon) {
+  return reach_probability(chain.dtmc, chain.initial, chain.failed, horizon,
+                           epsilon);
+}
+
+TEST(QuantificationCache, SolvesOfOneChainAreKeyedByHorizonAndEpsilon) {
+  // One chain, three solver inputs: each is its own solve, and none
+  // answers a lookup of another.
+  const auto chain = repairable_chain();
+  const std::vector<std::pair<double, double>> inputs = {
+      {24.0, 1e-10}, {48.0, 1e-10}, {24.0, 1e-8}};
+  quantification_cache cache;
+  for (const auto& [h, eps] : inputs) {
+    EXPECT_FALSE(cache.find("k", h, eps).solved.has_value());
+    cache.store("k", chain, {h, eps, solve_chain(*chain, h, eps), 0});
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.solves(), 3u);
+  for (const auto& [h, eps] : inputs) {
+    const quantification_cache::lookup found = cache.find("k", h, eps);
+    ASSERT_TRUE(found.solved.has_value());
+    EXPECT_EQ(found.solved->horizon, h);
+    EXPECT_EQ(found.solved->epsilon, eps);
+    EXPECT_EQ(found.solved->chain_probability, solve_chain(*chain, h, eps));
+    EXPECT_EQ(found.chain, chain);
+  }
+  EXPECT_NE(solve_chain(*chain, 24.0, 1e-10), solve_chain(*chain, 48.0, 1e-10));
+
+  // A fourth horizon misses, but the chain is there to solve it.
+  const quantification_cache::lookup other = cache.find("k", 12.0, 1e-10);
+  EXPECT_FALSE(other.solved.has_value());
+  EXPECT_EQ(other.chain, chain);
+  // Misses: the three first lookups and 12 h; all but the very first
+  // found the chain.
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.chain_reuses(), 3u);
+
+  // Re-storing a listed solve does not duplicate it.
+  cache.store("k", chain, {48.0, 1e-10, 0.5, 0});
+  EXPECT_EQ(cache.solves(), 3u);
+  EXPECT_EQ(cache.find("k", 48.0, 1e-10).solved->chain_probability,
+            solve_chain(*chain, 48.0, 1e-10));
+}
+
+TEST(QuantificationCache, SolveListKeepsTheNewest) {
+  const auto chain = repairable_chain();
+  quantification_cache cache;
+  const std::size_t n = quantification_cache::max_solves + 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    cache.store("k", chain, {1.0 + static_cast<double>(i), 1e-10, 0.1, i});
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.solves(), quantification_cache::max_solves);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool kept = i >= n - quantification_cache::max_solves;
+    EXPECT_EQ(cache.find("k", 1.0 + static_cast<double>(i), 1e-10)
+                  .solved.has_value(),
+              kept)
+        << "solve " << i;
+  }
 }
 
 TEST(QuantificationCache, FallbackDoesNotPoisonCache) {
@@ -234,15 +297,156 @@ TEST(QuantificationCache, FallbackDoesNotPoisonCache) {
 }
 
 TEST(QuantificationCache, ClearResetsCountersAndEntries) {
+  const auto chain = repairable_chain();
   quantification_cache cache;
-  cache.store("k", {0.5, 3});
-  ASSERT_TRUE(cache.find("k").has_value());
+  cache.store("k", chain, {24.0, 1e-10, 0.5, 3});
+  ASSERT_TRUE(cache.find("k", 24.0, 1e-10).solved.has_value());
+  EXPECT_EQ(cache.find("k", 48.0, 1e-10).chain, chain);
   EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.chain_reuses(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.solves(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_FALSE(cache.find("k").has_value());
+  EXPECT_EQ(cache.chain_reuses(), 0u);
+  const quantification_cache::lookup gone = cache.find("k", 24.0, 1e-10);
+  EXPECT_EQ(gone.chain, nullptr);
+  EXPECT_FALSE(gone.solved.has_value());
   EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.chain_reuses(), 0u);
+}
+
+sd_fault_tree triggered_bwr() {
+  bwr_options bopts;
+  bopts.dynamic_events = true;
+  bopts.repair_rate = 0.1;
+  return make_bwr_model(with_bwr_triggers(bopts, 2));
+}
+
+std::vector<double> cutset_probabilities(const analysis_result& r) {
+  std::vector<double> out;
+  for (const cutset_result& q : r.cutsets) out.push_back(q.probability);
+  return out;
+}
+
+/// A fresh engine's run of `tree` at `horizon`: the reference every
+/// cache-served run must reproduce bit for bit.
+analysis_result fresh_run(const sd_fault_tree& tree, double horizon) {
+  analysis_options opts;
+  opts.horizon = horizon;
+  return analysis_engine(opts).run(tree);
+}
+
+TEST(QuantificationCache, NewHorizonReusesExploredChain) {
+  for (const sd_fault_tree& tree : {testing::example3_sd(), triggered_bwr()}) {
+    analysis_options at24;
+    at24.horizon = 24.0;
+    analysis_options at31 = at24;
+    at31.horizon = 31.7;
+    analysis_engine engine(at24);
+    const analysis_result first = engine.run(tree);
+    ASSERT_GT(first.stats.cache_misses, 0u);
+    EXPECT_EQ(first.stats.cache_chain_reuses, 0u);
+    const std::size_t chains = engine.cache().size();
+
+    // Every miss at the new horizon is answered by a cached chain: no
+    // product chain is explored, and the results are a fresh run's bits.
+    const analysis_result second = engine.run(tree, at31);
+    EXPECT_GT(second.stats.cache_misses, 0u);
+    EXPECT_EQ(second.stats.cache_chain_reuses, second.stats.cache_misses);
+    EXPECT_EQ(engine.cache().size(), chains);
+    const analysis_result reference = fresh_run(tree, 31.7);
+    EXPECT_EQ(second.failure_probability, reference.failure_probability);
+    EXPECT_EQ(cutset_probabilities(second), cutset_probabilities(reference));
+    EXPECT_EQ(second.stats.uniformisation_steps_saved,
+              reference.stats.uniformisation_steps_saved);
+    EXPECT_EQ(second.stats.lumped_orbits, reference.stats.lumped_orbits);
+    EXPECT_EQ(second.stats.packed_key_chains,
+              reference.stats.packed_key_chains);
+
+    // Back at 24 h every solve is still listed.
+    const analysis_result back = engine.run(tree, at24);
+    EXPECT_EQ(back.stats.cache_misses, 0u);
+    EXPECT_EQ(back.failure_probability, first.failure_probability);
+    EXPECT_EQ(cutset_probabilities(back), cutset_probabilities(first));
+  }
+}
+
+TEST(QuantificationCache, OldestHorizonPastTheSolveCapResolvesExactly) {
+  // More horizons than a chain keeps solves: the first horizon's solves
+  // are dropped, and asking again re-solves from the cached chain.
+  const sd_fault_tree tree = testing::example3_sd();
+  analysis_options opts;
+  analysis_engine engine(opts);
+  std::vector<double> horizons;
+  for (std::size_t i = 0; i <= quantification_cache::max_solves; ++i) {
+    horizons.push_back(12.0 + 3.5 * static_cast<double>(i));
+  }
+  for (double h : horizons) {
+    opts.horizon = h;
+    (void)engine.run(tree, opts);
+  }
+  const std::size_t chains = engine.cache().size();
+  opts.horizon = horizons.front();
+  const analysis_result again = engine.run(tree, opts);
+  EXPECT_EQ(again.stats.cache_hits, 0u);
+  EXPECT_GT(again.stats.cache_misses, 0u);
+  EXPECT_EQ(again.stats.cache_chain_reuses, again.stats.cache_misses);
+  EXPECT_EQ(engine.cache().size(), chains);
+  const analysis_result reference = fresh_run(tree, horizons.front());
+  EXPECT_EQ(again.failure_probability, reference.failure_probability);
+  EXPECT_EQ(cutset_probabilities(again), cutset_probabilities(reference));
+}
+
+TEST(QuantificationCache, ConcurrentHorizonsShareChains) {
+  // TSan target: threads on one primed engine each run their own
+  // horizons, racing to add solves to the same chains (and, on first
+  // touch, to explore them). Every result must equal a fresh engine's.
+  const sd_fault_tree tree = triggered_bwr();
+  analysis_options opts;
+  opts.horizon = 24.0;
+  opts.cutoff = 1e-12;
+  opts.inline_execution = true;
+  analysis_engine engine(opts);
+  engine.prime(tree);
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  const auto horizon_of = [](int t, int round) {
+    return 12.0 + 1.5 * static_cast<double>((t * kRounds + round) % 12);
+  };
+  std::vector<double> results(kThreads * kRounds, -1.0);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      analysis_options mine = opts;
+      for (int round = 0; round < kRounds; ++round) {
+        mine.horizon = horizon_of(t, round);
+        results[static_cast<std::size_t>(t * kRounds + round)] =
+            engine.run(tree, mine).failure_probability;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  analysis_options serial = opts;
+  serial.inline_execution = false;
+  std::map<double, double> reference;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      serial.horizon = horizon_of(t, round);
+      if (!reference.contains(serial.horizon)) {
+        reference[serial.horizon] =
+            analysis_engine(serial).run(tree).failure_probability;
+      }
+      EXPECT_EQ(results[static_cast<std::size_t>(t * kRounds + round)],
+                reference[serial.horizon])
+          << "thread " << t << " round " << round;
+    }
+  }
+  EXPECT_GT(engine.cache().chain_reuses(), 0u);
 }
 
 // --- Engine stats and compatibility --------------------------------------

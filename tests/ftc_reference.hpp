@@ -1,7 +1,7 @@
 #pragma once
 
 // Reference serialiser of a built FT_C: the quantification-cache key as
-// the library wrote it when it still keyed solves on the materialised
+// the library wrote it when it still keyed chains on the materialised
 // sd_fault_tree. ftc_signature() (engine/quant_cache.hpp) writes the same
 // bytes from an ftc_plan without building the tree; tests compare the two.
 
@@ -58,17 +58,14 @@ inline void put_dynamic_model(std::string& out, const dynamic_model& model) {
 
 }  // namespace reference_detail
 
-/// The signature of the transient solve of `ftc` (a built FT_C): solver
-/// inputs, node count, top, then every node in index order — gates by
-/// connective and inputs, dynamic events by chain and triggering gate,
-/// static events by probability.
-inline std::string reference_ftc_signature(const sd_fault_tree& ftc,
-                                           double horizon, double epsilon) {
+/// The signature of the product chain of `ftc` (a built FT_C): node
+/// count, top, then every node in index order — gates by connective and
+/// inputs, dynamic events by chain and triggering gate, static events by
+/// probability. No solver input enters it: one chain serves every horizon.
+inline std::string reference_ftc_signature(const sd_fault_tree& ftc) {
   using namespace reference_detail;
   const fault_tree& ft = ftc.structure();
   std::string out;
-  put_f64(out, horizon);
-  put_f64(out, epsilon);
   put_u32(out, static_cast<std::uint32_t>(ft.size()));
   put_u32(out, ft.top());
   for (node_index n = 0; n < ft.size(); ++n) {

@@ -239,6 +239,18 @@ TEST(ObsEngine, BwrRunEmitsOneSpanPerStageWithMatchingParents) {
     }
   }
   EXPECT_FALSE(spans_named(spans, "quant.mcs").empty());
+  // A cutset that misses the quantification cache shows where its time
+  // went: product-chain exploration and uniformisation, each a child of
+  // its quant.mcs span.
+  std::set<std::uint64_t> mcs_ids;
+  for (const auto& s : spans_named(spans, "quant.mcs")) mcs_ids.insert(s.id);
+  for (const char* child : {"quant.explore", "quant.uniformise"}) {
+    const auto matches = spans_named(spans, child);
+    EXPECT_FALSE(matches.empty()) << child;
+    for (const auto& s : matches) {
+      EXPECT_TRUE(mcs_ids.contains(s.parent)) << child;
+    }
+  }
 }
 
 TEST(ObsEngine, PublishCoversEveryEngineStatsMetric) {
@@ -283,7 +295,7 @@ const std::vector<count_field> kCountFields = {
     &engine_stats::trigger_set_hits, &engine_stats::trigger_set_misses,
     &engine_stats::ftc_plan_hits, &engine_stats::ftc_plan_misses,
     &engine_stats::cache_hits, &engine_stats::cache_misses,
-    &engine_stats::cache_evictions, &engine_stats::cache_entries,
+    &engine_stats::cache_chain_reuses, &engine_stats::cache_evictions, &engine_stats::cache_entries,
     &engine_stats::struct_cache_hits, &engine_stats::struct_cache_misses,
     &engine_stats::struct_cache_evictions,
     &engine_stats::struct_cache_entries, &engine_stats::pool_threads,

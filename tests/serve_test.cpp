@@ -250,11 +250,22 @@ TEST(Serve, HealthStatsAndShutdown) {
   EXPECT_EQ(health.at("models").as_number(), 1.0);
   EXPECT_GE(health.at("requests").as_number(), 2.0);
 
+  // A second horizon solves every cached chain once more and explores
+  // none: each quantification-cache entry now lists two solves.
+  (void)handle(service, R"({"op":"analyze","model":"m","horizon":48})");
+
   const json::value stats = handle(service, R"({"op":"stats"})");
   EXPECT_TRUE(stats.at("ok").as_bool());
   EXPECT_EQ(stats.at("struct_cache").at("entries").as_number(), 1.0);
+  const json::value& quant = stats.at("quant_cache");
+  EXPECT_GT(quant.at("entries").as_number(), 0.0);
+  EXPECT_EQ(quant.at("solves").as_number(),
+            2.0 * quant.at("entries").as_number());
   EXPECT_TRUE(stats.at("metrics").is_object());
   EXPECT_TRUE(stats.at("metrics").contains("struct_cache.hits"));
+  EXPECT_GT(stats.at("metrics").at("quant.chain_reuse").as_number(), 0.0);
+  EXPECT_EQ(stats.at("metrics").at("quant.chain_reuse").as_number(),
+            stats.at("metrics").at("quant.cache_miss").as_number());
 
   EXPECT_FALSE(service.shutdown_requested());
   EXPECT_TRUE(handle(service, R"({"op":"shutdown"})").at("ok").as_bool());

@@ -478,6 +478,7 @@ void print_engine_stats(const engine_stats& s) {
   table.add_row({"cache hits / misses", std::to_string(s.cache_hits) + " / " +
                                             std::to_string(s.cache_misses) +
                                             " (" + rate + " hit rate)"});
+  table.add_row({"cache chain reuses", std::to_string(s.cache_chain_reuses)});
   table.add_row({"cache entries", std::to_string(s.cache_entries)});
   table.add_row({"trigger-set hits / misses",
                  std::to_string(s.trigger_set_hits) + " / " +
