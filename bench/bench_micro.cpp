@@ -383,25 +383,6 @@ BENCHMARK(bm_bitset_subset_kernel)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-void bm_bitset_ordering_bwr(benchmark::State& state) {
-  // Variable-ordering A/B on the static BWR tree: compile + exact
-  // probability per ordering (0 dfs, 1 natural, 2 weight, 3 sift).
-  const auto ordering = static_cast<bdd_ordering>(state.range(0));
-  for (auto _ : state) {
-    const ft_bdd compiled(bwr_static(), fault_tree::npos, ordering);
-    benchmark::DoNotOptimize(compiled.probability());
-  }
-  const ft_bdd last(bwr_static(), fault_tree::npos, ordering);
-  state.counters["bdd.nodes"] = static_cast<double>(last.node_count());
-  state.counters["bdd.sift_swaps"] = static_cast<double>(last.sift_swaps());
-}
-BENCHMARK(bm_bitset_ordering_bwr)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
 // --- Observability overhead (DESIGN.md §11). The acceptance bar is <2%
 // on instrumented pipelines with recording compiled in but disabled; the
 // per-callsite benches below show the absolute cost a disabled span or

@@ -309,45 +309,6 @@ bdd_ref bdd_manager::minimal_solutions(bdd_ref f) {
   return result;
 }
 
-bdd_ref bdd_manager::swap_adjacent(bdd_ref f, std::uint32_t v) {
-  const std::uint32_t upper = v;
-  const std::uint32_t lower = v + 1;
-  std::unordered_map<bdd_ref, bdd_ref> memo;
-  // Cofactor of h with respect to `var`, valid when var_of(h) >= var.
-  const auto cof = [this](bdd_ref h, std::uint32_t var, bool high) {
-    if (is_terminal(h) || var_of(h) != var) return h;
-    return high ? nodes_[h].high : nodes_[h].low;
-  };
-  const std::function<bdd_ref(bdd_ref)> rec = [&](bdd_ref g) -> bdd_ref {
-    // Nodes strictly below the swapped pair keep both their label and
-    // their meaning.
-    if (is_terminal(g) || var_of(g) > lower) return g;
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
-    bdd_ref result;
-    if (var_of(g) < upper) {
-      result = make(var_of(g), rec(nodes_[g].low), rec(nodes_[g].high));
-    } else if (var_of(g) == lower) {
-      // Reached without an `upper` node above it: the function here does
-      // not depend on `upper`, so the `lower` dependence simply moves up.
-      result = make(upper, nodes_[g].low, nodes_[g].high);
-    } else {
-      // var_of(g) == upper. With f_ab = g cofactored at (upper=a,
-      // lower=b), the swapped node is h(a, b) = f_ba.
-      const bdd_ref g0 = nodes_[g].low;
-      const bdd_ref g1 = nodes_[g].high;
-      const bdd_ref f00 = cof(g0, lower, false);
-      const bdd_ref f01 = cof(g0, lower, true);
-      const bdd_ref f10 = cof(g1, lower, false);
-      const bdd_ref f11 = cof(g1, lower, true);
-      result = make(upper, make(lower, f00, f10), make(lower, f01, f11));
-    }
-    memo.emplace(g, result);
-    return result;
-  };
-  return rec(f);
-}
-
 std::size_t bdd_manager::live_nodes(bdd_ref f) const {
   std::vector<bdd_ref> stack{f};
   std::unordered_set<bdd_ref> seen{f};
@@ -362,22 +323,6 @@ std::size_t bdd_manager::live_nodes(bdd_ref f) const {
   // Both terminals always exist even if unreachable from f.
   for (bdd_ref t : {zero(), one()}) seen.insert(t);
   return seen.size();
-}
-
-bdd_ref bdd_manager::compact(bdd_ref root) {
-  bdd_manager fresh;
-  std::unordered_map<bdd_ref, bdd_ref> map{{zero(), zero()}, {one(), one()}};
-  const std::function<bdd_ref(bdd_ref)> rec = [&](bdd_ref g) -> bdd_ref {
-    auto it = map.find(g);
-    if (it != map.end()) return it->second;
-    const bdd_ref r =
-        fresh.make(var_of(g), rec(nodes_[g].low), rec(nodes_[g].high));
-    map.emplace(g, r);
-    return r;
-  };
-  const bdd_ref new_root = rec(root);
-  *this = std::move(fresh);
-  return new_root;
 }
 
 std::vector<std::vector<std::uint32_t>> bdd_manager::enumerate_products(

@@ -17,8 +17,8 @@ class bdd_manager;
 /// both children exist — so one forward pass evaluates every root.
 ///
 /// This is the code base's one probability kernel: every exact BDD
-/// probability (one-shot, exact-static, modular, every scenario sequence,
-/// UQ sample and sweep point) is a plan evaluation. The plan owns its
+/// probability (one-shot, exact-static, every scenario sequence, UQ
+/// sample and sweep point) is a plan evaluation. The plan owns its
 /// steps and no longer refers to the manager, which may be mutated or
 /// dropped afterwards.
 class bdd_plan {
@@ -98,7 +98,7 @@ class bdd_manager {
   /// the unique table and every operation cache are released first, so
   /// the plan is built while only the node array is still resident, and
   /// the manager is left empty afterwards. For compile-once,
-  /// evaluate-many workloads (the scenario engine).
+  /// evaluate-many workloads (the scenario engine, exact-static).
   bdd_plan freeze(const std::vector<bdd_ref>& roots) &&;
 
   /// Rauzy's minimal-solutions operator for a coherent f: the result
@@ -111,25 +111,11 @@ class bdd_manager {
   /// are exactly the minimal cutsets.
   std::vector<std::vector<std::uint32_t>> enumerate_products(bdd_ref f) const;
 
-  /// Returns f with the roles of the adjacent variables v and v+1
-  /// exchanged: the result, read with the two variables' external meanings
-  /// swapped, denotes the same function. This is the elementary step of
-  /// sifting-based reordering. Purely functional — new nodes are created
-  /// through the unique table, old ones become garbage until compact();
-  /// existing refs and operation caches stay structurally valid.
-  bdd_ref swap_adjacent(bdd_ref f, std::uint32_t v);
-
-  /// Number of nodes reachable from f, terminals included — the size
-  /// objective of sifting (size() also counts reordering garbage).
+  /// Number of nodes reachable from f, terminals included.
   std::size_t live_nodes(bdd_ref f) const;
 
-  /// Rebuilds the manager retaining only the nodes reachable from `root`
-  /// and returns the new root. Every other ref and all operation caches
-  /// are invalidated; used to reclaim reordering garbage.
-  bdd_ref compact(bdd_ref root);
-
-  /// Number of allocated nodes (including both terminals and any
-  /// reordering garbage; see live_nodes()).
+  /// Number of allocated nodes, both terminals and every intermediate
+  /// result included (see live_nodes()).
   std::size_t size() const { return nodes_.size(); }
 
  private:

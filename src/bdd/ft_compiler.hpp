@@ -22,8 +22,8 @@ std::vector<node_index> dfs_leaves(const fault_tree& ft,
 /// variable v of `manager`; a leaf is any node given a variable (a basic
 /// event, or a nested module's pseudo-event, which is then not expanded).
 /// compile() is memoised per node, so every consumer — ft_bdd, the
-/// event-tree scenario BDD, modular_probability — runs the same apply
-/// calls in the same order. `manager` must outlive the compiler.
+/// engine's exact-static plan, the event-tree scenario BDD — runs the same
+/// apply calls in the same order. `manager` must outlive the compiler.
 class ft_compiler {
  public:
   ft_compiler(const fault_tree& ft, bdd_manager& manager,

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "bdd/ft_bdd.hpp"
 #include "engine/modular.hpp"
 #include "obs/obs.hpp"
 #include "prep/prep.hpp"
@@ -50,21 +49,20 @@ void fill_prep_stats(engine_stats& stats, const prep_stats& p) {
   stats.prep_modules = p.modules_found;
 }
 
-/// Per-prep-node probability overrides from the run's own FT-bar — the
-/// inputs the exact-static BDD evaluates under. Complete over the basic
-/// events, so evaluation is independent of the probabilities frozen into
-/// the (possibly cached) prep tree.
-std::unordered_map<node_index, double> exact_static_overrides(
-    const structure_entry& entry, const static_translation& translation) {
-  std::unordered_map<node_index, double> overrides;
-  const fault_tree& prep_tree = *entry.prep_tree;
-  overrides.reserve(prep_tree.num_basic_events());
-  for (node_index b = 0; b < prep_tree.size(); ++b) {
-    if (!prep_tree.is_basic(b)) continue;
-    overrides.emplace(
-        b, translation.ft_bar.node(entry.prep_to_source[b]).probability);
-  }
-  return overrides;
+/// The exact-static stage: the entry's frozen BDD of the preprocessed
+/// FT-bar (compiled on first use) evaluated with this run's own FT-bar
+/// probabilities — the exact static top-event probability, free of
+/// rare-event and cutoff error, and the same on a cache hit as on a miss.
+void exact_static_stage(const structure_entry& entry,
+                        const static_translation& translation,
+                        analysis_result& result) {
+  const stopwatch timer;
+  obs::span_scope span("engine.exact_static");
+  result.exact_static_probability = entry.exact_static_probability(
+      translation.ft_bar, &result.stats.bdd_nodes);
+  result.stats.exact_static_seconds = timer.seconds();
+  span.arg("nodes", static_cast<double>(result.stats.bdd_nodes));
+  span.arg("probability", result.exact_static_probability);
 }
 
 /// Rejects numeric options no stage can honour; NaN fails every check.
@@ -135,7 +133,6 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     engine_stats& stats) {
   acquired_structure acq;
   stats.backend = to_string(opt.backend);
-  stats.bdd_ordering = to_string(opt.bdd_ordering);
 
   acq.translation = translate_stage(tree, opt, stats);
 
@@ -256,7 +253,6 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
   analysis_result result;
   engine_stats& stats = result.stats;
   stats.backend = to_string(cutset_backend::mc);
-  stats.bdd_ordering = to_string(opt.bdd_ordering);
 
   thread_pool* const pool = this->pool(opt);
   sim::mc_options mc = opt.mc;
@@ -291,18 +287,11 @@ analysis_result analysis_engine::run_mc(const sd_fault_tree& tree,
     }
 
     if (opt.exact_static) {
-      const stopwatch exact_timer;
-      obs::span_scope exact_span("engine.exact_static");
       structure_entry entry;
       entry.prep_to_source = std::move(prep.to_source);
       entry.prep_tree =
           std::make_shared<const fault_tree>(std::move(prep.tree));
-      result.exact_static_probability = entry.exact_static_probability(
-          opt.bdd_ordering, exact_static_overrides(entry, translation),
-          &stats.bdd_nodes, &stats.bdd_sift_swaps);
-      stats.exact_static_seconds = exact_timer.seconds();
-      exact_span.arg("nodes", static_cast<double>(stats.bdd_nodes));
-      exact_span.arg("probability", result.exact_static_probability);
+      exact_static_stage(entry, translation, result);
     }
   }
 
@@ -362,22 +351,8 @@ analysis_result analysis_engine::run(const sd_fault_tree& tree,
   acquired_structure acq = acquire(tree, opt, pool, stats);
   cutset_generation& generated = acq.generation;
 
-  // Optional exact-static stage: one BDD over the whole preprocessed
-  // FT-bar, evaluated by Shannon decomposition — the exact static
-  // top-event probability, free of rare-event and cutoff error. The BDD
-  // is compiled once per (structure, ordering) and kept on the cache
-  // entry; evaluation always uses this run's own probabilities, which
-  // makes hit and miss paths bit-identical.
-  if (opt.exact_static) {
-    stage_timer.reset();
-    obs::span_scope exact_span("engine.exact_static");
-    result.exact_static_probability = acq.entry->exact_static_probability(
-        opt.bdd_ordering, exact_static_overrides(*acq.entry, acq.translation),
-        &stats.bdd_nodes, &stats.bdd_sift_swaps);
-    stats.exact_static_seconds = stage_timer.seconds();
-    exact_span.arg("nodes", static_cast<double>(stats.bdd_nodes));
-    exact_span.arg("probability", result.exact_static_probability);
-  }
+  // Optional exact-static stage, on the entry's frozen BDD.
+  if (opt.exact_static) exact_static_stage(*acq.entry, acq.translation, result);
 
   // Stage 3: per-cutset quantification, in parallel (paper §V-C).
   stage_timer.reset();

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "bdd/ordering.hpp"
 #include "core/mcs_model.hpp"
 #include "engine/cutset_source.hpp"
 #include "engine/engine_stats.hpp"
@@ -66,16 +65,12 @@ struct analysis_options {
   /// Ignored by the cutset backends.
   sim::mc_options mc;
 
-  /// Variable-ordering heuristic of the --exact-static BDD. Orderings
-  /// change BDD size (engine_stats::bdd_nodes), never the probability
-  /// beyond rounding, and never the cutset list, which MOCUS generates.
-  sdft::bdd_ordering bdd_ordering = sdft::bdd_ordering::dfs;
-
-  /// Additionally compile the preprocessed FT-bar to one BDD and evaluate
-  /// the exact static top-event probability on it (Shannon decomposition;
-  /// no rare-event approximation, no cutoff truncation). Reported in
-  /// analysis_result::exact_static_probability; the dynamic pipeline is
-  /// unaffected. Surfaced as `sdft analyze --exact-static`.
+  /// Additionally evaluate the exact static top-event probability of the
+  /// preprocessed FT-bar on one BDD (DFS variable order, compiled once per
+  /// structure and frozen to a plan on its cache entry; Shannon
+  /// decomposition, no rare-event approximation, no cutoff truncation).
+  /// Reported in analysis_result::exact_static_probability; the dynamic
+  /// pipeline is unaffected. Surfaced as `sdft analyze --exact-static`.
   bool exact_static = false;
 
   /// Preprocessing of FT-bar between translation and cutset generation

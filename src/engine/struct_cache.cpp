@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "bdd/ft_compiler.hpp"
+
 namespace sdft {
 
 namespace {
@@ -50,21 +52,28 @@ std::string structural_signature(const sd_fault_tree& tree,
 }
 
 double structure_entry::exact_static_probability(
-    bdd_ordering ordering,
-    const std::unordered_map<node_index, double>& overrides,
-    std::size_t* node_count, std::size_t* sift_swaps) const {
-  std::lock_guard lock(bdd_mutex_);
-  auto it = bdds_.find(ordering);
-  std::size_t swaps = 0;
-  if (it == bdds_.end()) {
-    auto compiled =
-        std::make_unique<ft_bdd>(*prep_tree, fault_tree::npos, ordering);
-    swaps = compiled->sift_swaps();
-    it = bdds_.emplace(ordering, std::move(compiled)).first;
+    const fault_tree& ft_bar, std::size_t* node_count) const {
+  std::call_once(exact_once_, [this] {
+    const fault_tree& ft = *prep_tree;
+    const std::vector<node_index> order = dfs_leaves(ft, {ft.top()});
+    bdd_manager manager;
+    const bdd_ref root = ft_compiler(ft, manager, order).compile(ft.top());
+    exact_.nodes = manager.size();
+    exact_.plan = std::move(manager).freeze({root});
+    exact_.var_to_source.reserve(order.size());
+    for (const node_index leaf : order) {
+      exact_.var_to_source.push_back(prep_to_source[leaf]);
+    }
+  });
+  std::vector<double> probs;
+  probs.reserve(exact_.var_to_source.size());
+  for (const node_index source : exact_.var_to_source) {
+    probs.push_back(ft_bar.node(source).probability);
   }
-  if (node_count != nullptr) *node_count = it->second->node_count();
-  if (sift_swaps != nullptr) *sift_swaps = swaps;
-  return it->second->probability(overrides);
+  std::vector<double> out;
+  exact_.plan.evaluate(probs, out);
+  if (node_count != nullptr) *node_count = exact_.nodes;
+  return out[0];
 }
 
 structure_cache::structure_cache(std::size_t capacity) : map_(capacity) {}

@@ -2,15 +2,12 @@
 
 #include <atomic>
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "bdd/ft_bdd.hpp"
-#include "bdd/ordering.hpp"
+#include "bdd/bdd.hpp"
 #include "core/mcs_model.hpp"
 #include "mcs/cutset.hpp"
 #include "prep/prep.hpp"
@@ -38,9 +35,9 @@ std::string structural_signature(const sd_fault_tree& tree,
 ///
 ///   The engine keeps exactly {minimal cutsets c : p(c) >= cutoff}, with
 ///   p(c) the product of FT-bar probabilities (an invariant across
-///   backends, thread counts, prep and BDD orderings — see the
-///   determinism suite). For a later run whose FT-bar probabilities are
-///   pointwise <= the envelope and whose cutoff' >= gen_cutoff, every
+///   backends, thread counts and prep — see the determinism suite).
+///   For a later run whose FT-bar probabilities are pointwise <= the
+///   envelope and whose cutoff' >= gen_cutoff, every
 ///   cutset missing from the cached list satisfies p'(c) <= p_env(c) <
 ///   gen_cutoff <= cutoff', so re-filtering the cached list by the
 ///   run's own probabilities reproduces its fresh list exactly. A
@@ -69,9 +66,8 @@ struct structure_entry {
   /// hits (the rewrite is skipped, but its shape is still this).
   prep_stats pstats;
 
-  /// The preprocessed FT-bar and its node -> source map, kept so
-  /// exact-static queries on hits can compile/evaluate the same BDD a
-  /// fresh run would.
+  /// The preprocessed FT-bar and its node -> FT-bar map, kept so an
+  /// exact-static query on a hit compiles the same BDD a fresh run would.
   std::shared_ptr<const fault_tree> prep_tree;
   std::vector<node_index> prep_to_source;
 
@@ -88,23 +84,26 @@ struct structure_entry {
   /// stage 3, dropped with the entry.
   ftc_plan_memo ftc_plans;
 
-  /// Exact static top-event probability over `prep_tree` with the given
-  /// per-prep-node probability overrides, evaluated on a lazily compiled
-  /// (and then cached) BDD for `ordering`. Thread-safe; bit-identical to
-  /// a fresh run's compile-and-evaluate because prep and BDD compilation
-  /// are deterministic given the structure. Reports the BDD node count
-  /// and sifting swaps of the (first) compilation.
-  double exact_static_probability(
-      bdd_ordering ordering,
-      const std::unordered_map<node_index, double>& overrides,
-      std::size_t* node_count, std::size_t* sift_swaps) const;
+  /// Exact static top-event probability of `prep_tree`, evaluated with
+  /// the probabilities of `ft_bar` (the run's own FT-bar, reached through
+  /// `prep_to_source`), so a hit and a miss give the same bits. The first
+  /// call compiles the prep tree in DFS order and freezes it to a
+  /// bdd_plan held by the entry; every call is then one plan evaluation,
+  /// concurrent callers included. Reports the node count of that compile.
+  double exact_static_probability(const fault_tree& ft_bar,
+                                  std::size_t* node_count) const;
 
  private:
-  /// Guards lazy compilation and evaluation (bdd_manager memoises
-  /// internally even during const evaluation, so evaluation itself must
-  /// be serialized per BDD).
-  mutable std::mutex bdd_mutex_;
-  mutable std::map<bdd_ordering, std::unique_ptr<ft_bdd>> bdds_;
+  /// The frozen exact-static BDD: the plan, the FT-bar node behind each
+  /// of its variables, and the nodes the compile allocated. Written once,
+  /// under exact_once_; evaluation only reads it.
+  struct exact_static_plan {
+    bdd_plan plan;
+    std::vector<node_index> var_to_source;
+    std::size_t nodes = 0;
+  };
+  mutable std::once_flag exact_once_;
+  mutable exact_static_plan exact_;
 };
 
 /// Thread-safe LRU cache of structure_entry, keyed by

@@ -172,16 +172,27 @@ std::size_t event_tree_plan::nodes() const {
 }
 
 namespace {
-/// Depth of the sequence split: fixed by the tree, never by the pool.
-constexpr std::size_t split_depth = 3;
+/// The split into jobs is fixed by the tree, never by the pool. Every job
+/// lowers its own copy of the gates, so a tree is split only into groups
+/// of this many sequences or more (2^d groups need 2^d times as many):
+/// below 128 sequences it compiles as one job.
+constexpr std::size_t min_sequences_per_job = 64;
+/// Deepest split: 2^3 groups.
+constexpr std::size_t max_split_depth = 3;
 
-/// Sequence indices grouped by the outcomes of their last
-/// min(#FE, split_depth) functional events, groups in lexicographic order
-/// of those outcomes, each group ascending. Every suffix product starts
-/// with those outcomes, so two groups never look up the same memo entry.
+/// Sequence indices grouped by the outcomes of their last d functional
+/// events, d the largest depth <= min(#FE, max_split_depth) with
+/// 2^d * min_sequences_per_job <= #sequences; groups in lexicographic
+/// order of those outcomes, each group ascending. Every suffix product
+/// starts with those outcomes, so two groups never look up the same memo
+/// entry.
 std::vector<std::vector<std::size_t>> suffix_partitions(const event_tree& et) {
-  const std::size_t depth =
-      std::min(et.num_functional_events(), split_depth);
+  std::size_t depth = 0;
+  while (depth < std::min(et.num_functional_events(), max_split_depth) &&
+         (std::size_t{2} << depth) * min_sequences_per_job <=
+             et.num_sequences()) {
+    ++depth;
+  }
   std::map<std::vector<branch_outcome>, std::vector<std::size_t>> groups;
   for (std::size_t s = 0; s < et.num_sequences(); ++s) {
     const auto& outcomes = et.sequence_outcomes(s);
@@ -230,7 +241,13 @@ event_tree_compilation compile_event_tree(
   event_tree_compilation out;
   const std::vector<std::vector<std::size_t>> partitions =
       suffix_partitions(et);
-  const std::size_t jobs = partitions.size() + (end_states.empty() ? 0 : 1);
+  // The end states get a job of their own beside a split; a tree compiled
+  // as one partition keeps them in that job's manager.
+  const std::size_t end_state_job =
+      partitions.size() > 1 ? partitions.size() : 0;
+  const std::size_t jobs =
+      end_states.empty() ? partitions.size()
+                         : std::max(partitions.size(), end_state_job + 1);
   struct job_result {
     std::size_t nodes = 0;
     std::size_t suffix_hits = 0;
@@ -248,7 +265,8 @@ event_tree_compilation compile_event_tree(
         roots.push_back(compiled.sequence(s));
         slots.push_back(s);
       }
-    } else {
+    }
+    if (j == end_state_job) {
       for (std::size_t e = 0; e < end_states.size(); ++e) {
         roots.push_back(compiled.end_state(end_states[e]));
         slots.push_back(et.num_sequences() + e);

@@ -197,11 +197,14 @@ struct event_tree_compilation {
 /// Compiles every sequence of `et` and every end state in `end_states` in
 /// independent jobs, each with its own event_tree_bdd, frozen into its own
 /// plan as soon as it finishes. Sequences are split by the outcomes of their
-/// last min(#FE, 3) functional events: sequences in different jobs share no
-/// suffix product, so the split duplicates only the gate BDDs. The end
-/// states form one more job on the sequence trie. Jobs run through
-/// parallel_for on `pool` (null = serially on the caller). Plans, values
-/// and counters are the same at any thread count. Validates the tree.
+/// last d functional events, d <= min(#FE, 3) the largest with
+/// 2^d * 64 <= #sequences: sequences in different jobs share no suffix
+/// product, so the split duplicates only the gate BDDs, and the end states
+/// form one more job on the sequence trie. A tree of fewer than 128
+/// sequences compiles every sequence and end state in one job. Jobs run
+/// through parallel_for on `pool` (null = serially on the caller). Plans,
+/// values and counters are the same at any thread count. Validates the
+/// tree.
 event_tree_compilation compile_event_tree(
     const event_tree& et, const std::vector<std::string>& end_states,
     thread_pool* pool);

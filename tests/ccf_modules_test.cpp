@@ -167,12 +167,13 @@ TEST(Modules, IndependentSubtreesAreModules) {
   EXPECT_EQ(modules.size(), 4u);
 }
 
-TEST(Modules, ModularProbabilityMatchesBdd) {
+TEST(Modules, ExactStaticMatchesBdd) {
   const fault_tree ft = testing::example1_static();
-  EXPECT_NEAR(modular_probability(ft), ft_bdd(ft).probability(), 1e-15);
+  EXPECT_NEAR(testing::engine_exact_static(ft), ft_bdd(ft).probability(),
+              1e-15);
 }
 
-TEST(Modules, ModularProbabilityOnSharedDag) {
+TEST(Modules, ExactStaticOnSharedDag) {
   fault_tree ft;
   const node_index x = ft.add_basic_event("x", 0.1);
   const node_index y = ft.add_basic_event("y", 0.2);
@@ -180,7 +181,8 @@ TEST(Modules, ModularProbabilityOnSharedDag) {
   const node_index g1 = ft.add_gate("g1", gate_type::or_gate, {x, y});
   const node_index g2 = ft.add_gate("g2", gate_type::or_gate, {y, z});
   ft.set_top(ft.add_gate("top", gate_type::and_gate, {g1, g2}));
-  EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-15);
+  EXPECT_NEAR(testing::engine_exact_static(ft), ft.probability_brute_force(),
+              1e-15);
 }
 
 /// Nine events under seven random gates. With `voting`, a gate drawing
@@ -224,13 +226,15 @@ class ModularRandomTrees : public ::testing::TestWithParam<int> {};
 TEST_P(ModularRandomTrees, MatchesBruteForce) {
   rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
   const fault_tree ft = random_modular_tree(random, /*voting=*/false);
-  EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-12);
+  EXPECT_NEAR(testing::engine_exact_static(ft), ft.probability_brute_force(),
+              1e-12);
 }
 
 TEST_P(ModularRandomTrees, VotingMatchesBruteForce) {
   rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
   const fault_tree ft = random_modular_tree(random, /*voting=*/true);
-  EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-12);
+  EXPECT_NEAR(testing::engine_exact_static(ft), ft.probability_brute_force(),
+              1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModularRandomTrees, ::testing::Range(0, 20));

@@ -3,10 +3,10 @@
 // bit-identical failure probability for every thread count, with the prep
 // rewrite/modularization layer on or off — 6 configurations against the
 // serial no-prep reference. Exercised on the BWR example study, random SD
-// trees and a small industrial model. (That the list equals the BDD's,
-// under every variable ordering, is bdd_ordering_test's and engine_test's
-// job.) The engine always memoises; its cached probabilities are checked
-// cutset by cutset against the quantifiers built without any cache.
+// trees and a small industrial model. (That the list equals the BDD's is
+// engine_test's job.) The engine always memoises; its cached probabilities
+// are checked cutset by cutset against the quantifiers built without any
+// cache.
 
 #include <gtest/gtest.h>
 

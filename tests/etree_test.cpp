@@ -588,6 +588,37 @@ TEST(EventTreeBdd, SuffixHitsAreExact) {
             0u);
 }
 
+TEST(EventTreeBdd, SmallTreeCompilesAsOneJob) {
+  // Below 128 sequences a split would only duplicate the gate BDDs:
+  // plant.etree (4 sequences) compiles every sequence and end state in one
+  // manager, so its plan is one shared compile's, node for node and bit
+  // for bit, in compile_event_tree() and in the scenario engine's counters.
+  scenario_options opts;
+  opts.quantify_cutsets = false;
+  opts.analysis.publish_metrics = false;
+  scenario_engine plant(load_plant(), opts);
+  const event_tree& et = plant.compiled_event_tree();
+  const std::vector<std::string> names = {"OK", "CD"};
+  event_tree_bdd shared(et);
+  std::vector<bdd_ref> roots;
+  for (std::size_t s = 0; s < et.num_sequences(); ++s) {
+    roots.push_back(shared.sequence(s));
+  }
+  for (const std::string& name : names) roots.push_back(shared.end_state(name));
+  std::vector<double> expected;
+  for (const bdd_ref root : roots) expected.push_back(shared.probability(root));
+  const std::size_t shared_nodes = shared.nodes();
+  const bdd_plan shared_plan = std::move(shared).freeze(roots);
+
+  const event_tree_compilation c = compile_event_tree(et, names, nullptr);
+  EXPECT_EQ(c.plan.nodes(), shared_plan.size());
+  EXPECT_EQ(c.bdd_nodes, shared_nodes);
+  std::vector<double> got;
+  c.plan.evaluate(node_probs(et.ft()), got);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(plant.run().stats.scenario_plan_nodes, shared_plan.size());
+}
+
 std::string hex(double x) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", x);

@@ -286,7 +286,7 @@ const std::vector<count_field> kCountFields = {
     &engine_stats::source_partials, &engine_stats::source_discarded,
     &engine_stats::lookahead_pruned,
     &engine_stats::subset_tests, &engine_stats::bitset_words,
-    &engine_stats::bdd_nodes, &engine_stats::bdd_sift_swaps,
+    &engine_stats::bdd_nodes,
     &engine_stats::static_cutsets, &engine_stats::dynamic_cutsets,
     &engine_stats::failed_quantifications, &engine_stats::lumped_orbits,
     &engine_stats::lumped_cutsets, &engine_stats::packed_key_chains,
@@ -330,8 +330,7 @@ const std::vector<gauge_field> kGaugeFields = {
 };
 
 const std::vector<label_field> kLabelFields = {
-    &engine_stats::backend, &engine_stats::mc_method,
-    &engine_stats::bdd_ordering};
+    &engine_stats::backend, &engine_stats::mc_method};
 
 /// Fills every field with a distinct non-zero value: counts get integers
 /// `base + 7i`, gauges the same plus one half (so no gauge reads as an
@@ -413,7 +412,7 @@ TEST(EngineStats, PublishedKindsFollowFieldTypes) {
   std::set<std::string> unique;
   for (const auto& [name, value] : metrics) unique.insert(name);
   EXPECT_EQ(unique.size(), metrics.size()) << "duplicate metric name";
-  // Each name registered under exactly one kind, plus the three labels.
+  // Each name registered under exactly one kind, plus the two labels.
   EXPECT_EQ(published.size(), metrics.size() + kLabelFields.size());
 
   // Field values are distinct, so each metric value identifies its field:
@@ -447,7 +446,6 @@ TEST(EngineStats, PublishedKindsFollowFieldTypes) {
   EXPECT_EQ(registry.names(), published);
 
   EXPECT_EQ(registry.label("engine.backend"), s.backend);
-  EXPECT_EQ(registry.label("bdd.ordering"), s.bdd_ordering);
   EXPECT_EQ(registry.label("mc.method"), s.mc_method);
 }
 

@@ -555,22 +555,22 @@ TEST(ScenarioEngine, IndustrialUqAndPointsMatchOneShots) {
 
 TEST(ScenarioEngine, CompileCountersAtAnyThreadCount) {
   // The compile's counters describe the partitioned compilation, which the
-  // tree fixes: the same at 1 (no pool), 2 and 8 threads. The 32-sequence
-  // tree splits by its last three events into 8 partitions of 4 sequences,
-  // each making 20 memo lookups over 9 distinct suffix products.
-  const scenario_model m = industrial_scenario(5);
+  // tree fixes: the same at 1 (no pool), 2 and 8 threads. The 256-sequence
+  // tree splits by its last two events into 4 partitions of 64 sequences,
+  // each making 512 memo lookups over 128 distinct suffix products.
+  const scenario_model m = industrial_scenario(8);
   scenario_options opts;
   opts.quantify_cutsets = false;
   opts.analysis.publish_metrics = false;
   opts.analysis.threads = 1;
   scenario_engine serial(m, opts);
   const engine_stats reference = serial.run(0, 1).stats;
-  EXPECT_EQ(reference.scenario_prefix_hits, 8u * (20u - 9u));
+  EXPECT_EQ(reference.scenario_prefix_hits, 4u * (512u - 128u));
   EXPECT_LE(reference.scenario_plan_nodes, reference.scenario_bdd_nodes);
 
   // Distinct gates, as one shared compiler of every root lowers them.
   event_tree_bdd shared(serial.compiled_event_tree());
-  for (std::size_t s = 0; s < 32; ++s) shared.sequence(s);
+  for (std::size_t s = 0; s < 256; ++s) shared.sequence(s);
   shared.end_state("CD");
   shared.end_state("OK");
   EXPECT_EQ(reference.scenario_gates_compiled, shared.gates_compiled());

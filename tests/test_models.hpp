@@ -274,6 +274,14 @@ inline sd_fault_tree make_random_static_tree(std::uint64_t seed,
   return tree;
 }
 
+/// The engine's exact static probability of a static fault tree (its one
+/// exact path: the prep tree compiled in DFS order, frozen to a plan).
+inline double engine_exact_static(const fault_tree& ft) {
+  analysis_options opts;
+  opts.exact_static = true;
+  return analyze(sd_fault_tree(ft), opts).exact_static_probability;
+}
+
 /// The stage-2 oracle: every minimal cutset of `ft` from its BDD
 /// (ft_bdd::minimal_cutsets(), generated without a cutoff), kept when its
 /// probability product reaches `cutoff` — the predicate MOCUS prunes

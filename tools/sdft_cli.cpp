@@ -26,8 +26,8 @@
 //          estimation; mc reports a confidence interval and composes with
 //          --mc-method crude|forcing|splitting, --mc-trajectories N,
 //          --mc-batch N, --mc-levels N, --mc-replications N, --seed S),
-//          --exact-static (exact static FT-bar probability via one BDD),
-//          --bdd-ordering dfs|natural|weight|sift (its variable order),
+//          --exact-static (exact static FT-bar probability via one BDD,
+//          compiled once in DFS order and frozen to a plan),
 //          --no-prep (mandatory normalisation only),
 //          --stats (engine instrumentation: stage times, backend
 //          counters, quantification-cache hits/misses, pool occupancy),
@@ -58,7 +58,6 @@
 
 #include <iostream>
 
-#include "bdd/ft_bdd.hpp"
 #include "engine/engine.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
@@ -66,7 +65,6 @@
 #include "serve/service.hpp"
 #include "serve/transport.hpp"
 #include "core/risk_measures.hpp"
-#include "ft/modules.hpp"
 #include "mcs/importance.hpp"
 #include "obs/obs.hpp"
 #include "product/product_ctmc.hpp"
@@ -94,7 +92,6 @@ struct cli_options {
   bool details = false;
   bool stats = false;
   cutset_backend backend = cutset_backend::mocus;
-  sdft::bdd_ordering bdd_ordering = sdft::bdd_ordering::dfs;
   bool exact_static = false;
   prep_options prep;
   std::size_t runs = 100'000;
@@ -135,9 +132,8 @@ struct cli_options {
       "            [--mc-method crude|forcing|splitting] "
       "[--mc-trajectories N]\n"
       "            [--mc-batch N] [--mc-levels N] [--mc-replications N]\n"
-      "            [--bdd-ordering dfs|natural|weight|sift] [--exact-static]\n"
-      "            [--no-prep] [--struct-cache-entries N] "
-      "[--quant-cache-entries N]\n"
+      "            [--exact-static] [--no-prep]\n"
+      "            [--struct-cache-entries N] [--quant-cache-entries N]\n"
       "            [--sweep-param NAME=lo:hi:N[:log|:linear]] "
       "[--sweep-spec FILE]\n"
       "            [--uq-samples N]\n"
@@ -215,10 +211,6 @@ cli_options parse_args(int argc, char** argv) {
       opt.mc.levels = parse_count(arg, next());
     } else if (arg == "--mc-replications") {
       opt.mc.replications = parse_count(arg, next());
-    } else if (arg == "--bdd-ordering") {
-      const auto ordering = parse_bdd_ordering(next());
-      if (!ordering) usage();
-      opt.bdd_ordering = *ordering;
     } else if (arg == "--exact-static") {
       opt.exact_static = true;
     } else if (arg == "--runs") {
@@ -317,7 +309,6 @@ analysis_options make_analysis_options(const cli_options& opt) {
   aopts.threads = opt.threads;
   aopts.mode = opt.mode;
   aopts.backend = opt.backend;
-  aopts.bdd_ordering = opt.bdd_ordering;
   aopts.exact_static = opt.exact_static;
   aopts.prep = opt.prep;
   aopts.structure_cache_entries = opt.struct_cache_entries;
@@ -350,7 +341,9 @@ int cmd_static(const cli_options& opt) {
                 "static analysis requires a purely static model; use "
                 "'analyze' for SD models");
   const fault_tree& ft = tree.structure();
-  analysis_result result = cutset_analysis(tree, opt);
+  cli_options exact = opt;
+  exact.exact_static = true;
+  analysis_result result = cutset_analysis(tree, exact);
   std::vector<cutset> cutsets;
   for (cutset_result& c : result.cutsets) {
     cutsets.push_back(std::move(c.events));
@@ -365,9 +358,7 @@ int cmd_static(const cli_options& opt) {
   std::printf("min-cut bound:    %s\n",
               sci(min_cut_upper_bound(ft, cutsets)).c_str());
   std::printf("exact (BDD):      %s\n",
-              sci(ft_bdd(ft, fault_tree::npos, opt.bdd_ordering).probability())
-                  .c_str());
-  std::printf("exact (modular):  %s\n", sci(modular_probability(ft)).c_str());
+              sci(result.exact_static_probability).c_str());
   return 0;
 }
 
@@ -401,9 +392,6 @@ void print_engine_stats(const engine_stats& s) {
     if (s.bdd_nodes == 0) return;
     table.add_row({"exact static", duration_str(s.exact_static_seconds)});
     table.add_row({"bdd nodes", std::to_string(s.bdd_nodes)});
-    table.add_row({"bdd ordering", s.bdd_ordering + " (" +
-                                       std::to_string(s.bdd_sift_swaps) +
-                                       " sift swaps)"});
   };
   table.add_row({"backend", s.backend});
   if (s.backend == "mc") {
@@ -522,8 +510,7 @@ int cmd_analyze(const cli_options& opt) {
         result.mean_dynamic_events, result.mean_added_dynamic_events);
   }
   if (opt.exact_static) {
-    std::printf("exact static probability (BDD, ordering %s): %s\n",
-                to_string(opt.bdd_ordering),
+    std::printf("exact static probability (BDD): %s\n",
                 sci(result.exact_static_probability).c_str());
   }
   if (opt.backend != cutset_backend::mc) {
